@@ -1,32 +1,18 @@
-"""Hot inner loops: coefficient convolutions over table-driven finite fields.
+"""Hot inner loop: coefficient convolution over table-driven finite fields.
 
-Two implementations of each kernel: a numba @njit version and a pure-numpy
-fallback.  Selection happens once at import: set BKSHAPES_NO_NUMBA=1 to
-force the fallback (the benchmark in benchmarks/bench_kernels.py compares
-the two).  Both operate on int16/int32 numpy arrays of field codes plus the
-ADD/MUL tables of the ambient field.
+``convolve`` operates on numpy arrays of field codes plus the ADD/MUL
+tables of the ambient field.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("BKSHAPES_NO_NUMBA", "").lower() in ("1", "true", "yes")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
+BACKEND = "numpy"
 
 
-def _convolve_np(a, b, add, mul):
+def convolve(a, b, add, mul):
+    """Product coefficients of the polynomials with code arrays ``a`` and ``b``."""
     out = np.zeros(len(a) + len(b) - 1, dtype=a.dtype)
     if len(a) > len(b):
         a, b = b, a
@@ -37,40 +23,3 @@ def _convolve_np(a, b, add, mul):
         seg = out[i : i + len(b)]
         seg[:] = add[seg, mul[ai, b]]
     return out
-
-
-def _addvec_np(a, b, add):
-    return add[a, b]
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _convolve_nb(a, b, add, mul):  # pragma: no cover - exercised via dispatch
-        out = np.zeros(len(a) + len(b) - 1, dtype=a.dtype)
-        for i in range(len(a)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            row = mul[ai]
-            for j in range(len(b)):
-                bj = b[j]
-                if bj == 0:
-                    continue
-                out[i + j] = add[out[i + j], row[bj]]
-        return out
-
-    @njit(cache=True)
-    def _addvec_nb(a, b, add):  # pragma: no cover
-        out = np.empty(len(a), dtype=a.dtype)
-        for i in range(len(a)):
-            out[i] = add[a[i], b[i]]
-        return out
-
-    convolve = _convolve_nb
-    addvec = _addvec_nb
-else:
-    convolve = _convolve_np
-    addvec = _addvec_np
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"

@@ -82,10 +82,6 @@ class CharExp:
         return CharExp(self.p, self.level, self.residue * n)
 
 
-def char_from_exponents(entries, p: int, m: int) -> CharExp:
-    return CharExp(p, m, collapse_exponents(entries, p, m))
-
-
 def is_trivial_char(c: CharExp) -> bool:
     return c.residue == 0
 

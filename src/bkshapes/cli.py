@@ -1,7 +1,8 @@
 """Command-line interface: batch computations over line-delimited records.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(including the unsatisfiable transition preferences of `find-type`).
+(including a non-prime p or an f below 1 given to `verify`, and the
+unsatisfiable transition preferences of `find-type`).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import sys
 
 from . import __version__
 from .charexp import NormDescentError
-from .gf import coefficient_field, field
+from .gf import coefficient_field, field, is_prime
 from .hodge import (
     ForcedChoiceError,
     apply_operator,
@@ -29,7 +30,7 @@ from .io import (
     read_sweep,
     write_sweep,
 )
-from .series import default_precision
+from .series import DEFAULT_PRECISION
 from .tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -228,7 +229,7 @@ def cmd_ext(args, out):
         ExtensionPoint,
         build_extension,
         kext_structure,
-        splits_after_inverting_u,
+        splitting_diagnostics,
     )
     from .phimod import classify_shape
 
@@ -256,11 +257,9 @@ def cmd_ext(args, out):
         f" shapes={','.join(shapes)}"
     )
     if args.split:
-        from .extensions import splitting_diagnostics
-
         diag = splitting_diagnostics(x)
         line += (
-            f" splits={int(splits_after_inverting_u(x))}"
+            f" splits={int(diag['splits'])}"
             f" val_bound={diag['valuation_bound']} scan_floor={diag['scan_floor']}"
             f" window_top={diag['window_top']} free_cycles={diag['free_cycles']}"
         )
@@ -273,7 +272,7 @@ def cmd_ext(args, out):
 
 
 def cmd_sweep(args, out):
-    text = write_sweep(args.p, args.f, args.precision or default_precision())
+    text = write_sweep(args.p, args.f, args.precision or DEFAULT_PRECISION)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -287,9 +286,11 @@ def cmd_sweep(args, out):
 def cmd_verify(args, out):
     from .verify import run_suite
 
-    results = run_suite(
-        args.p, args.f, seed=args.seed, precision=args.precision, fault=args.inject_fault
-    )
+    if not is_prime(args.p):
+        raise UsageError(f"--p must be prime, got {args.p}")
+    if args.f < 1:
+        raise UsageError(f"--f must be at least 1, got {args.f}")
+    results = run_suite(args.p, args.f, seed=args.seed, fault=args.inject_fault)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -371,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--f", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--precision", type=int)
     sp.add_argument("--inject-fault", dest="inject_fault", choices=["s-flip"])
     sp.set_defaults(fn=cmd_verify)
 

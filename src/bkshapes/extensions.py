@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .charexp import collapse_exponents
 from .gf import GF
 from .linalg import rank, rref, row_space_supported_on
@@ -178,6 +180,8 @@ class _Solver:
         self.delta = [d.delta for d in data]
         self.a = [x.twist_at(i)[0] for i in range(self.fp)]
         self.b = [x.twist_at(i)[1] for i in range(self.fp)]
+        self.ratio = [F.div(b, a) for a, b in zip(self.a, self.b)]
+        self.ainv = [F.inv(a) for a in self.a]
         self.LB = -(ep // (self.p - 1)) - 2
         self.W = ep // (self.p - 1) + 3
         self.M_lo = self.p * self.LB - ep
@@ -194,22 +198,23 @@ class _Solver:
             return None
         return ((i - 1) % self.fp, q)
 
-    def _source(self, i: int, m: int) -> bool:
-        return m == self.delta[i] - self.r[i]
+    def _zero(self):
+        return [0] * (self.f + self.nsyms)
 
-    def _vec(self, h_index=None, sym_index=None, coef=1):
-        n = self.f + self.nsyms
-        out = [0] * n
-        if h_index is not None:
-            out[h_index % self.f] = coef
-        if sym_index is not None:
-            out[self.f + sym_index] = coef
-        return out
+    def _step(self, node, pv):
+        """Value at node from its parent's value pv (None when it has no parent).
+
+        The coefficient of u^(m + r_i) in the recursion reads
+        g_i[m] = (b_i/a_i) g_{i-1}[parent] + [m + r_i == delta_i] h_i/a_i.
+        """
+        i, m = node
+        F = self.F
+        val = self._zero() if pv is None else [F.mul(self.ratio[i], c) for c in pv]
+        if m == self.delta[i] - self.r[i]:
+            val[i % self.f] = F.add(val[i % self.f], self.ainv[i])
+        return val
 
     def _find_cycles(self):
-        self.nsyms = 0
-        self.cycle_value: dict = {}
-        self.cycle_rows: list = []
         seen = set()
         cycles = []
         for i in range(self.fp):
@@ -229,135 +234,110 @@ class _Solver:
                 if ok and walk[-1] == node:
                     cycles.append(walk[:-1])
                     seen.update(walk[:-1])
-        # second pass: with cycle count known, vectors have a fixed length
-        self.nsyms = sum(1 for _ in cycles)  # upper bound; refined below
+        # walk[k+1] is the parent of walk[k]; a loop maps x at walk[0] to A*x + B
         F = self.F
-        sym_used = 0
+        gains = []
         for walk in cycles:
-            # value(walk[k]) = coef(walk[k]) * value(walk[k+1]) + src(walk[k])
             A = 1
             for i, _m in walk:
-                A = F.mul(A, F.div(self.b[i], self.a[i]))
+                A = F.mul(A, self.ratio[i])
+            gains.append(A)
+        self.nsyms = gains.count(1)
+        self.cycle_value: dict = {}
+        self.cycle_rows: list = []
+        for walk, A in zip(cycles, gains):
+            B = self._zero()
+            for node in reversed(walk):
+                B = self._step(node, B)
             if A != 1:
-                one_minus = F.sub(1, A)
-                base = walk[0]
-                val = self._trace_cycle(walk, self._vec())  # B as affine h
-                val = [F.div(c, one_minus) for c in val]
-                self._store_cycle(walk, base_value=val)
+                base = [F.div(c, F.sub(1, A)) for c in B]
             else:
-                sym = sym_used
-                sym_used += 1
-                base_val = self._vec(sym_index=sym)
-                row = self._trace_cycle(walk, self._vec())  # pure-h consistency
-                self.cycle_rows.append(row[: self.f])
-                self._store_cycle(walk, base_value=base_val)
-        self.nsyms = sym_used
-        # re-trim stored vectors to the final length
-        n = self.f + self.nsyms
-        for k, v in list(self.cycle_value.items()):
-            self.cycle_value[k] = (v + [0] * n)[:n]
-        self.cycle_rows = [r[: self.f] for r in self.cycle_rows]
-
-    def _trace_cycle(self, walk, start):
-        """Value of walk[0] after one loop starting from value ``start`` there."""
-        F = self.F
-        val = list(start)
-        for node in reversed(walk):
-            i, m = node
-            coef = F.div(self.b[i], self.a[i])
-            val = [F.mul(coef, c) for c in val]
-            if self._source(i, m):
-                val[i % self.f] = F.add(val[i % self.f], F.inv(self.a[i]))
-        return val
-
-    def _store_cycle(self, walk, base_value):
-        # walk[k+1] is the parent of walk[k]; the base value sits at walk[0]
-        F = self.F
-        self.cycle_value[walk[0]] = list(base_value)
-        n = len(walk)
-        for k in range(n - 1, 0, -1):
-            i, m = walk[k]
-            pv = self.cycle_value[walk[(k + 1) % n]]
-            coef = F.div(self.b[i], self.a[i])
-            nv = [F.mul(coef, c) for c in pv]
-            if self._source(i, m):
-                nv[i % self.f] = F.add(nv[i % self.f], F.inv(self.a[i]))
-            self.cycle_value[walk[k]] = nv
+                # a free symbol, consistent when the pure-h B vanishes
+                base = self._zero()
+                base[self.f + len(self.cycle_rows)] = 1
+                self.cycle_rows.append(B)
+            self.cycle_value[walk[0]] = val = base
+            for node in reversed(walk[1:]):
+                val = self._step(node, val)
+                self.cycle_value[node] = val
 
     def value(self, node):
-        """Affine value of an in-window node."""
-        if node in self.cycle_value:
-            return self.cycle_value[node]
-        if node in self._cache:
-            return self._cache[node]
-        stack = [node]
-        while stack:
-            cur = stack[-1]
-            if cur in self._cache or cur in self.cycle_value:
-                stack.pop()
-                continue
-            i, m = cur
-            par = self._parent(i, m)
-            if par is not None and par not in self._cache and par not in self.cycle_value:
-                stack.append(par)
-                continue
-            F = self.F
-            if par is None:
-                val = self._vec()
-            else:
-                pv = self.cycle_value.get(par) or self._cache[par]
-                coef = F.div(self.b[i], self.a[i])
-                val = [F.mul(coef, c) for c in pv]
-            if self._source(i, m):
-                val[i % self.f] = F.add(val[i % self.f], F.inv(self.a[i]))
-            self._cache[cur] = val
-            stack.pop()
-        return self._cache[node]
+        """Affine value of a node at or above the valuation bound."""
+        chain = []
+        known = None
+        while node is not None:
+            known = self.cycle_value.get(node) or self._cache.get(node)
+            if known is not None:
+                break
+            chain.append(node)
+            node = self._parent(*node)
+        for node in reversed(chain):
+            known = self._step(node, known)
+            self._cache[node] = known
+        return known
 
     def pin_rows(self):
-        """Constraints from equations whose left side is provably zero."""
-        F = self.F
+        """Constraints from nodes below the valuation bound, whose values vanish."""
         rows = []
         for m in range(self.M_lo, self.LB):
             for i in range(self.fp):
-                row = None
-                if self._source(i, m):
-                    row = self._vec(h_index=i)
                 par = self._parent(i, m)
-                if par is not None:
-                    pv = self.value(par)
-                    term = [F.mul(self.b[i], c) for c in pv]
-                    row = term if row is None else [F.add(x, y) for x, y in zip(row, term)]
-                if row is not None and any(row):
+                row = self._step((i, m), None if par is None else self.value(par))
+                if any(row):
                     rows.append(row)
         return rows
 
+    def _reduced_constraints(self):
+        """RREF of every constraint row, symbol columns first, and its pivots.
+
+        Rows whose pivot lies in the h block span the pure-h consequences;
+        the others solve for one symbol each.
+        """
+        f = self.f
+        return rref([r[f:] + r[:f] for r in self.cycle_rows + self.pin_rows()], self.F)
+
     def obstruction_rows(self):
         """Pure-h functionals whose common kernel is the split subspace."""
-        F = self.F
-        rows = [r + [0] * self.nsyms for r in self.cycle_rows]
-        rows += self.pin_rows()
-        if not rows:
-            return []
-        # eliminate symbol columns (placed after the h block)
-        ncols = self.f + self.nsyms
-        work = [list(r) for r in rows]
-        for sc in range(self.f, ncols):
-            piv = next((r for r in work if r[sc]), None)
-            if piv is None:
-                continue
-            inv = F.inv(piv[sc])
-            pivrow = [F.mul(inv, x) for x in piv]
-            nxt = []
-            for r in work:
-                if r is piv:
-                    continue
-                if r[sc]:
-                    r = [F.sub(x, F.mul(r[sc], y)) for x, y in zip(r, pivrow)]
-                nxt.append(r)
-            work = nxt
-        out = [r[: self.f] for r in work if any(r[: self.f])]
-        return rref(out, F)[0]
+        ns = self.nsyms
+        R, pivots = self._reduced_constraints()
+        return [r[ns:] for r, c in zip(R, pivots) if c >= ns]
+
+    def splits(self, uprec: int | None = None) -> bool:
+        """Decide splitting of the class x.h by constructing a section and checking it.
+
+        Solves the constraints for the symbols (free ones set to zero),
+        evaluates the affine node values there, then substitutes the
+        Laurent coefficients into the defining recursion as series and
+        asserts the residual vanishes on the known range.
+        """
+        x, F, f, ns = self.x, self.F, self.f, self.nsyms
+        point = list(x.h) + [0] * ns
+        R, pivots = self._reduced_constraints()
+        for row, c in zip(R, pivots):
+            rhs = F.neg(F.dot(row[ns:], x.h))
+            if c >= ns:
+                if rhs:
+                    return False  # inconsistent: 0 = nonzero
+            else:
+                point[f + c] = rhs
+
+        if uprec is None:
+            uprec = 4 * x.tau.estep + 64
+        g = []
+        for i in range(self.fp):
+            V = np.array([self.value((i, m)) for m in range(self.LB, uprec)], dtype=F.dtype)
+            arr = np.zeros(len(V), dtype=F.dtype)
+            for k, c in enumerate(point):
+                arr = F.ADD[arr, F.MUL[V[:, k], c]]
+            g.append(Series(F, "u", self.LB, arr, uprec))
+        for i in range(self.fp):
+            hi = x.h_at(i)
+            lhs = g[i].scalar_mul(self.a[i]).shift(self.r[i])
+            rhs = Series.monomial(F, "u", hi, self.delta[i]) if hi else Series.zero(F, "u")
+            rhs = rhs + g[(i - 1) % self.fp].frobenius().scalar_mul(self.b[i]).shift(self.s[i])
+            if not (lhs - rhs).is_zero():
+                raise AssertionError("constructed section fails the recursion")
+        return True
 
 
 def kext_obstruction_rows(x: ExtensionPoint):
@@ -365,13 +345,15 @@ def kext_obstruction_rows(x: ExtensionPoint):
 
 
 def splitting_diagnostics(x: ExtensionPoint) -> dict:
-    """Completeness envelope of the splitting solver.
+    """Splitting verdict of x with the completeness envelope of its solver.
 
-    Reports the proven lower valuation bound for any section, the
-    constraint scan floor, the core window, and the cycle census.
+    Reports whether x.h splits after inverting u, the proven lower
+    valuation bound for any section, the constraint scan floor, the core
+    window, and the cycle census.
     """
     sol = _Solver(x)
     return {
+        "splits": sol.splits(),
         "valuation_bound": sol.LB,
         "scan_floor": sol.M_lo,
         "window_top": sol.W,
@@ -389,84 +371,8 @@ def kext_dimension(tau: TameType, J, a: int, b: int, field: GF) -> int:
 
 
 def splits_after_inverting_u(x: ExtensionPoint, uprec: int | None = None) -> bool:
-    """Decide splitting by constructing a section and checking it.
-
-    Builds the candidate Laurent coefficients from the chain/cycle
-    resolution, then substitutes into the defining recursion as series and
-    asserts the residual vanishes on the known range.
-    """
-    sol = _Solver(x)
-    F = x.field
-    # concrete evaluation: substitute the class vector, solve for symbols
-    def eval_affine(vec, syms):
-        acc = 0
-        for t in range(sol.f):
-            acc = F.add(acc, F.mul(vec[t], x.h[t]))
-        for k in range(sol.nsyms):
-            acc = F.add(acc, F.mul(vec[sol.f + k], syms[k]))
-        return acc
-
-    rows = [r + [0] * sol.nsyms for r in sol.cycle_rows] + sol.pin_rows()
-    # linear system in the symbols: coeff * sym = -h_part
-    sys_rows = []
-    for r in rows:
-        rhs = 0
-        for t in range(sol.f):
-            rhs = F.add(rhs, F.mul(r[t], x.h[t]))
-        sys_rows.append([*(r[sol.f :]), F.neg(rhs)])
-    syms = [0] * sol.nsyms
-    R, pivots = rref(sys_rows, F) if sys_rows else ([], [])
-    for row, pc in zip(R, pivots):
-        if pc == sol.nsyms:
-            return False  # inconsistent: 0 = nonzero
-        syms[pc] = row[-1]
-
-    if uprec is None:
-        uprec = 4 * x.tau.estep + 64
-    coeffs: dict = {}
-
-    def coeff(i, m):
-        if m < sol.LB:
-            return 0
-        node = (i, m)
-        if node in coeffs:
-            return coeffs[node]
-        stack = [node]
-        while stack:
-            cur = stack[-1]
-            if cur in coeffs:
-                stack.pop()
-                continue
-            ci, cm = cur
-            if cur in sol.cycle_value or cur in sol._cache:
-                coeffs[cur] = eval_affine(sol.value(cur), syms)
-                stack.pop()
-                continue
-            par = sol._parent(ci, cm)
-            if par is not None and par not in coeffs:
-                stack.append(par)
-                continue
-            if par is None:
-                val = 0
-            else:
-                val = F.mul(F.div(sol.b[ci], sol.a[ci]), coeffs[par])
-            if sol._source(ci, cm):
-                val = F.add(val, F.div(x.h[ci % sol.f], sol.a[ci]))
-            coeffs[cur] = val
-            stack.pop()
-        return coeffs[node]
-
-    g = []
-    for i in range(sol.fp):
-        arr = [coeff(i, m) for m in range(sol.LB, uprec)]
-        g.append(Series(F, "u", sol.LB, arr, uprec))
-    for i in range(sol.fp):
-        lhs = g[i].scalar_mul(sol.a[i]).shift(sol.r[i])
-        rhs = Series.monomial(F, "u", x.h[i % sol.f], sol.delta[i]) if x.h[i % sol.f] else Series.zero(F, "u")
-        rhs = rhs + g[(i - 1) % sol.fp].frobenius().scalar_mul(sol.b[i]).shift(sol.s[i])
-        if not (lhs - rhs).is_zero():
-            raise AssertionError("constructed section fails the recursion")
-    return True
+    """Whether the class x.h splits after inverting u (see _Solver.splits)."""
+    return _Solver(x).splits(uprec)
 
 
 def kext_structure(x: ExtensionPoint):

@@ -159,17 +159,6 @@ class GF:
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a, n = self.inv(a), -n
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
-
     def dot(self, xs, ys) -> int:
         """Code of sum_i xs[i]*ys[i] for arrays of codes (digitwise summation)."""
         if len(xs) == 0:
@@ -178,14 +167,8 @@ class GF:
         dsum = self._digits[prods].sum(axis=0) % self.p
         return int(dsum @ self._powers)
 
-    def from_prime_field(self, c: int) -> int:
-        return c % self.p
-
     def element_digits(self, a: int) -> tuple[int, ...]:
         return tuple(int(c) for c in self._digits[a])
-
-    def nonzero(self):
-        return range(1, self.q)
 
     def __repr__(self):
         return f"GF({self.p}^{self.m})"

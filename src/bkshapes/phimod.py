@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf import GF, coefficient_field
+from .gf import GF
 from .series import Mat2, PrecisionError, Series
 from .tametypes import CUSPIDAL, TameType, check_profile, profile_data
 
@@ -241,6 +241,28 @@ def _conj_monomial(C: Mat2, row_exp, col_exp) -> Mat2:
     )
 
 
+def _unit_part(M: Mat2, r, what: str) -> Mat2:
+    """The B with M == B * diag(x**r[0], x**r[1]); asserts B is integral with unit determinant."""
+    B = _conj_monomial(M, (0, 0), (-r[0], -r[1]))
+    for s in B.e:
+        if not s.is_integral():
+            raise AssertionError(f"{what} is not integral")
+    det = B.det()
+    if det.is_zero() or det.val != 0:
+        raise AssertionError(f"{what} has non-unit determinant")
+    return B
+
+
+def _twist_exponents(tau: TameType, J, pd) -> list:
+    """Per-index exponent pairs of the monomial basis carrying the eigenbasis to the invariants."""
+    ep = tau.estep
+    out = []
+    for i in range(tau.fprime):
+        base = -tau.k_prime(i) + ep * (pd.nu[i] - 1)
+        out.append((tau.ell_prime(i) + base, ep * (0 if i in J else 1) + base))
+    return out
+
+
 def _perm_conj(G: Mat2, swap_rows: bool, swap_cols: bool) -> Mat2:
     a, b, c, d = G.e
     if swap_rows:
@@ -269,11 +291,7 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
             if pd.xi(i) != 0:
                 raise AssertionError(f"cuspidal matching exponent nonzero at {i}")
 
-    texp = []
-    for i in range(fp):
-        base = -tau.k_prime(i) + ep * (pd.nu[i] - 1)
-        texp.append((tau.ell_prime(i) + base, ep * (0 if i in J else 1) + base))
-
+    texp = _twist_exponents(tau, J, pd)
     G = []
     for i in range(fp):
         shifted = _conj_monomial(
@@ -297,23 +315,8 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
         M = _perm_conj(M, swap_rows=i not in J, swap_cols=prev not in J)
         mats.append(M.map(lambda s: s.to_v(ep)))
 
-    units, exponents = [], []
-    for i in range(f):
-        r1, r2 = 1 - pd.theta[i], -pd.s[i] - pd.theta[i]
-        B = Mat2(
-            mats[i][0, 0].shift(-r1),
-            mats[i][0, 1].shift(-r2),
-            mats[i][1, 0].shift(-r1),
-            mats[i][1, 1].shift(-r2),
-        )
-        for s in B.e:
-            if not s.is_integral():
-                raise AssertionError(f"unit part at {i} is not integral")
-        det = B.det()
-        if det.is_zero() or det.val != 0:
-            raise AssertionError(f"unit part at {i} has non-unit determinant")
-        units.append(B)
-        exponents.append((r1, r2))
+    exponents = [(1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(f)]
+    units = [_unit_part(mats[i], exponents[i], f"unit part at {i}") for i in range(f)]
     return DescentResult(tau, J, mats, units, exponents, pd.nu)
 
 
@@ -321,7 +324,6 @@ def ascend_from_base(res: DescentResult) -> BKModule:
     """Rebuild the eigenbasis matrices from a descent result (left inverse)."""
     tau = res.tau
     p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
-    pd = profile_data(tau, res.J)
     G = [None] * fp
     for i in range(f):
         M = res.mats[i].map(lambda s: s.to_u(ep))
@@ -333,10 +335,7 @@ def ascend_from_base(res: DescentResult) -> BKModule:
     if tau.kind == CUSPIDAL:
         for i in range(f):
             G[i + f] = ad_swap(G[i])
-    texp = []
-    for i in range(fp):
-        base = -tau.k_prime(i) + ep * (pd.nu[i] - 1)
-        texp.append((tau.ell_prime(i) + base, ep * (0 if i in res.J else 1) + base))
+    texp = _twist_exponents(tau, res.J, profile_data(tau, res.J))
     mats = []
     for i in range(fp):
         mats.append(
@@ -375,12 +374,7 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
     F = mats[0][0, 0].field
 
     def unit_part(i):
-        return Mat2(
-            mats[i][0, 0].shift(-r[i][0]),
-            mats[i][0, 1].shift(-r[i][1]),
-            mats[i][1, 0].shift(-r[i][0]),
-            mats[i][1, 1].shift(-r[i][1]),
-        )
+        return _unit_part(mats[i], r[i], f"operator input at {i}")
 
     one = Series.one(F, "v")
     v = Series.monomial(F, "v", 1, 1)
@@ -420,24 +414,9 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
 
     exps = [expected[i] for i in range(f)]
     for i in range(f):
-        B = Mat2(
-            new[i][0, 0].shift(-exps[i][0]),
-            new[i][0, 1].shift(-exps[i][1]),
-            new[i][1, 0].shift(-exps[i][0]),
-            new[i][1, 1].shift(-exps[i][1]),
-        )
-        for s in B.e:
-            if not s.is_integral():
-                raise AssertionError(f"operator image at {i} is not in normal form")
-        det = B.det()
-        if det.is_zero() or det.val != 0:
-            raise AssertionError(f"operator image at {i} has non-unit part")
+        _unit_part(new[i], exps[i], f"operator image at {i}")
     target = apply_operator(kind, j, tuple(tuple(x) for x in r), p)
     for i in range(f):
         if tuple(sorted(exps[i], reverse=True)) != target[i]:
             raise AssertionError("diagonal exponents disagree with the Hodge operator")
     return new, exps
-
-
-def default_field(tau: TameType) -> GF:
-    return coefficient_field(tau.p, tau.fprime)

@@ -15,8 +15,6 @@ coefficients.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 from . import _kernels
@@ -31,8 +29,8 @@ class ScaleError(TypeError):
     """Arithmetic attempted between series in different variable scales."""
 
 
-def default_precision() -> int:
-    return int(os.environ.get("BKSHAPES_PRECISION", "64"))
+DEFAULT_PRECISION = 64
+"""Coefficients kept when inverting an exact series with no ``terms`` given."""
 
 
 def _minprec(a, b):
@@ -83,9 +81,6 @@ class Series:
         """True when no nonzero coefficient is known (zero at this precision)."""
         return len(self.coeffs) == 0
 
-    def is_exactly_zero(self) -> bool:
-        return len(self.coeffs) == 0 and self.prec is None
-
     def valuation(self) -> int:
         if self.is_zero():
             raise PrecisionError("valuation of a series with no known nonzero term")
@@ -103,12 +98,6 @@ class Series:
 
     def leading(self) -> int:
         return int(self.coeffs[0])
-
-    def is_unit(self) -> bool:
-        """Nonzero constant term; requires the constant coefficient to be known."""
-        if self.prec is not None and self.prec <= 0:
-            raise PrecisionError("cannot test unit: constant term unknown")
-        return not self.is_zero() and self.val == 0
 
     def is_integral(self) -> bool:
         """No known term of negative exponent (and none hidden below precision)."""
@@ -134,7 +123,7 @@ class Series:
         b = np.zeros(hi - lo, dtype=self.field.dtype)
         a[self.val - lo : self.val - lo + len(self.coeffs)] = self.coeffs
         b[other.val - lo : other.val - lo + len(other.coeffs)] = other.coeffs
-        return Series(self.field, self.scale, lo, _kernels.addvec(a, b, self.field.ADD), prec)
+        return Series(self.field, self.scale, lo, self.field.ADD[a, b], prec)
 
     def __neg__(self) -> "Series":
         return Series(self.field, self.scale, self.val, self.field.NEG[self.coeffs], self.prec)
@@ -179,7 +168,7 @@ class Series:
         """Multiplicative inverse, known to the same relative precision.
 
         For an exact non-monomial input the result is truncated to ``terms``
-        coefficients (default from BKSHAPES_PRECISION); exact monomials
+        coefficients (default DEFAULT_PRECISION); exact monomials
         invert exactly.
         """
         if self.is_zero():
@@ -191,7 +180,7 @@ class Series:
         if self.prec is None and len(self.coeffs) == 1:
             return Series.monomial(F, self.scale, F.inv(self.leading()), -w)
         if self.prec is None:
-            n = terms if terms is not None else default_precision()
+            n = terms if terms is not None else DEFAULT_PRECISION
         else:
             n = self.prec - w
             if terms is not None:
@@ -225,9 +214,6 @@ class Series:
         out[::p] = self.coeffs
         prec = None if self.prec is None else p * self.prec
         return Series(self.field, self.scale, p * self.val, out, prec)
-
-    def truncate(self, prec: int) -> "Series":
-        return Series(self.field, self.scale, self.val, self.coeffs, _minprec(self.prec, prec))
 
     # -- scale conversion ------------------------------------------------
     def to_u(self, estep: int) -> "Series":
@@ -327,12 +313,6 @@ class Mat2:
         zero = Series.zero(a.field, a.scale)
         return Mat2(a, zero, zero, d)
 
-    @staticmethod
-    def swap(field: GF, scale: str) -> "Mat2":
-        one = Series.one(field, scale)
-        zero = Series.zero(field, scale)
-        return Mat2(zero, one, one, zero)
-
     def __getitem__(self, rc):
         r, c = rc
         return self.e[2 * r + c]
@@ -344,9 +324,6 @@ class Mat2:
 
     def __add__(self, other: "Mat2") -> "Mat2":
         return Mat2(*(s + t for s, t in zip(self.e, other.e)))
-
-    def scalar_mul(self, s: Series) -> "Mat2":
-        return Mat2(*(s * t for t in self.e))
 
     def det(self) -> Series:
         a, b, c, d = self.e

@@ -188,10 +188,6 @@ def profile_mask(tau: TameType, J: frozenset) -> int:
     return sum(1 << i for i in J)
 
 
-def profile_from_mask(tau: TameType, mask: int) -> frozenset:
-    return check_profile(tau, {i for i in range(tau.fprime) if mask >> i & 1})
-
-
 def is_transition(J: frozenset, i: int, n: int) -> bool:
     """Exactly one of i-1, i lies in J (indices mod n)."""
     return (((i - 1) % n) in J) != ((i % n) in J)

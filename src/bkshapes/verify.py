@@ -72,12 +72,6 @@ class CheckResult:
     detail: str
 
 
-def _pairs_sample(rng, tau_profiles, cap):
-    if len(tau_profiles) <= cap:
-        return tau_profiles
-    return rng.sample(tau_profiles, cap)
-
-
 def check_char_relations(p, f, rng, fault=None):
     for m in sorted({f, 2 * f}):
         mod = p**m - 1
@@ -564,11 +558,7 @@ CHECKS = [
 ]
 
 
-def run_suite(p: int, f: int, seed: int = 0, precision: int | None = None, fault=None):
-    import os
-
-    if precision is not None:
-        os.environ["BKSHAPES_PRECISION"] = str(precision)
+def run_suite(p: int, f: int, seed: int = 0, fault=None):
     results = []
     for name, fn in CHECKS:
         rng = random.Random((seed, name).__repr__())

@@ -125,19 +125,27 @@ def test_series_ring_identities(a0, a1, b0):
     assert (a - a).is_zero()
 
 
-def test_kernel_backends_agree():
+@pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 3)])
+def test_convolve_matches_schoolbook(p, m):
     from bkshapes import _kernels
 
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba backend disabled or unavailable")
-    F = field(3, 4)
+    F = field(p, m)
+
+    def schoolbook(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = F.add(out[i + j], F.mul(int(x), int(y)))
+        return out
+
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.integers(0, F.q, size=rng.integers(1, 40)).astype(F.dtype)
-        b = rng.integers(0, F.q, size=rng.integers(1, 40)).astype(F.dtype)
-        nb = _kernels._convolve_nb(a, b, F.ADD, F.MUL)
-        np_ = _kernels._convolve_np(a.copy(), b.copy(), F.ADD, F.MUL)
-        assert np.array_equal(nb, np_)
+    zeros = np.zeros(3, dtype=F.dtype)
+    for la, lb in [(1, 1), (1, 13), (13, 1), (5, 9), (30, 24)]:
+        a = rng.integers(0, F.q, size=la).astype(F.dtype)
+        b = rng.integers(0, F.q, size=lb).astype(F.dtype)
+        padded = np.concatenate([zeros[:2], a, zeros])
+        for x, y in [(a, b), (padded, b), (b, padded), (zeros[:1], b)]:
+            assert [int(c) for c in _kernels.convolve(x, y, F.ADD, F.MUL)] == schoolbook(x, y)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 8))

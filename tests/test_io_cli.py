@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -86,6 +87,44 @@ def test_cli_fault_injection_exit_1():
     code, out = run_cli("verify", "--p", "3", "--f", "1", "--inject-fault", "s-flip")
     assert code == 1
     assert "FAIL recipe-bounds" in out and "s out of" in out
+
+
+def test_verify_leaves_environment_unchanged():
+    from bkshapes.verify import run_suite
+
+    before = dict(os.environ)
+    assert all(res.passed for res in run_suite(3, 1))
+    code, _ = run_cli("verify", "--p", "3", "--f", "1")
+    assert code == 0
+    code, _ = run_cli("verify", "--p", "3", "--f", "1", "--precision", "3")
+    assert code == 2  # no precision option: inversions in the suite fix their own terms
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("p,f", [(4, 1), (3, 0), (3, -1)])
+def test_cli_verify_rejects_bad_arguments(p, f, capsys):
+    code, out = run_cli("verify", "--p", str(p), "--f", str(f))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_ext_split_builds_one_solver(monkeypatch):
+    from bkshapes import extensions
+
+    built = []
+    init = extensions._Solver.__init__
+
+    def counting_init(self, x):
+        built.append(x)
+        init(self, x)
+
+    monkeypatch.setattr(extensions._Solver, "__init__", counting_init)
+    code, out = run_cli(
+        "ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0", "--h", "1,1", "--split",
+    )
+    assert code == 0 and "splits=0" in out and "free_cycles=0" in out
+    assert len(built) == 1
 
 
 def test_cli_ext_and_module_pipeline(tmp_path):
