@@ -1,8 +1,8 @@
 """Command-line interface: batch computations over line-delimited records.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(including a non-prime p or an f below 1 given to `verify`, and the
-unsatisfiable transition preferences of `find-type`).
+(including a non-prime p or an f below 1 given to `verify` or `sweep`, and
+the unsatisfiable transition preferences of `find-type`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 
 from . import __version__
 from .charexp import NormDescentError
-from .gf import coefficient_field, field, is_prime
+from .gf import MAX_TABLE_Q, coefficient_field, field, is_prime
 from .hodge import (
     ForcedChoiceError,
     apply_operator,
@@ -79,6 +79,13 @@ def _type_from_args(args) -> TameType:
             raise UsageError("principal series types need --eta-prime")
         eta_prime = args.eta_prime
     return TameType(args.p, args.f, kind, args.eta, eta_prime)
+
+
+def _check_p_f(args):
+    if not is_prime(args.p):
+        raise UsageError(f"--p must be prime, got {args.p}")
+    if args.f < 1:
+        raise UsageError(f"--f must be at least 1, got {args.f}")
 
 
 def _profile_from_args(tau, args):
@@ -235,7 +242,16 @@ def cmd_ext(args, out):
 
     tau = _type_from_args(args)
     J = _profile_from_args(tau, args)
-    F = coefficient_field(args.p, tau.fprime) if args.field_degree is None else field(args.p, args.field_degree)
+    if args.field_degree is None:
+        F = coefficient_field(args.p, tau.fprime)
+        if F.m < tau.fprime:
+            print(
+                f"warning: coefficient field F_{F.q} is a proper subfield of F_{{{args.p}^{tau.fprime}}},"
+                f" which exceeds the table limit {MAX_TABLE_Q}",
+                file=sys.stderr,
+            )
+    else:
+        F = field(args.p, args.field_degree)
     if args.kext:
         dim, blocks = kext_structure(ExtensionPoint(tau, J, F, args.a, args.b, (0,) * tau.f))
         bad = profile_data(tau, J).bad_set
@@ -272,6 +288,7 @@ def cmd_ext(args, out):
 
 
 def cmd_sweep(args, out):
+    _check_p_f(args)
     text = write_sweep(args.p, args.f, args.precision or DEFAULT_PRECISION)
     if args.out:
         with open(args.out, "w") as fh:
@@ -286,10 +303,7 @@ def cmd_sweep(args, out):
 def cmd_verify(args, out):
     from .verify import run_suite
 
-    if not is_prime(args.p):
-        raise UsageError(f"--p must be prime, got {args.p}")
-    if args.f < 1:
-        raise UsageError(f"--f must be at least 1, got {args.f}")
+    _check_p_f(args)
     results = run_suite(args.p, args.f, seed=args.seed, fault=args.inject_fault)
     failed = 0
     for res in results:

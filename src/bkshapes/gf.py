@@ -10,6 +10,14 @@ every build reproducible with no external tables.
 Addition and multiplication are full q-by-q lookup tables, so fields are
 only constructed for q up to MAX_TABLE_Q.  Array-valued operations accept
 numpy arrays of codes and broadcast through the tables.
+
+The tables are built with numpy passes, not element by element.  ADD is
+assembled one digit at a time.  MUL and INV come from the exp/log (Zech
+logarithm) tables of a primitive element g, the least code whose powers
+run through every nonzero element (the root x itself need not be
+primitive: over F_9, x^2 + 1 has a root of order 4):
+MUL[g^i, g^j] = g^(i+j mod q-1) and INV[g^i] = g^(-i mod q-1).  The tables
+depend only on the defining polynomial, not on which g is used.
 """
 
 from __future__ import annotations
@@ -111,32 +119,59 @@ class GF:
         powers = p ** np.arange(m, dtype=np.int64)
         self._powers = powers
 
-        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ powers
-        self.ADD = add.astype(dtype)
+        # ADD one digit at a time: a code below p^(j+1) is a_j*p^j + a' with
+        # a' < p^j, so that table is the p-by-p block array whose (a_j, b_j)
+        # block is ((a_j + b_j) % p)*p^j plus the table below p^j.
+        addp = ((np.arange(p)[:, None] + np.arange(p)) % p).astype(dtype)
+        add = np.zeros((1, 1), dtype=dtype)
+        for j in range(m):
+            k = p**j
+            add = (addp[:, None, :, None] * k + add[None, :, None, :]).reshape(k * p, k * p)
+        self.ADD = add
         self.NEG = (((-digits) % p) @ powers).astype(dtype)
 
+        exp = self._exp_table()
+        order = q - 1
+        # MUL[g^i, g^j] = g^(i+j mod q-1): a Hankel matrix in log order,
+        # scattered back to code order; row and column 0 stay zero.
+        hankel = np.lib.stride_tricks.sliding_window_view(np.concatenate([exp, exp[:-1]]), order)
         mul = np.zeros((q, q), dtype=dtype)
-        for a in range(q):
-            pa = [int(c) for c in digits[a]]
-            for b in range(a, q):
-                pb = [int(c) for c in digits[b]]
-                prod = [0] * (2 * m - 1)
-                for i, ca in enumerate(pa):
-                    if ca:
-                        for j, cb in enumerate(pb):
-                            prod[i + j] = (prod[i + j] + ca * cb) % p
-                rem = _poly_mod(prod, list(self.poly), p)
-                code = sum(c * p**j for j, c in enumerate(rem))
-                mul[a, b] = code
-                mul[b, a] = code
+        mul[np.ix_(exp, exp)] = hankel
         self.MUL = mul
 
         inv = np.zeros(q, dtype=dtype)
-        for a in range(1, q):
-            row = mul[a]
-            inv[a] = int(np.nonzero(row == 1)[0][0])
+        inv[exp] = exp[-np.arange(order) % order]
         self.INV = inv
         self.dtype = dtype
+
+    def _exp_table(self) -> np.ndarray:
+        """Codes of g^0, ..., g^(q-2) for the least primitive code g.
+
+        Multiplying by g is linear over F_p: c*g = sum_j g_j * (c*x^j), and
+        c*x shifts the digits of c up one place and folds the top digit back
+        with the monic defining polynomial.
+        """
+        p, m, q = self.p, self.m, self.q
+        digits = self._digits.astype(np.int64)
+        shifted = np.zeros_like(digits)
+        shifted[:, 1:] = digits[:, :-1]
+        low = np.asarray(self.poly[:m], dtype=np.int64)
+        times_x = ((shifted - digits[:, -1:] * low) % p) @ self._powers
+        by_xj = np.empty((m, q, m), dtype=np.int64)  # digits of c*x^j
+        idx = np.arange(q)
+        for j in range(m):
+            by_xj[j] = digits[idx]
+            idx = times_x[idx]
+        for g in range(1, q):
+            times_g = ((np.tensordot(digits[g], by_xj, axes=1) % p) @ self._powers).tolist()
+            orbit = [1]
+            c = times_g[1]
+            while c != 1:
+                orbit.append(c)
+                c = times_g[c]
+            if len(orbit) == q - 1:
+                return np.array(orbit, dtype=np.intp)
+        raise AssertionError("no primitive element found")  # pragma: no cover
 
     # -- scalar helpers ------------------------------------------------
     def add(self, a: int, b: int) -> int:

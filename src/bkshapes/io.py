@@ -2,10 +2,10 @@
 
 Module files carry matrix entries as a valuation plus the list of
 coefficients, each field element spelled as its polynomial coefficient
-list over F_p.  Sweep tables are line-delimited key=value records under a
-versioned header naming p, f, the field polynomials in play, and the
-precision; rows are sorted by key so identical inputs give identical
-bytes.
+list over F_p (exactly m integer digits in [0, p), checked on reading).
+Sweep tables are line-delimited key=value records under a versioned
+header naming p, f, the field polynomials in play, and the precision;
+rows are sorted by key so identical inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -28,8 +28,15 @@ def _series_to_json(s: Series, F: GF):
     }
 
 
+def _code_from_digits(ds, F: GF) -> int:
+    digits = [int(d) for d in ds]
+    if digits != list(ds) or len(digits) != F.m or not all(0 <= d < F.p for d in digits):
+        raise ValueError(f"field element {ds!r} is not {F.m} digits in [0, {F.p})")
+    return sum(d * F.p**j for j, d in enumerate(digits))
+
+
 def _series_from_json(obj, F: GF, scale: str) -> Series:
-    codes = [sum(int(d) * F.p**j for j, d in enumerate(ds)) for ds in obj["coeffs"]]
+    codes = [_code_from_digits(ds, F) for ds in obj["coeffs"]]
     return Series(F, scale, int(obj["val"]), codes, obj.get("prec"))
 
 

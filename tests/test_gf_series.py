@@ -40,6 +40,47 @@ def test_dot_matches_scalar_loop():
     assert F.dot(xs, ys) == acc
 
 
+ORACLE_FIELDS = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 10) if p**m <= 729]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_tables_match_sympy(p, m):
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem, gf_strip
+
+    F = field(p, m)
+    q = F.q
+    modulus = [ZZ(c) for c in reversed(F.poly)]
+    assert gf_irreducible_p(modulus, p, ZZ)
+
+    def to_poly(code):  # sympy lists run from the leading coefficient down
+        return gf_strip([ZZ((code // p**j) % p) for j in reversed(range(m))])
+
+    def to_code(poly):
+        return sum(int(c) * p**j for j, c in enumerate(reversed(poly)))
+
+    powers = p ** np.arange(m)
+    digits = (np.arange(q)[:, None] // powers) % p
+    assert np.array_equal(F.ADD, ((digits[:, None, :] + digits[None, :, :]) % p) @ powers)
+    assert np.array_equal(F.NEG, ((-digits) % p) @ powers)
+    # products a * x^j from sympy; F_p-linearity in b fixes MUL[a, b] from them
+    by_xj = np.array([[to_code(gf_rem(gf_mul(to_poly(a), to_poly(p**j), p, ZZ), modulus, p, ZZ))
+                       for j in range(m)] for a in range(q)])
+    assert np.array_equal(F.MUL[:, powers], by_xj)
+    by_xj_digits = (by_xj[:, :, None] // powers) % p
+    assert np.array_equal(F.MUL, (np.einsum("bj,ajk->abk", digits, by_xj_digits) % p) @ powers)
+    nonzero = np.arange(1, q)
+    assert F.INV[0] == 0 and np.all(F.MUL[nonzero, F.INV[nonzero]] == 1)
+
+
+def test_f9_defining_polynomial_is_not_primitive():
+    # x^2 + 1 over F_3: its root x (code 3) has order 4, not 8
+    F = field(3, 2)
+    x2 = F.mul(3, 3)
+    assert x2 == F.neg(1) and F.mul(x2, x2) == 1
+    assert (3, 2) in ORACLE_FIELDS
+
+
 def test_coefficient_field_fallback():
     assert coefficient_field(3, 4).m == 4
     assert coefficient_field(7, 6).m == 3  # 7^6 exceeds the table cap

@@ -44,7 +44,7 @@ def test_sweep_header_versioned():
         read_sweep("junk\n")
 
 
-def test_module_file_roundtrip():
+def _f9_module():
     import random
 
     from bkshapes.randgen import random_component_module
@@ -52,12 +52,32 @@ def test_module_file_roundtrip():
 
     tau = make_type(3, 2, "principal-series", 5, 2)
     F = field(3, 2)
-    mod = random_component_module(random.Random(0), tau, {0}, F, degree=3)
+    return tau, random_component_module(random.Random(0), tau, {0}, F, degree=3), F
+
+
+def test_module_file_roundtrip():
+    tau, mod, F = _f9_module()
     text = module_to_json(tau, mod.mats, F, scale="u")
     tau2, mats2, F2, scale = module_from_json(text)
     assert tau2 == tau and F2 == F and scale == "u"
     for a, b in zip(mats2, mod.mats):
         assert a == b
+
+
+@pytest.mark.parametrize("digits", [[7, 0], [1, 0, 0], [1], [-1, 0], [1.5, 0], ["1", 0]])
+def test_module_file_rejects_bad_digits(digits, tmp_path, capsys):
+    # F_9 elements are two digits in [0, 3); [7, 0] would decode to code 7
+    tau, mod, F = _f9_module()
+    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    doc["matrices"][0][0]["coeffs"][0] = digits
+    with pytest.raises(ValueError, match="digits"):
+        module_from_json(json.dumps(doc))
+    modfile = tmp_path / "bad.json"
+    modfile.write_text(json.dumps(doc))
+    code, out = run_cli("shape", "--module", str(modfile))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_hodge_record():
@@ -109,6 +129,15 @@ def test_cli_verify_rejects_bad_arguments(p, f, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("p,f", [(3, 0), (3, -1), (4, 1)])
+def test_cli_sweep_rejects_bad_arguments(p, f, capsys):
+    code, out = run_cli("sweep", "--p", str(p), "--f", str(f))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--p must be prime" if p == 4 else "--f must be at least 1") in err
+
+
 def test_cli_ext_split_builds_one_solver(monkeypatch):
     from bkshapes import extensions
 
@@ -141,6 +170,10 @@ def test_cli_ext_and_module_pipeline(tmp_path):
     assert code == 0 and "exponents=" in out
     doc = json.loads((tmp_path / "desc.json").read_text())
     assert doc["scale"] == "v"
+    for path in (modfile, tmp_path / "desc.json"):
+        text = path.read_text()
+        tau, mats, F, scale = module_from_json(text)
+        assert module_to_json(tau, mats, F, scale=scale) == text
 
 
 def test_cli_kext_record():
@@ -149,6 +182,21 @@ def test_cli_kext_record():
         "--profile", "0", "--a", "1", "--b", "2", "--kext",
     )
     assert code == 0 and "kext_dim=1" in out
+
+
+def test_cli_ext_warns_on_subfield_fallback(capsys):
+    code, out = run_cli(
+        "ext", "--p", "3", "--f", "4", "--kind", "cuspidal", "--gamma", "0,1,1,2",
+        "--profile", "0,1,2,3", "--a", "1", "--b", "2", "--kext",
+    )
+    assert code == 0 and out == "kext_dim=1 bad=0 field=F_81 hyperplane[0]=1,0,0,2\n"
+    err = capsys.readouterr().err
+    assert err.startswith("warning: ") and err.count("\n") == 1 and "F_81" in err
+    code, out = run_cli(
+        "ext", "--p", "3", "--f", "1", "--kind", "cuspidal", "--gamma", "0",
+        "--profile", "0", "--kext",
+    )
+    assert code == 0 and "field=F_9" in out and capsys.readouterr().err == ""
 
 
 def test_cli_usage_errors():
