@@ -1,8 +1,9 @@
 """Command-line interface: batch computations over line-delimited records.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(including a non-prime p or an f below 1 given to `verify` or `sweep`, and
-the unsatisfiable transition preferences of `find-type`).
+(including a non-prime p or an f below 1 given to `verify` or `sweep`, the
+unsatisfiable transition preferences of `find-type`, a malformed module
+file and a module file whose coefficients are known too coarsely to decide).
 """
 
 from __future__ import annotations
@@ -20,17 +21,19 @@ from .hodge import (
     canonical_hodge,
     find_type_profile,
     hodge_type_of,
+    hodge_type_of_raw,
     predicted_inclusions,
 )
 from .io import (
     _fmt_ints,
     _fmt_pairs,
+    _parse_ints,
     module_from_json,
     module_to_json,
     read_sweep,
     write_sweep,
 )
-from .series import DEFAULT_PRECISION
+from .series import PrecisionError
 from .tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -49,12 +52,6 @@ class UsageError(Exception):
     pass
 
 
-def _parse_ilist(text: str):
-    if text in ("-", ""):
-        return ()
-    return tuple(int(x) for x in text.split(","))
-
-
 def _parse_pairs(text: str):
     pairs = []
     for part in text.split(";"):
@@ -68,7 +65,7 @@ def _parse_pairs(text: str):
 def _type_from_args(args) -> TameType:
     kind = PRINCIPAL if args.kind in ("ps", "principal-series") else CUSPIDAL
     if args.gamma is not None:
-        gamma = _parse_ilist(args.gamma)
+        gamma = _parse_ints(args.gamma)
         return type_from_gamma(args.p, args.f, kind, gamma, args.eta_prime or 0)
     if args.eta is None:
         raise UsageError("need --gamma or --eta/--eta-prime")
@@ -91,7 +88,7 @@ def _check_p_f(args):
 def _profile_from_args(tau, args):
     if args.profile is None:
         raise UsageError("need --profile")
-    return check_profile(tau, _parse_ilist(args.profile))
+    return check_profile(tau, _parse_ints(args.profile))
 
 
 def _type_args(sp, need_profile=False):
@@ -146,9 +143,8 @@ def cmd_weights(args, out):
 def cmd_hodge(args, out):
     tau = _type_from_args(args)
     J = _profile_from_args(tau, args)
-    pd = profile_data(tau, J)
-    raw = tuple((1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(tau.f))
-    canon = hodge_type_of(tau, J)
+    raw = hodge_type_of_raw(tau, J)
+    canon = canonical_hodge(raw, tau.p)
     print(
         _pd_record(tau, J) + f" hodge={_fmt_pairs(raw)} hodge_canonical={_fmt_pairs(canon)}",
         file=out,
@@ -191,14 +187,22 @@ def cmd_inclusions(args, out):
     return 0
 
 
-def cmd_shape(args, out):
-    from .phimod import BKModule, classify_shape, strong_determinant_ok
+def _load_module(args):
+    """The eigenbasis module in the file args.module, with its coefficient field."""
+    from .phimod import BKModule
 
     with open(args.module) as fh:
         tau, mats, F, scale = module_from_json(fh.read())
     if scale != "u":
-        raise UsageError("shape expects an eigenbasis (u-scale) module file")
-    mod = BKModule(tau, mats)
+        raise UsageError(f"{args.command} expects an eigenbasis (u-scale) module file")
+    return BKModule(tau, mats), F
+
+
+def cmd_shape(args, out):
+    from .phimod import classify_shape, strong_determinant_ok
+
+    mod, _ = _load_module(args)
+    tau = mod.tau
     det_ok = strong_determinant_ok(mod)
     shapes, profiles = classify_shape(mod)
     print(
@@ -210,13 +214,10 @@ def cmd_shape(args, out):
 
 
 def cmd_descend(args, out):
-    from .phimod import BKModule, descend_to_base
+    from .phimod import descend_to_base
 
-    with open(args.module) as fh:
-        tau, mats, F, scale = module_from_json(fh.read())
-    if scale != "u":
-        raise UsageError("descend expects an eigenbasis (u-scale) module file")
-    mod = BKModule(tau, mats)
+    mod, F = _load_module(args)
+    tau = mod.tau
     J = _profile_from_args(tau, args)
     res = descend_to_base(mod, J)
     print(
@@ -264,7 +265,7 @@ def cmd_ext(args, out):
             file=out,
         )
         return 0
-    h = _parse_ilist(args.h) if args.h else (0,) * tau.f
+    h = _parse_ints(args.h) if args.h else (0,) * tau.f
     x = ExtensionPoint(tau, J, F, args.a, args.b, h)
     mod = build_extension(x)
     shapes, profiles = classify_shape(mod)
@@ -289,7 +290,7 @@ def cmd_ext(args, out):
 
 def cmd_sweep(args, out):
     _check_p_f(args)
-    text = write_sweep(args.p, args.f, args.precision or DEFAULT_PRECISION)
+    text = write_sweep(args.p, args.f)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -378,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sweep", help="exhaustive (type, profile) table")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--f", type=int, required=True)
-    sp.add_argument("--precision", type=int)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_sweep)
 
@@ -404,7 +404,7 @@ def main(argv=None, out=None) -> int:
     except ForcedChoiceError as exc:
         print(f"error: forced to be a {exc.forced} at index {exc.index}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, NormDescentError, OSError) as exc:
+    except (UsageError, ValueError, NormDescentError, PrecisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,7 +30,7 @@ from .gf import GF
 from .linalg import rank, rref, row_space_supported_on
 from .series import Mat2, Series
 from .tametypes import CUSPIDAL, TameType, check_profile, is_transition, profile_data
-from .phimod import BKModule
+from .phimod import BKModule, reorder_by_profile
 from .intervals import extended, interval_decomposition
 
 
@@ -143,17 +143,7 @@ def build_extension(x: ExtensionPoint) -> BKModule:
         top = Series.monomial(F, "u", ai, rung.r)
         mid = Series.monomial(F, "u", x.h_at(i), rung.delta) if x.h_at(i) else Series.zero(F, "u")
         bot = Series.monomial(F, "u", bi, rung.s)
-        prev_in = ((i - 1) % fp) in x.J
-        here_in = i in x.J
-        if prev_in and here_in:
-            M = Mat2(top, Series.zero(F, "u"), mid, bot)
-        elif prev_in and not here_in:
-            M = Mat2(mid, bot, top, Series.zero(F, "u"))
-        elif not prev_in and here_in:
-            M = Mat2(Series.zero(F, "u"), top, bot, mid)
-        else:
-            M = Mat2(bot, mid, Series.zero(F, "u"), top)
-        mats.append(M)
+        mats.append(reorder_by_profile(Mat2(top, Series.zero(F, "u"), mid, bot), x.J, i, fp))
     return BKModule(tau, mats)
 
 

@@ -85,18 +85,15 @@ def canonical_hodge(r: HodgePairs, p: int) -> HodgePairs:
     return tuple((low[i] + d[i], low[i]) for i in range(f))
 
 
-def hodge_type_of(tau: TameType, J) -> HodgePairs:
-    """Canonical Hodge type attached to (tau, J): pairs {1-theta, -s-theta}."""
-    pd = profile_data(tau, J)
-    raw = tuple(
-        (1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(tau.f)
-    )
-    return canonical_hodge(as_hodge(raw), tau.p)
-
-
 def hodge_type_of_raw(tau: TameType, J) -> HodgePairs:
+    """The pairs (1-theta_i, -s_i-theta_i) the recipe attaches to (tau, J)."""
     pd = profile_data(tau, J)
     return as_hodge(tuple((1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(tau.f)))
+
+
+def hodge_type_of(tau: TameType, J) -> HodgePairs:
+    """Canonical Hodge type attached to (tau, J): the twist class of the raw pairs."""
+    return canonical_hodge(hodge_type_of_raw(tau, J), tau.p)
 
 
 # -- weight operators -------------------------------------------------------
@@ -104,42 +101,57 @@ def hodge_type_of_raw(tau: TameType, J) -> HodgePairs:
 OPERATOR_KINDS = ("theta", "mu", "nu")
 
 
-def apply_operator(kind: str, j: int, r: HodgePairs, p: int) -> HodgePairs:
-    """One of the three weight-raising operators at an irregular index j."""
+def _operator_fault(kind: str, j: int, r: HodgePairs, p: int) -> str | None:
+    """Why kind_j is undefined on r (f >= 2, irregular at j, theta bounded at j-1), or None."""
     f = len(r)
+    if kind not in OPERATOR_KINDS:
+        return f"unknown operator kind {kind!r}"
     if f < 2:
-        raise ValueError("operators are defined for f >= 2")
+        return "operators are defined for f >= 2"
     j %= f
     if r[j][0] != r[j][1]:
-        raise ValueError(f"type is regular at {j}; operator undefined")
+        return f"type is regular at {j}; operator undefined"
+    if kind == "theta" and r[(j - 1) % f][0] - r[(j - 1) % f][1] == p:
+        return "theta would leave the bounded range at j-1"
+    return None
+
+
+def operator_moves(r: HodgePairs, p: int):
+    """The (j, kind) pairs at which an operator is defined on r, in ascending j."""
+    for j in sorted(irregular_set(r)):
+        for kind in OPERATOR_KINDS:
+            if _operator_fault(kind, j, r, p) is None:
+                yield j, kind
+
+
+def apply_operator(kind: str, j: int, r: HodgePairs, p: int) -> HodgePairs:
+    """One of the three weight-raising operators at an irregular index j."""
+    fault = _operator_fault(kind, j, r, p)
+    if fault is not None:
+        raise ValueError(fault)
+    f = len(r)
+    j %= f
     out = [list(pair) for pair in r]
     if kind == "theta":
-        if r[(j - 1) % f][0] - r[(j - 1) % f][1] == p:
-            raise ValueError("theta would leave the bounded range at j-1")
         out[(j - 1) % f][1] -= 1
         out[j][0] += p
     elif kind == "mu":
         out[(j - 1) % f][0] -= 1
         out[j][0] += p
-    elif kind == "nu":
+    else:
         out[j][1] -= 1
         a, b = out[(j + 1) % f]
         out[(j + 1) % f] = [b + p, a]
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
     return tuple(tuple(sorted(pair, reverse=True)) for pair in out)
 
 
 def predicted_inclusions(r: HodgePairs, p: int) -> list[HodgePairs]:
     """Canonical operator images at every irregular index, deduplicated."""
     out: list[HodgePairs] = []
-    for j in sorted(irregular_set(r)):
-        for kind in OPERATOR_KINDS:
-            if kind == "theta" and r[(j - 1) % len(r)][0] - r[(j - 1) % len(r)][1] == p:
-                continue
-            img = canonical_hodge(apply_operator(kind, j, r, p), p)
-            if img not in out:
-                out.append(img)
+    for j, kind in operator_moves(r, p):
+        img = canonical_hodge(apply_operator(kind, j, r, p), p)
+        if img not in out:
+            out.append(img)
     return out
 
 

@@ -4,8 +4,9 @@ Module files carry matrix entries as a valuation plus the list of
 coefficients, each field element spelled as its polynomial coefficient
 list over F_p (exactly m integer digits in [0, p), checked on reading).
 Sweep tables are line-delimited key=value records under a versioned
-header naming p, f, the field polynomials in play, and the precision;
-rows are sorted by key so identical inputs give identical bytes.
+header naming p, f, the field polynomials in play, and the default series
+precision (`DEFAULT_PRECISION`); rows are sorted by key so identical
+inputs give identical bytes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .gf import GF, coefficient_field, field
-from .series import Mat2, Series
+from .series import DEFAULT_PRECISION, Mat2, Series
 from .tametypes import PRINCIPAL, TameType
 
 MODULE_FORMAT = "bkshapes-module v1"
@@ -68,16 +69,22 @@ def module_to_json(tau: TameType, mats, F: GF, scale: str = "u") -> str:
 
 
 def module_from_json(text: str):
+    """Decode a module file; a missing key or a value of the wrong type raises ValueError."""
     doc = json.loads(text)
-    if doc.get("format") != MODULE_FORMAT:
-        raise ValueError(f"unsupported module format {doc.get('format')!r}")
-    tau = tau_from_json(doc["type"])
-    fdesc = doc["field"]
-    F = field(int(fdesc["p"]), int(fdesc["degree"]))
-    if list(F.poly) != [int(c) for c in fdesc["poly"]]:
-        raise ValueError("field polynomial mismatch; this build uses the least irreducible")
-    scale = doc["scale"]
-    mats = [_mat_from_json(M, F, scale) for M in doc["matrices"]]
+    try:
+        if doc.get("format") != MODULE_FORMAT:
+            raise ValueError(f"unsupported module format {doc.get('format')!r}")
+        tau = tau_from_json(doc["type"])
+        fdesc = doc["field"]
+        F = field(int(fdesc["p"]), int(fdesc["degree"]))
+        if list(F.poly) != [int(c) for c in fdesc["poly"]]:
+            raise ValueError("field polynomial mismatch; this build uses the least irreducible")
+        scale = doc["scale"]
+        mats = [_mat_from_json(M, F, scale) for M in doc["matrices"]]
+    except KeyError as exc:
+        raise ValueError(f"module file lacks the key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed module file: {exc}") from None
     return tau, mats, F, scale
 
 
@@ -88,7 +95,8 @@ def _fmt_ints(xs) -> str:
 
 
 def _parse_ints(s: str):
-    return tuple() if s == "-" else tuple(int(x) for x in s.split(","))
+    """Comma list of integers; '-' or '' is the empty tuple."""
+    return () if s in ("-", "") else tuple(int(x) for x in s.split(","))
 
 
 def _fmt_pairs(pairs) -> str:
@@ -99,12 +107,12 @@ def _parse_pairs(s: str):
     return tuple(tuple(int(x) for x in part.split(",")) for part in s.split(";"))
 
 
-def sweep_header(p: int, f: int, precision: int) -> str:
+def sweep_header(p: int, f: int) -> str:
     polys = []
     for fp in sorted({f, 2 * f}):
         F = coefficient_field(p, fp)
         polys.append(f"poly[{fp}]={_fmt_ints(F.poly)}")
-    return f"# {SWEEP_FORMAT} p={p} f={f} precision={precision} " + " ".join(polys)
+    return f"# {SWEEP_FORMAT} p={p} f={f} precision={DEFAULT_PRECISION} " + " ".join(polys)
 
 
 def sweep_rows(p: int, f: int):
@@ -164,8 +172,8 @@ def parse_row(line: str):
     }
 
 
-def write_sweep(p: int, f: int, precision: int) -> str:
-    lines = [sweep_header(p, f, precision)]
+def write_sweep(p: int, f: int) -> str:
+    lines = [sweep_header(p, f)]
     lines += [format_row(r) for r in sweep_rows(p, f)]
     return "\n".join(lines) + "\n"
 

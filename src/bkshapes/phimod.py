@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf import GF
+from .hodge import apply_operator, hodge_type_of_raw
 from .series import Mat2, PrecisionError, Series
 from .tametypes import CUSPIDAL, TameType, check_profile, profile_data
 
@@ -227,7 +228,7 @@ class DescentResult:
     J: frozenset
     mats: list          # v-scale Mat2, indices 0..f-1
     units: list         # B_i with mats[i] == B_i * diag(v^{r1}, v^{r2})
-    exponents: list     # (r1, r2) per index: (1-theta_i, -s_i-theta_i)
+    exponents: list     # (r1, r2) per index: hodge_type_of_raw(tau, J)
     nu: tuple
 
 
@@ -272,6 +273,11 @@ def _perm_conj(G: Mat2, swap_rows: bool, swap_cols: bool) -> Mat2:
     return Mat2(a, b, c, d)
 
 
+def reorder_by_profile(M: Mat2, J, i: int, n: int) -> Mat2:
+    """Swap the rows of M when i is outside J and its columns when i-1 (mod n) is."""
+    return _perm_conj(M, swap_rows=i not in J, swap_cols=(i - 1) % n not in J)
+
+
 def descend_to_base(mod: BKModule, J) -> DescentResult:
     """Base-field invariants basis: matrices B_i*diag(v, v^{-s_i})*v^{-theta_i}.
 
@@ -311,11 +317,10 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
         M = G[i]
         if tau.kind == CUSPIDAL and i == 0:
             M = _perm_conj(M, swap_rows=False, swap_cols=True)
-        prev = (i - 1) % f
-        M = _perm_conj(M, swap_rows=i not in J, swap_cols=prev not in J)
+        M = reorder_by_profile(M, J, i, f)
         mats.append(M.map(lambda s: s.to_v(ep)))
 
-    exponents = [(1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(f)]
+    exponents = list(hodge_type_of_raw(tau, J))
     units = [_unit_part(mats[i], exponents[i], f"unit part at {i}") for i in range(f)]
     return DescentResult(tau, J, mats, units, exponents, pd.nu)
 
@@ -326,9 +331,7 @@ def ascend_from_base(res: DescentResult) -> BKModule:
     p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
     G = [None] * fp
     for i in range(f):
-        M = res.mats[i].map(lambda s: s.to_u(ep))
-        prev = (i - 1) % f
-        M = _perm_conj(M, swap_rows=i not in res.J, swap_cols=prev not in res.J)
+        M = reorder_by_profile(res.mats[i].map(lambda s: s.to_u(ep)), res.J, i, f)
         if tau.kind == CUSPIDAL and i == 0:
             M = _perm_conj(M, swap_rows=False, swap_cols=True)
         G[i] = M
@@ -363,14 +366,9 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
     diagonal pair of the output at index i (the sorted pairs agree with the
     Hodge-level operator).
     """
-    from .hodge import apply_operator
-
+    target = apply_operator(kind, j, tuple(tuple(x) for x in r), p)
     f = len(mats)
-    if f < 2:
-        raise ValueError("operators need f >= 2")
     j %= f
-    if r[j][0] != r[j][1]:
-        raise ValueError("normal form is regular at j; operator undefined")
     F = mats[0][0, 0].field
 
     def unit_part(i):
@@ -379,9 +377,12 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
     one = Series.one(F, "v")
     v = Series.monomial(F, "v", 1, 1)
     expected = {i: tuple(r[i]) for i in range(f)}
-    if kind in ("theta", "mu"):
-        if kind == "theta" and r[(j - 1) % f][0] - r[(j - 1) % f][1] == p:
-            raise ValueError("theta would leave the bounded range at j-1")
+    if kind == "nu":
+        S_prev = unit_part(j).inverse(terms)
+        S_j = Mat2.diag(one, v)
+        expected[j] = (r[j][0], r[j][1] - 1)
+        expected[(j + 1) % f] = (r[(j + 1) % f][0], r[(j + 1) % f][1] + p)
+    else:
         C = Mat2.diag(one, v) if kind == "theta" else Mat2.diag(v, one)
         S_prev = unit_part((j - 1) % f) * C
         S_j = None
@@ -391,13 +392,6 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
         else:
             expected[(j - 1) % f] = (r[(j - 1) % f][0] - 1, r[(j - 1) % f][1])
             expected[j] = (r[j][0] + p, r[j][1])
-    elif kind == "nu":
-        S_prev = unit_part(j).inverse(terms)
-        S_j = Mat2.diag(one, v)
-        expected[j] = (r[j][0], r[j][1] - 1)
-        expected[(j + 1) % f] = (r[(j + 1) % f][0], r[(j + 1) % f][1] + p)
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
 
     S = [None] * f
     S[(j - 1) % f] = S_prev
@@ -415,7 +409,6 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
     exps = [expected[i] for i in range(f)]
     for i in range(f):
         _unit_part(new[i], exps[i], f"operator image at {i}")
-    target = apply_operator(kind, j, tuple(tuple(x) for x in r), p)
     for i in range(f):
         if tuple(sorted(exps[i], reverse=True)) != target[i]:
             raise AssertionError("diagonal exponents disagree with the Hodge operator")

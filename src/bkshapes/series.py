@@ -133,25 +133,13 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._check(other)
+        # a factor known below prec bounds the product's knowledge; a zero series has val 0
+        prec = _minprec(
+            None if self.prec is None else self.prec + other.val,
+            None if other.prec is None else other.prec + self.val,
+        )
         if self.is_zero() or other.is_zero():
-            prec = None
-            if self.prec is not None or other.prec is not None:
-                # a zero-at-precision factor bounds the product's knowledge
-                cands = []
-                if self.prec is not None:
-                    cands.append(self.prec + (other.val if not other.is_zero() else 0))
-                if other.prec is not None:
-                    cands.append(other.prec + (self.val if not self.is_zero() else 0))
-                prec = min(cands)
             return Series.zero(self.field, self.scale, prec)
-        prec = None
-        if self.prec is not None or other.prec is not None:
-            cands = []
-            if self.prec is not None:
-                cands.append(self.prec + other.val)
-            if other.prec is not None:
-                cands.append(other.prec + self.val)
-            prec = min(cands)
         out = _kernels.convolve(self.coeffs, other.coeffs, self.field.ADD, self.field.MUL)
         return Series(self.field, self.scale, self.val + other.val, out, prec)
 

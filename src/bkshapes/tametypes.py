@@ -42,7 +42,7 @@ class TameType:
     def __post_init__(self):
         if self.kind not in (PRINCIPAL, CUSPIDAL):
             raise ValueError(f"unknown kind {self.kind!r}")
-        ep = self.modulus
+        ep = self.estep
         object.__setattr__(self, "eta", self.eta % ep)
         object.__setattr__(self, "eta_prime", self.eta_prime % ep)
         self._validate()
@@ -55,12 +55,8 @@ class TameType:
     def estep(self) -> int:
         return self.p**self.fprime - 1
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.fprime - 1
-
     def _validate(self):
-        p, fp, ep = self.p, self.fprime, self.modulus
+        p, fp, ep = self.p, self.fprime, self.estep
         if self.eta == self.eta_prime:
             raise ScalarTypeError("eta == eta', scalar type rejected")
         if self.kind == CUSPIDAL:
@@ -78,21 +74,21 @@ class TameType:
     # -- per-embedding exponents ---------------------------------------
     def k(self, i: int) -> int:
         """Exponent of eta at embedding i."""
-        return (self.eta * self.p ** (i % self.fprime)) % self.modulus
+        return (self.eta * self.p ** (i % self.fprime)) % self.estep
 
     def k_prime(self, i: int) -> int:
-        return (self.eta_prime * self.p ** (i % self.fprime)) % self.modulus
+        return (self.eta_prime * self.p ** (i % self.fprime)) % self.estep
 
     def ell(self, i: int) -> int:
-        return (self.k(i) - self.k_prime(i)) % self.modulus
+        return (self.k(i) - self.k_prime(i)) % self.estep
 
     def ell_prime(self, i: int) -> int:
-        return (self.k_prime(i) - self.k(i)) % self.modulus
+        return (self.k_prime(i) - self.k(i)) % self.estep
 
     @property
     def gamma(self) -> tuple[int, ...]:
         """Digits of eta/eta' with respect to the level-f' characters."""
-        return digit_tuple((self.eta - self.eta_prime) % self.modulus, self.p, self.fprime)
+        return digit_tuple((self.eta - self.eta_prime) % self.estep, self.p, self.fprime)
 
     def twist(self, c: int) -> "TameType":
         """Twist both characters by the level-f character with exponent c."""

@@ -1,18 +1,29 @@
 """The cross-module invariant suite behind the `verify` command.
 
 Each check returns (passed, detail); failures carry a counterexample
-string.  Combinatorial checks run exhaustively at desk scale; the matrix
-engine checks run exhaustively when the (type, profile) count is small and
-fall back to seeded samples otherwise.  The fault switch corrupts the data
-under test inside the harness so the reporting path itself can be
-exercised.
+string, and a check that raises is reported as failed with the exception.
+
+- Combinatorial checks run exhaustively at desk scale.  The Hodge-side
+  ones walk every p-bounded gap tuple (`_gap_types`) and, for the weight
+  operators, exactly the moves `hodge.operator_moves` reports as defined.
+- The matrix engine checks walk every (type, profile) pair when there are
+  at most `cap` of them and a seeded sample otherwise (`_field_pairs`).
+  Pairs whose faithful coefficient field exceeds the table limit are
+  skipped rather than computed over a subfield.
+- The extension checks use the twists (a, b) = (1, 2); `kext-dimension`
+  also tries (2, 1).
+- `descend-normal-form` states the diagonal exponents (1-theta_i,
+  -s_i-theta_i) itself instead of calling the recipe code it checks.
+
+The fault switch corrupts the data under test inside the harness so the
+reporting path itself can be exercised.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .charexp import CharExp, collapse_exponents, factor_through_norm, lambda_membership
 from .gf import MAX_TABLE_Q, coefficient_field
@@ -27,13 +38,17 @@ from .hodge import (
     irregular_ratio_never_cyclotomic,
     irregular_set,
     is_p_bounded,
+    is_steinberg,
+    operator_moves,
 )
-from .intervals import shapeshift_targets
+from .intervals import extended, shapeshift_targets
+from .linalg import kernel_basis
+from .series import Mat2
 from .tametypes import (
     CUSPIDAL,
-    PRINCIPAL,
     enumerate_profiles,
     enumerate_types,
+    is_transition,
     profile_data,
     serre_weight,
 )
@@ -41,14 +56,17 @@ from .extensions import (
     ExceptionalPairError,
     ExtensionPoint,
     build_extension,
+    extension_exponents,
     kext_dimension,
+    kext_obstruction_rows,
     kext_structure,
     splits_after_inverting_u,
 )
-from .intervals import extended
 from .phimod import (
     NoShapeError,
     apply_operator_on_basis,
+    ascend_from_base,
+    change_eigenbasis,
     classify_shape,
     descend_to_base,
     module_from_descent_removed,
@@ -70,6 +88,41 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def _gap_types(p, f):
+    """Every p-bounded gap tuple with its Hodge type ((g_0, 0), ..., (g_{f-1}, 0))."""
+    for gaps in itertools.product(range(p + 1), repeat=f):
+        yield gaps, as_hodge(tuple((g, 0) for g in gaps))
+
+
+def _field_pairs(p, f, rng, cap):
+    """(tau, J, F) over every (type, profile) pair, or a seeded sample of cap pairs.
+
+    Pairs whose faithful coefficient field exceeds the table limit are
+    skipped; F is that field.
+    """
+    pairs = [(tau, J) for tau in enumerate_types(p, f) for J in enumerate_profiles(tau)]
+    if len(pairs) > cap:
+        pairs = rng.sample(pairs, cap)
+    for tau, J in pairs:
+        if p**tau.fprime <= MAX_TABLE_Q:
+            yield tau, J, coefficient_field(p, tau.fprime)
+
+
+def _twist_pairs(F):
+    """The twist parameters (a, b) of the extension checks: (1, 2), then (2, 1)."""
+    two = 2 % F.q
+    return (1, two), (two, 1)
+
+
+def _extension_point(tau, J, F, h):
+    """The extension with twists (1, 2) and class h, or None when that pair is exceptional."""
+    a, b = _twist_pairs(F)[0]
+    try:
+        return ExtensionPoint(tau, J, F, a, b, h)
+    except ExceptionalPairError:
+        return None
 
 
 def check_char_relations(p, f, rng, fault=None):
@@ -163,10 +216,9 @@ def check_recipe_bounds(p, f, rng, fault=None):
 
 def check_existence_roundtrip(p, f, rng, fault=None):
     count = 0
-    for gaps in itertools.product(range(p + 1), repeat=f):
-        if all(g == p for g in gaps):
+    for gaps, r in _gap_types(p, f):
+        if is_steinberg(r, p):
             continue
-        r = as_hodge(tuple((g, 0) for g in gaps))
         tau, J = find_type_profile(r, p)
         if not hodge_equiv(r, hodge_type_of(tau, J), p):
             return False, f"roundtrip fails at gaps={gaps}"
@@ -176,10 +228,9 @@ def check_existence_roundtrip(p, f, rng, fault=None):
 
 def check_remark_exceptions(p, f, rng, fault=None):
     hits = []
-    for gaps in itertools.product(range(p + 1), repeat=f):
-        if all(g == p for g in gaps):
+    for gaps, r in _gap_types(p, f):
+        if is_steinberg(r, p):
             continue
-        r = as_hodge(tuple((g, 0) for g in gaps))
         for j in range(f):
             if not 1 <= gaps[j] <= p - 1:
                 continue
@@ -200,8 +251,6 @@ def check_remark_exceptions(p, f, rng, fault=None):
                     failed = False
                     if not hodge_equiv(r, hodge_type_of(tau, J), p):
                         return False, f"constrained roundtrip broken at {gaps}, {j}, {pref}"
-                    from .tametypes import is_transition
-
                     if is_transition(J, j, tau.fprime) != (pref == "transition"):
                         return False, f"preference not honored at {gaps}, {j}, {pref}"
                 except ForcedChoiceError:
@@ -238,16 +287,11 @@ def check_operator_bounded(p, f, rng, fault=None):
     if f < 2:
         return True, "skipped (f=1 has no operators)"
     n = 0
-    for gaps in itertools.product(range(p + 1), repeat=f):
-        r = as_hodge(tuple((g, 0) for g in gaps))
-        for j in irregular_set(r):
-            for kind in ("theta", "mu", "nu"):
-                if kind == "theta" and gaps[(j - 1) % f] == p:
-                    continue
-                img = apply_operator(kind, j, r, p)
-                if not is_p_bounded(img, p):
-                    return False, f"{kind}_{j} left the bounded range at {gaps}"
-                n += 1
+    for gaps, r in _gap_types(p, f):
+        for j, kind in operator_moves(r, p):
+            if not is_p_bounded(apply_operator(kind, j, r, p), p):
+                return False, f"{kind}_{j} left the bounded range at {gaps}"
+            n += 1
     return True, f"{n} operator applications"
 
 
@@ -271,39 +315,23 @@ def check_operator_chain(p, f, rng, fault=None):
     return True, f"{n} chains"
 
 
-def _phi_pairs(p, f, rng, cap=None):
-    pairs = []
-    for tau in enumerate_types(p, f):
-        for J in enumerate_profiles(tau):
-            pairs.append((tau, J))
-    if cap is not None and len(pairs) > cap:
-        pairs = rng.sample(pairs, cap)
-    return pairs
-
-
 def check_shape_invariance(p, f, rng, fault=None, trials=200):
-    tau = enumerate_types(p, f, kinds=(PRINCIPAL,))[0]
+    tau = enumerate_types(p, f)[0]
     F = coefficient_field(p, tau.fprime)
     n = 0
     for _ in range(trials):
         shapes = [rng.choice(SHAPES) for _ in range(f)]
         mod = random_module(rng, tau, F, shapes, degree=6)
         I = [random_basis_change(rng, F, 5) for _ in range(f)]
-        mod2 = change_eigenbasis_safe(mod, I)
+        mod2 = change_eigenbasis(mod, I, terms=40)
         if classify_shape(mod2)[0] != classify_shape(mod)[0]:
             return False, f"shape changed under unit conjugation (trial {n})"
         n += 1
     return True, f"{n} trials"
 
 
-def change_eigenbasis_safe(mod, I):
-    from .phimod import change_eigenbasis
-
-    return change_eigenbasis(mod, I, terms=40)
-
-
 def check_strongdet_shape(p, f, rng, fault=None, trials=200):
-    tau = enumerate_types(p, f, kinds=(PRINCIPAL,))[0]
+    tau = enumerate_types(p, f)[0]
     F = coefficient_field(p, tau.fprime)
     for t in range(trials):
         shapes = [rng.choice(SHAPES) for _ in range(f)]
@@ -325,20 +353,14 @@ def check_strongdet_shape(p, f, rng, fault=None, trials=200):
 
 
 def check_descend(p, f, rng, fault=None, cap=400):
-    pairs = _phi_pairs(p, f, rng, cap=cap)
     n = 0
-    for tau, J in pairs:
-        if p**tau.fprime > MAX_TABLE_Q:
-            continue
-        F = coefficient_field(p, tau.fprime)
+    for tau, J, F in _field_pairs(p, f, rng, cap):
         mod = random_component_module(rng, tau, J, F, degree=4)
         res = descend_to_base(mod, J)
         pd = profile_data(tau, J)
         want = [(1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(f)]
         if res.exponents != want:
             return False, f"diagonal exponents disagree at {tau.key()} J={sorted(J)}"
-        from .phimod import ascend_from_base
-
         back = ascend_from_base(res)
         for i in range(tau.fprime):
             if not back.mats[i] == mod.mats[i]:
@@ -350,51 +372,37 @@ def check_descend(p, f, rng, fault=None, cap=400):
 def check_operator_basis(p, f, rng, fault=None, trials=50):
     if f < 2:
         return True, "skipped (f=1 has no operators)"
-    from .series import Mat2
-
     F = coefficient_field(p, f)
     n = 0
-    for gaps in itertools.product(range(p + 1), repeat=f):
-        r = as_hodge(tuple((g, 0) for g in gaps))
-        for j in irregular_set(r):
-            for kind in ("theta", "mu", "nu"):
-                if kind == "theta" and gaps[(j - 1) % f] == p:
-                    continue
-                for _ in range(trials):
-                    B = [random_unit_matrix(rng, F, 4) for _ in range(f)]
-                    mats = [
-                        Mat2(
-                            B[i][0, 0].shift(r[i][0]),
-                            B[i][0, 1].shift(r[i][1]),
-                            B[i][1, 0].shift(r[i][0]),
-                            B[i][1, 1].shift(r[i][1]),
-                        )
-                        for i in range(f)
-                    ]
-                    new, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=48)
-                    target = apply_operator(kind, j, r, p)
-                    for i in range(f):
-                        if tuple(sorted(exps[i], reverse=True)) != target[i]:
-                            return False, f"exponent mismatch {kind}_{j} at gaps={gaps}"
-                    n += 1
+    for gaps, r in _gap_types(p, f):
+        for j, kind in operator_moves(r, p):
+            target = apply_operator(kind, j, r, p)
+            for _ in range(trials):
+                B = [random_unit_matrix(rng, F, 4) for _ in range(f)]
+                mats = [
+                    Mat2(
+                        B[i][0, 0].shift(r[i][0]),
+                        B[i][0, 1].shift(r[i][1]),
+                        B[i][1, 0].shift(r[i][0]),
+                        B[i][1, 1].shift(r[i][1]),
+                    )
+                    for i in range(f)
+                ]
+                _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=48)
+                for i in range(f):
+                    if tuple(sorted(exps[i], reverse=True)) != target[i]:
+                        return False, f"exponent mismatch {kind}_{j} at gaps={gaps}"
+                n += 1
     return True, f"{n} lifts"
 
 
 def check_extension_shape_law(p, f, rng, fault=None, cap=200):
-    pairs = _phi_pairs(p, f, rng, cap=cap)
     n = 0
-    for tau, J in pairs:
-        if p**tau.fprime > MAX_TABLE_Q:
-            continue
-        F = coefficient_field(p, tau.fprime)
-        from .extensions import extension_exponents
-
+    for tau, J, F in _field_pairs(p, f, rng, cap):
         data = extension_exponents(tau, J)
-        hspace = itertools.product((0, 1), repeat=f)
-        for h in hspace:
-            try:
-                x = ExtensionPoint(tau, J, F, 1, 2 % F.q if F.q > 2 else 1, h)
-            except ExceptionalPairError:
+        for h in itertools.product((0, 1), repeat=f):
+            x = _extension_point(tau, J, F, h)
+            if x is None:
                 continue
             mod = build_extension(x)
             if not strong_determinant_ok(mod):
@@ -411,19 +419,11 @@ def check_extension_shape_law(p, f, rng, fault=None, cap=200):
 
 
 def check_kext_dimension(p, f, rng, fault=None, cap=400):
-    pairs = _phi_pairs(p, f, rng, cap=cap)
     n = 0
-    for tau, J in pairs:
-        if p**tau.fprime > MAX_TABLE_Q:
-            continue
-        F = coefficient_field(p, tau.fprime)
+    for tau, J, F in _field_pairs(p, f, rng, cap):
         pd = profile_data(tau, J)
-        abs_pairs = [(1, 2 % F.q), (2 % F.q, 1)] if F.q > 2 else [(1, 1)]
-        for a, b in abs_pairs:
-            try:
-                d = kext_dimension(tau, J, a, b, F)
-            except ExceptionalPairError:
-                continue
+        for a, b in _twist_pairs(F):
+            d = kext_dimension(tau, J, a, b, F)
             if d != len(pd.bad_set):
                 return False, (
                     f"kext dimension {d} != |bad set| {len(pd.bad_set)}"
@@ -434,22 +434,14 @@ def check_kext_dimension(p, f, rng, fault=None, cap=400):
 
 
 def check_split_closure(p, f, rng, fault=None, samples=40):
-    from .extensions import kext_obstruction_rows
-    from .linalg import kernel_basis
-
     found = negatives = 0
-    for tau, J in _phi_pairs(p, f, rng, cap=80):
+    for tau, J, F in _field_pairs(p, f, rng, 80):
         if found >= samples:
             break
-        if p**tau.fprime > MAX_TABLE_Q:
+        if not profile_data(tau, J).bad_set:
             continue
-        pd = profile_data(tau, J)
-        if not pd.bad_set:
-            continue
-        F = coefficient_field(p, tau.fprime)
-        try:
-            x0 = ExtensionPoint(tau, J, F, 1, 2 % F.q, (0,) * f)
-        except ExceptionalPairError:
+        x0 = _extension_point(tau, J, F, (0,) * f)
+        if x0 is None:
             continue
         rows = kext_obstruction_rows(x0)
         ker = (
@@ -470,8 +462,7 @@ def check_split_closure(p, f, rng, fault=None, samples=40):
         h1, h2 = combo(), combo()
         hsum = tuple(F.add(a, b) for a, b in zip(h1, h2))
         for h in (h1, h2, hsum):
-            xx = ExtensionPoint(tau, J, F, 1, 2 % F.q, h)
-            if not splits_after_inverting_u(xx):
+            if not splits_after_inverting_u(replace(x0, h=h)):
                 return False, f"kernel vector did not split at {tau.key()} J={sorted(J)}"
         found += 1
         if rows:
@@ -479,25 +470,19 @@ def check_split_closure(p, f, rng, fault=None, samples=40):
             row = rows[0]
             i0 = next(i for i in range(f) if row[i])
             hbad = tuple(1 if i == i0 else 0 for i in range(f))
-            if splits_after_inverting_u(ExtensionPoint(tau, J, F, 1, 2 % F.q, hbad)):
+            if splits_after_inverting_u(replace(x0, h=hbad)):
                 return False, f"non-kernel class split at {tau.key()} J={sorted(J)}"
             negatives += 1
     return True, f"{found} additive triples, {negatives} negative controls"
 
 
 def check_shapeshift(p, f, rng, fault=None, cap=200):
-    pairs = _phi_pairs(p, f, rng, cap=cap)
     n = 0
-    for tau, J in pairs:
-        if p**tau.fprime > MAX_TABLE_Q:
-            continue
-        F = coefficient_field(p, tau.fprime)
+    for tau, J, F in _field_pairs(p, f, rng, cap):
         for Jp in shapeshift_targets(tau, J):
             D = frozenset(i % f for i in (frozenset(J) ^ Jp))
-            h = tuple(0 if i in D else 1 for i in range(f))
-            try:
-                x = ExtensionPoint(tau, J, F, 1, 2 % F.q, h)
-            except ExceptionalPairError:
+            x = _extension_point(tau, J, F, tuple(0 if i in D else 1 for i in range(f)))
+            if x is None:
                 continue
             mod = build_extension(x)
             _, profs = classify_shape(mod)
@@ -509,16 +494,12 @@ def check_shapeshift(p, f, rng, fault=None, cap=200):
 
 def check_kext_hyperplanes(p, f, rng, fault=None, cap=300):
     n = 0
-    for tau, J in _phi_pairs(p, f, rng, cap=cap):
-        if p**tau.fprime > MAX_TABLE_Q:
-            continue
+    for tau, J, F in _field_pairs(p, f, rng, cap):
         pd = profile_data(tau, J)
         if not pd.bad_set or len(pd.bad_set) == f:
             continue
-        F = coefficient_field(p, tau.fprime)
-        try:
-            x = ExtensionPoint(tau, J, F, 1, 2 % F.q, (0,) * f)
-        except ExceptionalPairError:
+        x = _extension_point(tau, J, F, (0,) * f)
+        if x is None:
             continue
         dim, blocks = kext_structure(x)
         if dim != len(pd.bad_set):

@@ -1,0 +1,80 @@
+"""Golden outputs: sha256 digests of CLI output that must not change.
+
+The digests pin the exact bytes of `verify`, `sweep`, `ext`, `shape` and
+`descend` on fixed inputs, so a refactor that is meant to leave output
+byte-identical is checked by the suite rather than by a one-off diff.
+The operator checks of `verify` only run at f >= 2, hence (3, 2).  Module
+files are written under relative names inside a temporary directory, so
+the `wrote=` lines do not carry a machine path.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from bkshapes.cli import main
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stdout(*argv):
+    out = io.StringIO()
+    code = main(list(argv), out=out)
+    return code, out.getvalue()
+
+
+GOLDEN_STDOUT = {
+    ("verify", "--p", "3", "--f", "1", "--seed", "0"):
+        "948b24984e2ef3fb2ecbb49571f4775381709fd16cfc86fb2a2a1069beb0c258",
+    ("verify", "--p", "3", "--f", "2", "--seed", "0"):
+        "0cf647a32f6bd0cf8a52e265fc719782f3df3a71ce5f93f6e80bb9c8559edb4b",
+    ("sweep", "--p", "3", "--f", "2"):
+        "62b85aa4be9f6a88eefe25100b3404082250481329c45791ef63320d870fcda4",
+    ("ext", "--p", "3", "--f", "3", "--gamma", "1,0,2", "--profile", "0,2", "--kext"):
+        "c95dee1c65562bd96f97ed9b89f1ab0c05b7224a444908bd294c8e7e97514077",
+}
+
+# ext --build writes mod.json; shape reads it; descend --out writes desc.json
+GOLDEN_PIPELINE = {
+    "ext": "8fef8795e59dd5e17442423e01bb86b1562a27b11af140ce14ae749ad826b38f",
+    "mod.json": "8818ba3f0a7dc358629ee232064795c9fa794f1235aacbd9916b83eda4361a4f",
+    "shape": "84bf7ced30c9fbba09c071068d9d337b17ed9eb6d6e1f5bc9ff001950deae3a5",
+    "descend": "10031404b58423ddb5f01eb0b3c788d9e9a1c24d0fa78c6afd9ec1c2581b6b4f",
+    "desc.json": "ffeff183ce2905c1e71716d151c3adf094a5495459b64cd4856046a43c028a96",
+}
+
+
+def pipeline_outputs():
+    """Stdout of each step and the bytes of each module file written."""
+    got = {}
+    code, got["ext"] = _stdout(
+        "ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0",
+        "--h", "1,1", "--split", "--build", "mod.json",
+    )
+    assert code == 0
+    code, got["shape"] = _stdout("shape", "--module", "mod.json")
+    assert code == 0
+    code, got["descend"] = _stdout(
+        "descend", "--module", "mod.json", "--profile", "0", "--out", "desc.json",
+    )
+    assert code == 0
+    for name in ("mod.json", "desc.json"):
+        with open(name) as fh:
+            got[name] = fh.read()
+    return got
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT), ids=" ".join)
+def test_golden_stdout(argv):
+    code, out = _stdout(*argv)
+    assert code == 0
+    assert _sha(out) == GOLDEN_STDOUT[argv]
+
+
+def test_golden_module_pipeline(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = pipeline_outputs()
+    assert {k: _sha(v) for k, v in got.items()} == GOLDEN_PIPELINE

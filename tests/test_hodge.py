@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from bkshapes.hodge import (
+    OPERATOR_KINDS,
     apply_operator,
     as_hodge,
     canonical_hodge,
@@ -13,6 +14,7 @@ from bkshapes.hodge import (
     irregular_ratio_never_cyclotomic,
     irregular_set,
     is_p_bounded,
+    operator_moves,
     predicted_inclusions,
     translate,
 )
@@ -101,6 +103,29 @@ def test_operator_preserves_bound_exhaustive():
                 if kind == "theta" and gaps[(j - 1) % f] == p:
                     continue
                 assert is_p_bounded(apply_operator(kind, j, r, p), p)
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (3, 3), (5, 2), (5, 3)])
+def test_operator_moves_are_the_defined_operators(p, f):
+    """operator_moves yields, in ascending j, exactly the moves apply_operator accepts."""
+    for gaps in itertools.product(range(p + 1), repeat=f):
+        r = as_hodge(tuple((g + i, i) for i, g in enumerate(gaps)))
+        defined = set()
+        for j in range(f):
+            for kind in OPERATOR_KINDS:
+                try:
+                    apply_operator(kind, j, r, p)
+                except ValueError:
+                    continue
+                defined.add((j, kind))
+        moves = list(operator_moves(r, p))
+        assert set(moves) == defined and len(moves) == len(defined)
+        assert [j for j, _ in moves] == sorted(j for j, _ in moves)
+
+
+def test_no_operator_moves_at_f1():
+    assert list(operator_moves(((2, 2),), 3)) == []
+    assert predicted_inclusions(((2, 2),), 3) == []
 
 
 def test_predicted_inclusions():

@@ -21,12 +21,12 @@ def run_cli(*argv):
 
 
 def test_sweep_roundtrip_lossless():
-    text = write_sweep(3, 2, 64)
+    text = write_sweep(3, 2)
     rows = read_sweep(text)
     assert len(rows) == 512
     keys = [(r["p"], r["f"], r["kind"], r["eta"], r["eta_prime"], r["profile"]) for r in rows]
     assert len(set(keys)) == len(keys)  # uniquely keyed
-    again = write_sweep(3, 2, 64)
+    again = write_sweep(3, 2)
     assert text == again
     # reserialize row-by-row
     from bkshapes.io import format_row, parse_row
@@ -36,12 +36,15 @@ def test_sweep_roundtrip_lossless():
 
 
 def test_sweep_header_versioned():
-    text = write_sweep(3, 1, 32)
+    text = write_sweep(3, 1)
     head = text.splitlines()[0]
     assert head.startswith("# bkshapes-sweep v1 ")
-    assert "p=3" in head and "f=1" in head and "precision=32" in head and "poly[2]=" in head
+    assert "p=3" in head and "f=1" in head and "precision=64" in head and "poly[2]=" in head
     with pytest.raises(ValueError):
         read_sweep("junk\n")
+    # the header records DEFAULT_PRECISION; sweep takes no precision option
+    code, out = run_cli("sweep", "--p", "3", "--f", "1", "--precision", "32")
+    assert code == 2 and out == ""
 
 
 def _f9_module():
@@ -78,6 +81,53 @@ def test_module_file_rejects_bad_digits(digits, tmp_path, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _shape_exit(doc, tmp_path, capsys):
+    modfile = tmp_path / "bad.json"
+    modfile.write_text(json.dumps(doc))
+    code, out = run_cli("shape", "--module", str(modfile))
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("scale",), ("type",), ("matrices",), ("field", "degree"), ("type", "eta"),
+     ("matrices", 0, 0, "coeffs")],
+    ids=lambda path: ".".join(map(str, path)),
+)
+def test_module_file_missing_key_exits_2(path, tmp_path, capsys):
+    tau, mod, F = _f9_module()
+    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    del owner[path[-1]]
+    with pytest.raises(ValueError, match=repr(path[-1])):
+        module_from_json(json.dumps(doc))
+    assert repr(path[-1]) in _shape_exit(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "where,value", [("matrices", 5), ("field", [3, 2]), ("type", None)], ids=["matrices", "field", "type"]
+)
+def test_module_file_wrong_type_exits_2(where, value, tmp_path, capsys):
+    tau, mod, F = _f9_module()
+    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    doc[where] = value
+    with pytest.raises(ValueError, match="malformed"):
+        module_from_json(json.dumps(doc))
+    _shape_exit(doc, tmp_path, capsys)
+
+
+def test_module_file_negative_precision_exits_2(tmp_path, capsys):
+    tau, mod, F = _f9_module()
+    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    doc["matrices"][0][0]["prec"] = -5
+    assert "precision" in _shape_exit(doc, tmp_path, capsys)
 
 
 def test_cli_hodge_record():
@@ -119,6 +169,13 @@ def test_verify_leaves_environment_unchanged():
     code, _ = run_cli("verify", "--p", "3", "--f", "1", "--precision", "3")
     assert code == 2  # no precision option: inversions in the suite fix their own terms
     assert dict(os.environ) == before
+
+
+def test_cli_verify_p2_runs_every_check():
+    # p = 2, f = 1 has no principal-series type; the shape checks take a cuspidal one
+    code, out = run_cli("verify", "--p", "2", "--f", "1")
+    assert "crashed" not in out
+    assert "PASS shape-invariance" in out and "PASS strongdet-vs-shape" in out
 
 
 @pytest.mark.parametrize("p,f", [(4, 1), (3, 0), (3, -1)])
