@@ -306,13 +306,14 @@ def cmd_verify(args, out):
 
     _check_p_f(args)
     results = run_suite(args.p, args.f, seed=args.seed, fault=args.inject_fault)
-    failed = 0
+    failed = sum(not res.passed and not res.crashed for res in results)
+    crashed = sum(res.crashed for res in results)
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
+        status = "ERROR" if res.crashed else "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name}: {res.detail}", file=out)
-        failed += 0 if res.passed else 1
-    print(f"verify p={args.p} f={args.f} seed={args.seed} failures={failed}", file=out)
-    return 0 if failed == 0 else 1
+    errors = f" errors={crashed}" if crashed else ""
+    print(f"verify p={args.p} f={args.f} seed={args.seed} failures={failed}{errors}", file=out)
+    return 1 if failed else 3 if crashed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

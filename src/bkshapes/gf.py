@@ -100,6 +100,8 @@ class GF:
     def __init__(self, p: int, m: int = 1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
+        if m < 1:
+            raise ValueError(f"field degree must be at least 1, got {m}")
         q = p**m
         if q > MAX_TABLE_Q:
             raise ValueError(f"field size {q} exceeds table limit {MAX_TABLE_Q}")

@@ -3,6 +3,9 @@
 Module files carry matrix entries as a valuation plus the list of
 coefficients, each field element spelled as its polynomial coefficient
 list over F_p (exactly m integer digits in [0, p), checked on reading).
+Every other number in a module file is a JSON integer too; the type's p
+must be prime and its f at least 1, and the field must be one `GF` builds,
+of characteristic p.
 Sweep tables are line-delimited key=value records under a versioned
 header naming p, f, the field polynomials in play, and the default series
 precision (`DEFAULT_PRECISION`); rows are sorted by key so identical
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .gf import GF, coefficient_field, field
+from .gf import GF, coefficient_field, field, is_prime
 from .series import DEFAULT_PRECISION, Mat2, Series
 from .tametypes import PRINCIPAL, TameType
 
@@ -29,16 +32,29 @@ def _series_to_json(s: Series, F: GF):
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int(obj, key: str) -> int:
+    """The value under ``key``, which must be a JSON integer (not a bool or float)."""
+    value = obj[key]
+    if not _is_int(value):
+        raise ValueError(f"module file value {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _code_from_digits(ds, F: GF) -> int:
-    digits = [int(d) for d in ds]
-    if digits != list(ds) or len(digits) != F.m or not all(0 <= d < F.p for d in digits):
+    digits = list(ds)
+    if len(digits) != F.m or not all(_is_int(d) and 0 <= d < F.p for d in digits):
         raise ValueError(f"field element {ds!r} is not {F.m} digits in [0, {F.p})")
     return sum(d * F.p**j for j, d in enumerate(digits))
 
 
 def _series_from_json(obj, F: GF, scale: str) -> Series:
     codes = [_code_from_digits(ds, F) for ds in obj["coeffs"]]
-    return Series(F, scale, int(obj["val"]), codes, obj.get("prec"))
+    prec = None if obj.get("prec") is None else _int(obj, "prec")
+    return Series(F, scale, _int(obj, "val"), codes, prec)
 
 
 def _mat_to_json(M: Mat2, F: GF):
@@ -54,7 +70,12 @@ def tau_to_json(tau: TameType):
 
 
 def tau_from_json(obj) -> TameType:
-    return TameType(int(obj["p"]), int(obj["f"]), obj["kind"], int(obj["eta"]), int(obj["eta_prime"]))
+    p, f = _int(obj, "p"), _int(obj, "f")
+    if not is_prime(p):
+        raise ValueError(f"type p must be prime, got {p}")
+    if f < 1:
+        raise ValueError(f"type f must be at least 1, got {f}")
+    return TameType(p, f, obj["kind"], _int(obj, "eta"), _int(obj, "eta_prime"))
 
 
 def module_to_json(tau: TameType, mats, F: GF, scale: str = "u") -> str:
@@ -76,8 +97,10 @@ def module_from_json(text: str):
             raise ValueError(f"unsupported module format {doc.get('format')!r}")
         tau = tau_from_json(doc["type"])
         fdesc = doc["field"]
-        F = field(int(fdesc["p"]), int(fdesc["degree"]))
-        if list(F.poly) != [int(c) for c in fdesc["poly"]]:
+        F = field(_int(fdesc, "p"), _int(fdesc, "degree"))
+        if F.p != tau.p:
+            raise ValueError(f"field characteristic {F.p} differs from the type's p={tau.p}")
+        if list(F.poly) != fdesc["poly"]:
             raise ValueError("field polynomial mismatch; this build uses the least irreducible")
         scale = doc["scale"]
         mats = [_mat_from_json(M, F, scale) for M in doc["matrices"]]

@@ -157,7 +157,16 @@ class Series:
 
         For an exact non-monomial input the result is truncated to ``terms``
         coefficients (default DEFAULT_PRECISION); exact monomials
-        invert exactly.
+        invert exactly.  A prec-bounded input keeps its prec - val known
+        coefficients (at most ``terms``).
+
+        The n coefficients come from Newton iteration (von zur Gathen and
+        Gerhard, *Modern Computer Algebra*, ch. 9): if g inverts the unit
+        part a mod x^k, then a*g = 1 + x^k*e and g*(2 - a*g) = g - x^k*g*e
+        inverts it mod x^2k.  Each step keeps g and appends the first
+        min(2k, n) - k coefficients of -g*e, so O(log n) pairs of kernel
+        products replace the term-by-term division recurrence.  The
+        inverse mod x^n is unique, so the result is the same.
         """
         if self.is_zero():
             if self.prec is None:
@@ -170,27 +179,21 @@ class Series:
         if self.prec is None:
             n = terms if terms is not None else DEFAULT_PRECISION
         else:
-            n = self.prec - w
-            if terms is not None:
-                n = min(n, terms)
-            if n <= 0:
-                raise PrecisionError("no known coefficients to invert")
-        a = np.zeros(n, dtype=F.dtype)
-        take = min(n, len(self.coeffs))
-        a[:take] = self.coeffs[:take]
-        inv0 = F.inv(int(a[0]))
-        neg_inv0 = F.neg(inv0)
-        out = np.zeros(n, dtype=F.dtype)
-        out[0] = inv0
-        # division recurrence: out[k] = -inv0 * sum_{j>=1} a[j] out[k-j]
-        for k in range(1, n):
-            kk = min(k, take - 1)
-            if kk >= 1:
-                acc = F.dot(a[1 : kk + 1], out[k - kk : k][::-1])
-            else:
-                acc = 0
-            out[k] = F.mul(neg_inv0, acc)
-        return Series(F, self.scale, -w, out, -w + n)
+            n = self.prec - w if terms is None else min(self.prec - w, terms)
+        if n <= 0:
+            raise PrecisionError("no known coefficients to invert")
+        g = np.array([F.inv(self.leading())], dtype=F.dtype)
+        k = 1
+        while k < n:
+            k2 = min(2 * k, n)
+            ag = _kernels.convolve(self.coeffs[:k2], g, F.ADD, F.MUL)
+            e = np.zeros(k2 - k, dtype=F.dtype)
+            high = ag[k:k2]
+            e[: len(high)] = high
+            ge = _kernels.convolve(g, e, F.ADD, F.MUL)
+            g = np.concatenate([g, F.NEG[ge[: k2 - k]]])
+            k = k2
+        return Series(F, self.scale, -w, g, -w + n)
 
     def frobenius(self) -> "Series":
         """Substitute x -> x**p; coefficients are fixed."""

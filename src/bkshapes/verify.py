@@ -1,7 +1,9 @@
 """The cross-module invariant suite behind the `verify` command.
 
 Each check returns (passed, detail); failures carry a counterexample
-string, and a check that raises is reported as failed with the exception.
+string.  A check that raises is reported as crashed with the exception,
+a status of its own: a crash is a fault of the program, not a
+counterexample.
 
 - Combinatorial checks run exhaustively at desk scale.  The Hodge-side
   ones walk every p-bounded gap tuple (`_gap_types`) and, for the weight
@@ -88,6 +90,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    crashed: bool = False
 
 
 def _gap_types(p, f):
@@ -544,8 +547,7 @@ def run_suite(p: int, f: int, seed: int = 0, fault=None):
     for name, fn in CHECKS:
         rng = random.Random((seed, name).__repr__())
         try:
-            ok, detail = fn(p, f, rng, fault=fault)
-        except Exception as exc:  # a crashed check is a failed check
-            ok, detail = False, f"crashed: {exc!r}"
-        results.append(CheckResult(name, ok, detail))
+            results.append(CheckResult(name, *fn(p, f, rng, fault=fault)))
+        except Exception as exc:  # reported, and the remaining checks still run
+            results.append(CheckResult(name, False, f"crashed: {exc!r}", crashed=True))
     return results

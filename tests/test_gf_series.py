@@ -121,6 +121,12 @@ def test_inverse_errors():
         Series.zero(F, "v").inverse()
     with pytest.raises(PrecisionError):
         Series.zero(F, "v", prec=5).inverse()
+    for s in (_S(F, "v", 1, [1, 2]), _S(F, "v", 1, [1, 2], prec=6)):
+        with pytest.raises(PrecisionError):
+            s.inverse(0)
+    # an exact monomial inverts exactly, whatever the term count
+    assert Series.monomial(F, "v", 2, 3).inverse(4) == Series.monomial(F, "v", 2, -3)
+    assert Series.monomial(F, "v", 2, 3).inverse().prec is None
 
 
 def test_precision_tracking():
@@ -166,7 +172,7 @@ def test_series_ring_identities(a0, a1, b0):
     assert (a - a).is_zero()
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (3, 4), (5, 3)])
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
 def test_convolve_matches_schoolbook(p, m):
     from bkshapes import _kernels
 
@@ -181,12 +187,77 @@ def test_convolve_matches_schoolbook(p, m):
 
     rng = np.random.default_rng(7)
     zeros = np.zeros(3, dtype=F.dtype)
-    for la, lb in [(1, 1), (1, 13), (13, 1), (5, 9), (30, 24)]:
+    top = np.full(9, F.q - 1, dtype=F.dtype)  # every digit p - 1
+    for la, lb in [(1, 1), (1, 13), (13, 1), (2, 2), (5, 9), (30, 24)]:
         a = rng.integers(0, F.q, size=la).astype(F.dtype)
         b = rng.integers(0, F.q, size=lb).astype(F.dtype)
         padded = np.concatenate([zeros[:2], a, zeros])
-        for x, y in [(a, b), (padded, b), (b, padded), (zeros[:1], b)]:
-            assert [int(c) for c in _kernels.convolve(x, y, F.ADD, F.MUL)] == schoolbook(x, y)
+        for x, y in [(a, b), (padded, b), (b, padded), (zeros[:1], b), (top, b), (top, top)]:
+            got = _kernels.convolve(x, y, F.ADD, F.MUL)
+            assert got.dtype == x.dtype
+            assert [int(c) for c in got] == schoolbook(x, y)
+
+
+def _rowwise_convolve(a, b, add, mul):
+    """One MUL row per coefficient of a, summed through ADD (no packing, no floats)."""
+    out = np.zeros(len(a) + len(b) - 1, dtype=a.dtype)
+    for i, ai in enumerate(a):
+        seg = out[i : i + len(b)]
+        seg[:] = add[seg, mul[ai, b]]
+    return out
+
+
+@pytest.mark.parametrize("p,m", [(4093, 1), (2, 12)])
+def test_convolve_long_product_is_exact(p, m):
+    # operands of code q - 1 (every digit p - 1) give the largest partial sums
+    from bkshapes import _kernels
+
+    F = field(p, m)
+    rng = np.random.default_rng(3)
+    top = np.full(2048, F.q - 1, dtype=F.dtype)
+    rand = rng.integers(0, F.q, size=2000).astype(F.dtype)
+    for a, b in [(top, top), (rand, top[:2000])]:
+        got = _kernels.convolve(a, b, F.ADD, F.MUL)
+        assert np.array_equal(got, _rowwise_convolve(a, b, F.ADD, F.MUL))
+
+
+def _inverse_by_division(s, n):
+    """First n coefficients of 1/s by the division recurrence, one F.dot per term."""
+    F = s.field
+    a = np.zeros(n, dtype=F.dtype)
+    take = min(n, len(s.coeffs))
+    a[:take] = s.coeffs[:take]
+    inv0 = F.inv(int(a[0]))
+    out = np.zeros(n, dtype=F.dtype)
+    out[0] = inv0
+    for k in range(1, n):
+        kk = min(k, take - 1)
+        acc = F.dot(a[1 : kk + 1], out[k - kk : k][::-1]) if kk >= 1 else 0
+        out[k] = F.mul(F.neg(inv0), acc)
+    return [int(c) for c in out]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 4), (5, 2), (7, 1)])
+def test_inverse_matches_division_recurrence(p, m):
+    from bkshapes.series import DEFAULT_PRECISION
+
+    F = field(p, m)
+    rng = np.random.default_rng(p * 10 + m)
+    cases = []  # (series, terms, expected n)
+    for _ in range(12):
+        length = int(rng.integers(2, 40))
+        coeffs = rng.integers(0, F.q, size=length)
+        coeffs[[0, -1]] = rng.integers(1, F.q, size=2)  # not a monomial
+        val = int(rng.integers(-5, 6))
+        exact = _S(F, "v", val, list(map(int, coeffs)))
+        cases += [(exact, None, DEFAULT_PRECISION), (exact, 1, 1), (exact, 2, 2), (exact, 37, 37)]
+        for known in (1, 3, length, length + 20):
+            bounded = _S(F, "v", val, list(map(int, coeffs)), prec=val + known)
+            cases += [(bounded, None, known), (bounded, 5, min(known, 5)), (bounded, 100, known)]
+    for s, terms, n in cases:
+        inv = s.inverse(terms)
+        assert inv.val == -s.val and inv.prec == -s.val + n
+        assert [inv.coefficient(-s.val + k) for k in range(n)] == _inverse_by_division(s, n)
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.integers(1, 8))

@@ -130,6 +130,69 @@ def test_module_file_negative_precision_exits_2(tmp_path, capsys):
     assert "precision" in _shape_exit(doc, tmp_path, capsys)
 
 
+@pytest.mark.parametrize(
+    "where,key,value,message",
+    [
+        ("type", "f", 0, "f must be at least 1"),
+        ("type", "p", 1, "p must be prime"),
+        ("type", "p", 4, "p must be prime"),
+        ("field", "degree", 0, "degree must be at least 1"),
+        ("field", "p", 4, "not prime"),
+        ("field", "p", 5, "characteristic 5 differs"),
+        ("type", "eta", 2.5, "'eta' must be an integer"),
+        ("field", "degree", True, "'degree' must be an integer"),
+    ],
+)
+def test_module_file_out_of_range_type_or_field_exits_2(where, key, value, message, tmp_path, capsys):
+    tau, mod, F = _f9_module()
+    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    doc[where][key] = value
+    with pytest.raises(ValueError, match=message):
+        module_from_json(json.dumps(doc))
+    assert message in _shape_exit(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "key,value", [("val", 1.5), ("val", True), ("val", "1"), ("prec", 2.5), ("prec", True), ("prec", "9")]
+)
+def test_module_file_non_integer_val_or_prec_exits_2(key, value, tmp_path, capsys):
+    tau, mod, F = _f9_module()
+    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    doc["matrices"][0][0][key] = value
+    with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
+        module_from_json(json.dumps(doc))
+    _shape_exit(doc, tmp_path, capsys)
+
+
+def test_module_file_null_prec_is_exact():
+    tau, mod, F = _f9_module()
+    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    doc["matrices"][0][0]["prec"] = None
+    _, mats, _, _ = module_from_json(json.dumps(doc))
+    assert mats[0][0, 0].prec is None and mats[0][0, 0] == mod.mats[0][0, 0]
+
+
+def _crashing_check(p, f, rng, fault=None):
+    raise RuntimeError("boom")
+
+
+def test_cli_verify_reports_a_crashed_check(monkeypatch):
+    from bkshapes import verify
+
+    name = verify.CHECKS[0][0]
+    monkeypatch.setattr(verify, "CHECKS", [(name, _crashing_check)] + verify.CHECKS[1:])
+    code, out = run_cli("verify", "--p", "3", "--f", "1")
+    lines = out.splitlines()
+    assert code == 3
+    assert lines[0] == f"ERROR {name}: crashed: RuntimeError('boom')"
+    assert all(line.startswith("PASS ") for line in lines[1:-1])
+    assert lines[-1] == "verify p=3 f=1 seed=0 failures=0 errors=1"
+    # a failed check outranks a crashed one
+    code, out = run_cli("verify", "--p", "3", "--f", "1", "--inject-fault", "s-flip")
+    assert code == 1 and out.splitlines()[0].startswith("ERROR ") and "\nFAIL " in out
+    assert out.splitlines()[-1].endswith(" errors=1")
+
+
 def test_cli_hodge_record():
     code, out = run_cli("hodge", "--p", "5", "--f", "2", "--gamma", "2,3", "--profile", "0")
     assert code == 0
