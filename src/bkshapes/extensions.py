@@ -12,11 +12,21 @@ inverting u asks for a Laurent solution g of
 
     a_i u^{r_i} g_i = h_i u^{delta_i} + b_i u^{s_i} phi(g_{i-1}),
 
-a linear problem in the coefficients of g.  The coefficient dependency
-graph has one parent per node, so it resolves into chains and cycles; the
-solver below decides solvability exactly and, on the linear-functional
-side, assembles the obstruction matrix whose nullity is the split
-subspace dimension.
+a linear problem in the coefficients of g.  In the graph of node (i, m),
+the coefficient of u^m in g_i, three facts make the solver one pass:
+
+- a node at or above the valuation bound LB has one child
+  (i+1, p*m - r_{i+1} + s_{i+1}), and no node has two parents;
+- the only possible cycle is the fixed point at index 0 of the
+  contracting f'-fold parent map, m* = sum_{k<f'} p^k (r_{-k} - s_{-k})
+  / (p^f' - 1), present when m* is an integer and its steps close up;
+- past ep/(p-1) a child chain only rises.
+
+So the solver takes the cycle in closed form and pushes each h-source
+(i, delta_i - r_i) off it down its child chain, to the first node below
+LB, whose value must vanish (a pin row), or to a top it never falls back
+from.  The pin rows assemble the obstruction matrix whose nullity is the
+split subspace dimension.
 """
 
 from __future__ import annotations
@@ -150,10 +160,10 @@ def build_extension(x: ExtensionPoint) -> BKModule:
 # -- the splitting solver ------------------------------------------------------
 
 class _Solver:
-    """Chain/cycle resolution of the coefficient recursion.
+    """The closed-form cycle and one forward pass of the coefficient recursion.
 
     Values are affine in the class vector h (f coordinates) and in one free
-    symbol per undetermined cycle; vectors are [h_0..h_{f-1}, sym_0..].
+    symbol when the cycle's gain is 1; vectors are [h_0..h_{f-1}, sym_0..].
     """
 
     def __init__(self, x: ExtensionPoint):
@@ -174,9 +184,9 @@ class _Solver:
         self.ainv = [F.inv(a) for a in self.a]
         self.LB = -(ep // (self.p - 1)) - 2
         self.W = ep // (self.p - 1) + 3
-        self.M_lo = self.p * self.LB - ep
-        self._find_cycles()
-        self._cache: dict = {}
+        self.M_lo = self.p * self.LB - ep  # every pinned node lies in [M_lo, LB)
+        self._find_cycle()
+        self._cache: dict = {}  # node values of the last forward pass
 
     # node (i, m): coefficient of u^m in g_i
     def _parent(self, i: int, m: int):
@@ -204,78 +214,70 @@ class _Solver:
             val[i % self.f] = F.add(val[i % self.f], self.ainv[i])
         return val
 
-    def _find_cycles(self):
-        seen = set()
-        cycles = []
-        for i in range(self.fp):
-            for m in range(self.LB, self.W):
-                node = (i, m)
-                if node in seen:
-                    continue
-                walk = [node]
-                cur = node
-                ok = True
-                for _ in range(self.fp):
-                    cur = self._parent(*cur)
-                    if cur is None or not (self.LB <= cur[1] < self.W):
-                        ok = False
-                        break
-                    walk.append(cur)
-                if ok and walk[-1] == node:
-                    cycles.append(walk[:-1])
-                    seen.update(walk[:-1])
-        # walk[k+1] is the parent of walk[k]; a loop maps x at walk[0] to A*x + B
+    def _find_cycle(self):
+        """The cycle through m* at index 0, if any, and its values (module docstring)."""
+        p, fp = self.p, self.fp
+        m, rest = divmod(sum(p**k * (self.r[-k] - self.s[-k]) for k in range(fp)), p**fp - 1)
+        walk, node = [], None if rest else (0, m)
+        while node is not None and len(walk) < fp:
+            walk.append(node)
+            node = self._parent(*node)
         F = self.F
-        gains = []
-        for walk in cycles:
-            A = 1
-            for i, _m in walk:
-                A = F.mul(A, self.ratio[i])
-            gains.append(A)
-        self.nsyms = gains.count(1)
+        self.nsyms = 0
         self.cycle_value: dict = {}
         self.cycle_rows: list = []
-        for walk, A in zip(cycles, gains):
-            B = self._zero()
-            for node in reversed(walk):
-                B = self._step(node, B)
-            if A != 1:
-                base = [F.div(c, F.sub(1, A)) for c in B]
-            else:
-                # a free symbol, consistent when the pure-h B vanishes
-                base = self._zero()
-                base[self.f + len(self.cycle_rows)] = 1
-                self.cycle_rows.append(B)
-            self.cycle_value[walk[0]] = val = base
-            for node in reversed(walk[1:]):
-                val = self._step(node, val)
-                self.cycle_value[node] = val
+        if node is None:
+            return
+        # walk[k+1] is the parent of walk[k]; the loop maps x at walk[0] to A*x + B
+        A = 1
+        for i, _m in walk:
+            A = F.mul(A, self.ratio[i])
+        self.nsyms = int(A == 1)
+        B = self._zero()
+        for node in reversed(walk):
+            B = self._step(node, B)
+        if A != 1:
+            base = [F.div(c, F.sub(1, A)) for c in B]
+        else:
+            # a free symbol, consistent when the pure-h B vanishes
+            base = self._zero()
+            base[self.f] = 1
+            self.cycle_rows.append(B)
+        self.cycle_value[walk[0]] = val = base
+        for node in reversed(walk[1:]):
+            val = self._step(node, val)
+            self.cycle_value[node] = val
 
-    def value(self, node):
-        """Affine value of a node at or above the valuation bound."""
-        chain = []
-        known = None
-        while node is not None:
-            known = self.cycle_value.get(node) or self._cache.get(node)
-            if known is not None:
-                break
-            chain.append(node)
-            node = self._parent(*node)
-        for node in reversed(chain):
-            known = self._step(node, known)
-            self._cache[node] = known
-        return known
+    def _forward(self, top: int) -> dict:
+        """Values of the off-cycle nodes below top >= W, which are sums over the h-sources.
+
+        A source adds a_i^-1 e_(i mod f), times the ratio at each step, to
+        every node of its child chain, up to its first node below LB.
+        """
+        F, p = self.F, self.p
+        vals: dict = {}
+        for i in range(self.fp):
+            node = (i, self.delta[i] - self.r[i])
+            if node in self.cycle_value:
+                continue
+            v = self._step(node, None)
+            while node[1] < top:
+                old = vals.get(node)
+                vals[node] = v if old is None else [F.add(c, d) for c, d in zip(old, v)]
+                j, m = node
+                if m < self.LB:
+                    break
+                j = (j + 1) % self.fp
+                node = (j, p * m - self.r[j] + self.s[j])
+                v = [F.mul(self.ratio[j], c) for c in v]
+        self._cache = vals
+        return vals
 
     def pin_rows(self):
         """Constraints from nodes below the valuation bound, whose values vanish."""
-        rows = []
-        for m in range(self.M_lo, self.LB):
-            for i in range(self.fp):
-                par = self._parent(i, m)
-                row = self._step((i, m), None if par is None else self.value(par))
-                if any(row):
-                    rows.append(row)
-        return rows
+        vals = self._forward(self.W)
+        pinned = sorted((m, i) for i, m in vals if m < self.LB)
+        return [vals[i, m] for m, i in pinned if any(vals[i, m])]
 
     def _reduced_constraints(self):
         """RREF of every constraint row, symbol columns first, and its pivots.
@@ -292,7 +294,7 @@ class _Solver:
         R, pivots = self._reduced_constraints()
         return [r[ns:] for r, c in zip(R, pivots) if c >= ns]
 
-    def splits(self, uprec: int | None = None) -> bool:
+    def splits(self) -> bool:
         """Decide splitting of the class x.h by constructing a section and checking it.
 
         Solves the constraints for the symbols (free ones set to zero),
@@ -311,15 +313,12 @@ class _Solver:
             else:
                 point[f + c] = rhs
 
-        if uprec is None:
-            uprec = 4 * x.tau.estep + 64
-        g = []
-        for i in range(self.fp):
-            V = np.array([self.value((i, m)) for m in range(self.LB, uprec)], dtype=F.dtype)
-            arr = np.zeros(len(V), dtype=F.dtype)
-            for k, c in enumerate(point):
-                arr = F.ADD[arr, F.MUL[V[:, k], c]]
-            g.append(Series(F, "u", self.LB, arr, uprec))
+        prec = 4 * x.tau.estep + 64
+        coeffs = np.zeros((self.fp, prec - self.LB), dtype=F.dtype)
+        for (i, m), vec in {**self._forward(prec), **self.cycle_value}.items():
+            if m >= self.LB:
+                coeffs[i, m - self.LB] = F.dot(vec, point)
+        g = [Series(F, "u", self.LB, arr, prec) for arr in coeffs]
         for i in range(self.fp):
             hi = x.h_at(i)
             lhs = g[i].scalar_mul(self.a[i]).shift(self.r[i])
@@ -356,13 +355,12 @@ def splitting_diagnostics(x: ExtensionPoint) -> dict:
 def kext_dimension(tau: TameType, J, a: int, b: int, field: GF) -> int:
     """Dimension over the coefficient field of the split-class subspace."""
     x = ExtensionPoint(tau, check_profile(tau, J), field, a, b, (0,) * tau.f)
-    rows = kext_obstruction_rows(x)
-    return tau.f - rank(rows, field) if rows else tau.f
+    return tau.f - rank(kext_obstruction_rows(x), field)
 
 
-def splits_after_inverting_u(x: ExtensionPoint, uprec: int | None = None) -> bool:
+def splits_after_inverting_u(x: ExtensionPoint) -> bool:
     """Whether the class x.h splits after inverting u (see _Solver.splits)."""
-    return _Solver(x).splits(uprec)
+    return _Solver(x).splits()
 
 
 def kext_structure(x: ExtensionPoint):
@@ -376,7 +374,7 @@ def kext_structure(x: ExtensionPoint):
     f = tau.f
     pd = profile_data(tau, x.J)
     rows = kext_obstruction_rows(x)
-    dim = f - rank(rows, F) if rows else f
+    dim = f - rank(rows, F)
     blocks = {}
     if len(pd.bad_set) == f:
         return dim, blocks

@@ -11,7 +11,8 @@ counterexample.
 - The matrix engine checks walk every (type, profile) pair when there are
   at most `cap` of them and a seeded sample otherwise (`_field_pairs`).
   Pairs whose faithful coefficient field exceeds the table limit are
-  skipped rather than computed over a subfield.
+  skipped rather than computed over a subfield, and the check's detail
+  says how many were skipped.
 - The extension checks use the twists (a, b) = (1, 2); `kext-dimension`
   also tries (2, 1).
 - `descend-normal-form` states the diagonal exponents (1-theta_i,
@@ -100,17 +101,23 @@ def _gap_types(p, f):
 
 
 def _field_pairs(p, f, rng, cap):
-    """(tau, J, F) over every (type, profile) pair, or a seeded sample of cap pairs.
+    """(tau, J, F) over every (type, profile) pair, or a seeded sample of cap pairs, and a note.
 
     Pairs whose faithful coefficient field exceeds the table limit are
-    skipped; F is that field.
+    skipped; F is that field.  The note, appended to a check's detail,
+    counts the skipped pairs and is empty when there are none.
     """
     pairs = [(tau, J) for tau in enumerate_types(p, f) for J in enumerate_profiles(tau)]
     if len(pairs) > cap:
         pairs = rng.sample(pairs, cap)
-    for tau, J in pairs:
-        if p**tau.fprime <= MAX_TABLE_Q:
-            yield tau, J, coefficient_field(p, tau.fprime)
+    kept = [
+        (tau, J, coefficient_field(p, tau.fprime))
+        for tau, J in pairs
+        if p**tau.fprime <= MAX_TABLE_Q
+    ]
+    skipped = len(pairs) - len(kept)
+    note = f" ({skipped} of {len(pairs)} pairs skipped: field over the table limit)" if skipped else ""
+    return kept, note
 
 
 def _twist_pairs(F):
@@ -357,7 +364,8 @@ def check_strongdet_shape(p, f, rng, fault=None, trials=200):
 
 def check_descend(p, f, rng, fault=None, cap=400):
     n = 0
-    for tau, J, F in _field_pairs(p, f, rng, cap):
+    pairs, note = _field_pairs(p, f, rng, cap)
+    for tau, J, F in pairs:
         mod = random_component_module(rng, tau, J, F, degree=4)
         res = descend_to_base(mod, J)
         pd = profile_data(tau, J)
@@ -369,7 +377,7 @@ def check_descend(p, f, rng, fault=None, cap=400):
             if not back.mats[i] == mod.mats[i]:
                 return False, f"reconstruction failed at {tau.key()} J={sorted(J)} i={i}"
         n += 1
-    return True, f"{n} (type, profile) pairs"
+    return True, f"{n} (type, profile) pairs{note}"
 
 
 def check_operator_basis(p, f, rng, fault=None, trials=50):
@@ -401,7 +409,8 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
 
 def check_extension_shape_law(p, f, rng, fault=None, cap=200):
     n = 0
-    for tau, J, F in _field_pairs(p, f, rng, cap):
+    pairs, note = _field_pairs(p, f, rng, cap)
+    for tau, J, F in pairs:
         data = extension_exponents(tau, J)
         for h in itertools.product((0, 1), repeat=f):
             x = _extension_point(tau, J, F, h)
@@ -418,12 +427,13 @@ def check_extension_shape_law(p, f, rng, fault=None, cap=200):
             if frozenset(J) not in profs:
                 return False, f"extension escaped its component at {tau.key()} J={sorted(J)}"
             n += 1
-    return True, f"{n} extensions"
+    return True, f"{n} extensions{note}"
 
 
 def check_kext_dimension(p, f, rng, fault=None, cap=400):
     n = 0
-    for tau, J, F in _field_pairs(p, f, rng, cap):
+    pairs, note = _field_pairs(p, f, rng, cap)
+    for tau, J, F in pairs:
         pd = profile_data(tau, J)
         for a, b in _twist_pairs(F):
             d = kext_dimension(tau, J, a, b, F)
@@ -433,12 +443,13 @@ def check_kext_dimension(p, f, rng, fault=None, cap=400):
                     f" at {tau.key()} J={sorted(J)} a={a} b={b}"
                 )
             n += 1
-    return True, f"{n} computations"
+    return True, f"{n} computations{note}"
 
 
 def check_split_closure(p, f, rng, fault=None, samples=40):
     found = negatives = 0
-    for tau, J, F in _field_pairs(p, f, rng, 80):
+    pairs, note = _field_pairs(p, f, rng, 80)
+    for tau, J, F in pairs:
         if found >= samples:
             break
         if not profile_data(tau, J).bad_set:
@@ -476,12 +487,13 @@ def check_split_closure(p, f, rng, fault=None, samples=40):
             if splits_after_inverting_u(replace(x0, h=hbad)):
                 return False, f"non-kernel class split at {tau.key()} J={sorted(J)}"
             negatives += 1
-    return True, f"{found} additive triples, {negatives} negative controls"
+    return True, f"{found} additive triples, {negatives} negative controls{note}"
 
 
 def check_shapeshift(p, f, rng, fault=None, cap=200):
     n = 0
-    for tau, J, F in _field_pairs(p, f, rng, cap):
+    pairs, note = _field_pairs(p, f, rng, cap)
+    for tau, J, F in pairs:
         for Jp in shapeshift_targets(tau, J):
             D = frozenset(i % f for i in (frozenset(J) ^ Jp))
             x = _extension_point(tau, J, F, tuple(0 if i in D else 1 for i in range(f)))
@@ -492,12 +504,13 @@ def check_shapeshift(p, f, rng, fault=None, cap=200):
             if Jp not in profs:
                 return False, f"target not classified at {tau.key()} J={sorted(J)} J'={sorted(Jp)}"
             n += 1
-    return True, f"{n} shifted targets"
+    return True, f"{n} shifted targets{note}"
 
 
 def check_kext_hyperplanes(p, f, rng, fault=None, cap=300):
     n = 0
-    for tau, J, F in _field_pairs(p, f, rng, cap):
+    pairs, note = _field_pairs(p, f, rng, cap)
+    for tau, J, F in pairs:
         pd = profile_data(tau, J)
         if not pd.bad_set or len(pd.bad_set) == f:
             continue
@@ -516,7 +529,7 @@ def check_kext_hyperplanes(p, f, rng, fault=None, cap=300):
             ):
                 return False, f"support mismatch on {block} at {tau.key()} J={sorted(J)}"
         n += 1
-    return True, f"{n} structured kernels"
+    return True, f"{n} structured kernels{note}"
 
 
 CHECKS = [

@@ -1,7 +1,11 @@
 import itertools
+import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from bkshapes import extensions
 from bkshapes.extensions import (
     ExceptionalPairError,
     ExtensionPoint,
@@ -12,11 +16,13 @@ from bkshapes.extensions import (
     kext_structure,
     rank1_etale_isomorphic,
     splits_after_inverting_u,
+    splitting_diagnostics,
 )
-from bkshapes.gf import field
+from bkshapes.gf import coefficient_field, field
 from bkshapes.intervals import extended
-from bkshapes.linalg import rank
+from bkshapes.linalg import kernel_basis, rank
 from bkshapes.phimod import classify_shape, strong_determinant_ok
+from bkshapes.series import Series
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -256,3 +262,170 @@ def test_cuspidal_class_vector_periodicity():
     assert x.h == (5,)
     with pytest.raises(ValueError):
         ExtensionPoint(tau, J, F9, 1, 2, (5, 3))
+
+
+class _ScanSolver(extensions._Solver):
+    """The former scan solver, kept as the oracle of the forward pass.
+
+    It finds cycles by walking f' parents from every node of the window
+    [LB, W), reads a node's value by walking up its parents, and pins every
+    node of [M_lo, LB).  Node values and pin rows do not depend on h, so
+    one solver decides every class of its (type, profile, a, b).
+    """
+
+    def _find_cycle(self):
+        seen = set()
+        cycles = []
+        for i in range(self.fp):
+            for m in range(self.LB, self.W):
+                node = (i, m)
+                if node in seen:
+                    continue
+                walk = [node]
+                cur = node
+                ok = True
+                for _ in range(self.fp):
+                    cur = self._parent(*cur)
+                    if cur is None or not (self.LB <= cur[1] < self.W):
+                        ok = False
+                        break
+                    walk.append(cur)
+                if ok and walk[-1] == node:
+                    cycles.append(walk[:-1])
+                    seen.update(walk[:-1])
+        self.cycles = cycles
+        F = self.F
+        gains = []
+        for walk in cycles:
+            A = 1
+            for i, _m in walk:
+                A = F.mul(A, self.ratio[i])
+            gains.append(A)
+        self.nsyms = gains.count(1)
+        self.cycle_value = {}
+        self.cycle_rows = []
+        for walk, A in zip(cycles, gains):
+            B = self._zero()
+            for node in reversed(walk):
+                B = self._step(node, B)
+            if A != 1:
+                base = [F.div(c, F.sub(1, A)) for c in B]
+            else:
+                base = self._zero()
+                base[self.f + len(self.cycle_rows)] = 1
+                self.cycle_rows.append(B)
+            self.cycle_value[walk[0]] = val = base
+            for node in reversed(walk[1:]):
+                val = self._step(node, val)
+                self.cycle_value[node] = val
+
+    def value(self, node):
+        chain = []
+        known = None
+        while node is not None:
+            known = self.cycle_value.get(node) or self._cache.get(node)
+            if known is not None:
+                break
+            chain.append(node)
+            node = self._parent(*node)
+        for node in reversed(chain):
+            known = self._step(node, known)
+            self._cache[node] = known
+        return known
+
+    _pins = None  # the scan's rows, kept so one solver can serve several calls
+
+    def pin_rows(self):
+        if self._pins is None:
+            rows = []
+            for m in range(self.M_lo, self.LB):
+                for i in range(self.fp):
+                    par = self._parent(i, m)
+                    row = self._step((i, m), None if par is None else self.value(par))
+                    if any(row):
+                        rows.append(row)
+            self._pins = rows
+        return self._pins
+
+    def splits(self, h=None):
+        """The verdict for the class h (default x.h); node values do not depend on h."""
+        x = self.x if h is None else replace(self.x, h=h)
+        F, f, ns = self.F, self.f, self.nsyms
+        point = list(x.h) + [0] * ns
+        R, pivots = self._reduced_constraints()
+        for row, c in zip(R, pivots):
+            rhs = F.neg(F.dot(row[ns:], x.h))
+            if c >= ns:
+                if rhs:
+                    return False
+            else:
+                point[f + c] = rhs
+        uprec = 4 * x.tau.estep + 64
+        g = []
+        for i in range(self.fp):
+            V = np.array([self.value((i, m)) for m in range(self.LB, uprec)], dtype=F.dtype)
+            arr = np.zeros(len(V), dtype=F.dtype)
+            for k, c in enumerate(point):
+                arr = F.ADD[arr, F.MUL[V[:, k], c]]
+            g.append(Series(F, "u", self.LB, arr, uprec))
+        for i in range(self.fp):
+            hi = x.h_at(i)
+            lhs = g[i].scalar_mul(self.a[i]).shift(self.r[i])
+            rhs = Series.monomial(F, "u", hi, self.delta[i]) if hi else Series.zero(F, "u")
+            rhs = rhs + g[(i - 1) % self.fp].frobenius().scalar_mul(self.b[i]).shift(self.s[i])
+            if not (lhs - rhs).is_zero():
+                raise AssertionError("constructed section fails the recursion")
+        return True
+
+
+def _solver_points(p, f, sample=None):
+    """(type, profile, (1,2)/(2,1)) extension points at (p, f), or a seeded sample of them."""
+    points = [
+        (tau, J, ab)
+        for tau in enumerate_types(p, f)
+        for J in enumerate_profiles(tau)
+        for ab in ((1, 2), (2, 1))
+    ]
+    if sample is not None:
+        points = random.Random(f"solver-{p}-{f}").sample(points, sample)
+    for tau, J, (a, b) in points:
+        yield ExtensionPoint(tau, J, coefficient_field(p, tau.fprime), a, b, (0,) * f)
+
+
+def _classes(x, rows, rng):
+    """A random class vector and a random member of the split subspace."""
+    F, f = x.field, x.tau.f
+    ker = kernel_basis(rows, F, f)
+    h = [0] * f
+    for vec in ker:
+        c = rng.randrange(1, F.q)
+        h = [F.add(u, F.mul(c, v)) for u, v in zip(h, vec)]
+    return [tuple(rng.randrange(F.q) for _ in range(f)), tuple(h)]
+
+
+def _over(monkeypatch, solver, fn, x):
+    """fn(x) with every solver it builds replaced by the given one."""
+    with monkeypatch.context() as mp:
+        mp.setattr(extensions, "_Solver", lambda _x: solver)
+        return fn(x)
+
+
+@pytest.mark.parametrize(
+    "p,f,sample", [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None), (5, 2, 60), (3, 3, 24)]
+)
+def test_forward_pass_matches_scan_solver(p, f, sample, monkeypatch):
+    """Closed-form cycle and forward pass against the scan solver, point by point."""
+    rng = random.Random(f"classes-{p}-{f}")
+    for x in _solver_points(p, f, sample):
+        new, old = extensions._Solver(x), _ScanSolver(x)
+        where = (x.tau.key(), sorted(x.J), x.a, x.b)
+        assert len(old.cycles) <= 1, where
+        assert new.nsyms == old.nsyms, where
+        assert new.cycle_value == old.cycle_value, where
+        assert new.pin_rows() == old.pin_rows(), where
+        rows = new.obstruction_rows()
+        assert rows == old.obstruction_rows(), where
+        for fn in (kext_structure, splitting_diagnostics):
+            assert fn(x) == _over(monkeypatch, old, fn, x), where
+        for h in _classes(x, rows, rng):
+            assert splits_after_inverting_u(replace(x, h=h)) == old.splits(h), (where, h)

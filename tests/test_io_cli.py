@@ -1,8 +1,13 @@
+import contextlib
+import functools
 import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bkshapes.cli import main
 from bkshapes.gf import field
@@ -170,6 +175,73 @@ def test_module_file_null_prec_is_exact():
     doc["matrices"][0][0]["prec"] = None
     _, mats, _, _ = module_from_json(json.dumps(doc))
     assert mats[0][0, 0].prec is None and mats[0][0, 0] == mod.mats[0][0, 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _ext_build_text():
+    """A module file written by `ext --build`, the seed of the fuzzed files."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ext.json")
+        code, _ = run_cli(
+            "ext", "--p", "3", "--f", "2", "--kind", "cuspidal", "--gamma", "1,2",
+            "--profile", "0,3", "--h", "1,2", "--build", path,
+        )
+        assert code == 0
+        with open(path) as fh:
+            return fh.read()
+
+
+def _paths(node, path=()):
+    """Every path to a node of a JSON document, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+_JUNK = st.one_of(
+    st.integers(-50, 50),  # negatives and out-of-range digits
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(-5, 9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-5, 9), max_size=2),
+)
+
+
+def _mutant(data):
+    """The `ext --build` document with one to three nodes dropped or replaced by junk."""
+    doc = json.loads(_ext_build_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        drop = path and data.draw(st.booleans())
+        value = None if drop else data.draw(_JUNK)
+        if not path:
+            doc = value
+            continue
+        owner = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+        if drop:
+            del owner[path[-1]]
+        else:
+            owner[path[-1]] = value
+    return doc
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_module_file_exits_0_or_2(data):
+    doc = _mutant(data)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        modfile = os.path.join(tmp, "mutant.json")
+        with open(modfile, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(err):
+            code, out = run_cli("shape", "--module", modfile)
+    assert code in (0, 2)
+    if code == 2:
+        assert out == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def _crashing_check(p, f, rng, fault=None):
