@@ -1,9 +1,10 @@
 """Command-line interface: batch computations over line-delimited records.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(including a non-prime p or an f below 1 given to `verify` or `sweep`, the
-unsatisfiable transition preferences of `find-type`, a malformed module
-file and a module file whose coefficients are known too coarsely to decide).
+(including a non-prime p given to any command that takes one, an f below 1,
+a `find-type` Hodge type whose number of pairs is not f, the unsatisfiable
+transition preferences of `find-type`, a malformed module file and a module
+file whose coefficients are known too coarsely to decide).
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ def _parse_pairs(text: str):
 
 
 def _type_from_args(args) -> TameType:
+    _check_p_f(args)
     kind = PRINCIPAL if args.kind in ("ps", "principal-series") else CUSPIDAL
     if args.gamma is not None:
         gamma = _parse_ints(args.gamma)
@@ -78,9 +80,13 @@ def _type_from_args(args) -> TameType:
     return TameType(args.p, args.f, kind, args.eta, eta_prime)
 
 
-def _check_p_f(args):
+def _check_p(args):
     if not is_prime(args.p):
         raise UsageError(f"--p must be prime, got {args.p}")
+
+
+def _check_p_f(args):
+    _check_p(args)
     if args.f < 1:
         raise UsageError(f"--f must be at least 1, got {args.f}")
 
@@ -153,7 +159,10 @@ def cmd_hodge(args, out):
 
 
 def cmd_find_type(args, out):
+    _check_p_f(args)
     r = _parse_pairs(args.r)
+    if len(r) != args.f:
+        raise UsageError(f"--r has {len(r)} pairs but --f is {args.f}")
     constraint = {}
     for j in args.transition or []:
         constraint[j] = "transition"
@@ -170,6 +179,7 @@ def cmd_find_type(args, out):
 
 
 def cmd_operators(args, out):
+    _check_p(args)
     r = _parse_pairs(args.r)
     img = apply_operator(args.op, args.j, r, args.p)
     print(
@@ -181,6 +191,7 @@ def cmd_operators(args, out):
 
 
 def cmd_inclusions(args, out):
+    _check_p(args)
     r = _parse_pairs(args.r)
     for img in predicted_inclusions(r, args.p):
         print(f"source={_fmt_pairs(r)} target={_fmt_pairs(img)}", file=out)

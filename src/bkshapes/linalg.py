@@ -63,9 +63,7 @@ def row_space_supported_on(rows, support, F: GF, ncols: int):
     outside = [c for c in range(ncols) if c not in support]
     # combos lam with sum lam_i R[i][c] = 0 for c outside the support
     constraint = [[R[i][c] for i in range(len(R))] for c in outside]
-    lams = kernel_basis(constraint, F, len(R)) if constraint else [
-        [1 if i == j else 0 for i in range(len(R))] for j in range(len(R))
-    ]
+    lams = kernel_basis(constraint, F, len(R))
     out = []
     for lam in lams:
         vec = [0] * ncols

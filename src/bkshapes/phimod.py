@@ -7,6 +7,12 @@ characters.  Removing the descent data conjugates into v-scale matrices;
 the shape of the module reads divisibility off the diagonal; descending to
 the base field produces the diagonal normal form whose exponents are the
 Hodge data of the pair (tau, J).
+
+Monomial diagonal factors diag(x**a, x**b) and the swap permutation are
+applied as entry moves (`Mat2.shifted`, `Mat2.swapped`), never as matrix
+products: the descent data, the cuspidal companions, the twist to the
+base field, the profile reorder and the weight operators all reduce to
+them.  Only genuine unit matrices are multiplied and inverted.
 """
 
 from __future__ import annotations
@@ -39,11 +45,20 @@ def _check_residue(s: Series, residue: int, estep: int, what: str):
 
 def cuspidal_companion(A: Mat2) -> Mat2:
     """The index i+f matrix attached to a v-scale matrix ((a,b),(vc,d))."""
-    a, b, vc, d = A.e
+    vc = A[1, 0]
     if not vc.is_zero() and vc.val < 1:
         raise GradingError("lower-left entry must be divisible in the v-scale")
-    c = vc.shift(-1)
-    return Mat2(d, c, b.shift(1), a)
+    return A.swapped(True, True).shifted(rows=(0, 1), cols=(0, -1))
+
+
+def _with_companions(tau: TameType, A_list) -> list:
+    """The f v-scale matrices, followed by their companions for a cuspidal type."""
+    if len(A_list) != tau.f:
+        raise ValueError(f"need {tau.f} matrices")
+    full = list(A_list)
+    if tau.kind == CUSPIDAL:
+        full += [cuspidal_companion(A) for A in A_list]
+    return full
 
 
 @dataclass
@@ -69,8 +84,7 @@ class BKModule:
         if tau.kind == CUSPIDAL:
             f = tau.f
             for i in range(f):
-                expect = ad_swap(self.mats[i])
-                if not self.mats[i + f] == expect:
+                if not self.mats[i + f] == self.mats[i].swapped(True, True):
                     raise GradingError(f"cuspidal linkage fails at index {i}")
 
     @property
@@ -82,40 +96,20 @@ class BKModule:
         return remove_descent_data(self.tau, i, self.mats[i % self.tau.fprime])
 
 
-def ad_swap(M: Mat2) -> Mat2:
-    a, b, c, d = M.e
-    return Mat2(d, c, b, a)
-
-
 def remove_descent_data(tau: TameType, i: int, C: Mat2) -> Mat2:
     """Conjugate the eigenbasis matrix into plain v-scale entries."""
     lp = tau.ell_prime(i)
-    ep = tau.estep
-    a, b, c, d = C.e
-    out = Mat2(a, b.shift(-lp), c.shift(lp), d)
-    return out.map(lambda s: s.to_v(ep))
+    return C.shifted(rows=(0, lp), cols=(0, -lp)).map(lambda s: s.to_v(tau.estep))
 
 
 def add_descent_data(tau: TameType, i: int, A: Mat2) -> Mat2:
     lp = tau.ell_prime(i)
-    ep = tau.estep
-    a, b, c, d = A.e
-    return Mat2(
-        a.to_u(ep),
-        b.to_u(ep).shift(lp),
-        c.to_u(ep).shift(-lp),
-        d.to_u(ep),
-    )
+    return A.map(lambda s: s.to_u(tau.estep)).shifted(rows=(0, -lp), cols=(0, lp))
 
 
 def module_from_descent_removed(tau: TameType, A_list) -> BKModule:
     """Build from v-scale matrices at indices 0..f-1 (companions derived)."""
-    f = tau.f
-    if len(A_list) != f:
-        raise ValueError(f"need {f} matrices")
-    full = list(A_list)
-    if tau.kind == CUSPIDAL:
-        full += [cuspidal_companion(A) for A in A_list]
+    full = _with_companions(tau, A_list)
     return BKModule(tau, [add_descent_data(tau, i, A) for i, A in enumerate(full)])
 
 
@@ -125,15 +119,9 @@ def module_from_partial_frobenius(tau: TameType, J, B_list) -> BKModule:
     f = tau.f
     if len(B_list) != f:
         raise ValueError(f"need {f} unit matrices")
-    F = B_list[0][0, 0].field
-    v = Series.monomial(F, "v", 1, 1)
-    one = Series.one(F, "v")
-    A_list = []
-    for i, B in enumerate(B_list):
-        if i in J:
-            A_list.append(B * Mat2.diag(v, one))
-        else:
-            A_list.append(Mat2.diag(one, v) * B)
+    A_list = [
+        B.shifted(cols=(1, 0)) if i in J else B.shifted(rows=(0, 1)) for i, B in enumerate(B_list)
+    ]
     return module_from_descent_removed(tau, A_list)
 
 
@@ -202,12 +190,8 @@ def strong_determinant_ok(mod: BKModule) -> bool:
 def change_eigenbasis(mod: BKModule, I_list, terms: int | None = None) -> BKModule:
     """Conjugate by a unit family given in descent-removed (v-scale) form."""
     tau = mod.tau
-    f, fp = tau.f, tau.fprime
-    if len(I_list) != f:
-        raise ValueError(f"need {f} matrices")
-    full = list(I_list)
-    if tau.kind == CUSPIDAL:
-        full += [cuspidal_companion(I) for I in I_list]
+    fp = tau.fprime
+    full = _with_companions(tau, I_list)
     for i, I in enumerate(full):
         det = I.det()
         if det.is_zero() or det.val != 0:
@@ -232,19 +216,9 @@ class DescentResult:
     nu: tuple
 
 
-def _conj_monomial(C: Mat2, row_exp, col_exp) -> Mat2:
-    a, b, c, d = C.e
-    return Mat2(
-        a.shift(col_exp[0] - row_exp[0]),
-        b.shift(col_exp[1] - row_exp[0]),
-        c.shift(col_exp[0] - row_exp[1]),
-        d.shift(col_exp[1] - row_exp[1]),
-    )
-
-
 def _unit_part(M: Mat2, r, what: str) -> Mat2:
     """The B with M == B * diag(x**r[0], x**r[1]); asserts B is integral with unit determinant."""
-    B = _conj_monomial(M, (0, 0), (-r[0], -r[1]))
+    B = M.shifted(cols=(-r[0], -r[1]))
     for s in B.e:
         if not s.is_integral():
             raise AssertionError(f"{what} is not integral")
@@ -264,18 +238,9 @@ def _twist_exponents(tau: TameType, J, pd) -> list:
     return out
 
 
-def _perm_conj(G: Mat2, swap_rows: bool, swap_cols: bool) -> Mat2:
-    a, b, c, d = G.e
-    if swap_rows:
-        a, b, c, d = c, d, a, b
-    if swap_cols:
-        a, b, c, d = b, a, d, c
-    return Mat2(a, b, c, d)
-
-
 def reorder_by_profile(M: Mat2, J, i: int, n: int) -> Mat2:
     """Swap the rows of M when i is outside J and its columns when i-1 (mod n) is."""
-    return _perm_conj(M, swap_rows=i not in J, swap_cols=(i - 1) % n not in J)
+    return M.swapped(rows=i not in J, cols=(i - 1) % n not in J)
 
 
 def descend_to_base(mod: BKModule, J) -> DescentResult:
@@ -298,25 +263,19 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
                 raise AssertionError(f"cuspidal matching exponent nonzero at {i}")
 
     texp = _twist_exponents(tau, J, pd)
-    G = []
-    for i in range(fp):
-        shifted = _conj_monomial(
-            mod.mats[i],
-            texp[i],
-            tuple(p * e for e in texp[(i - 1) % fp]),
-        )
-        G.append(shifted)
+    G = [
+        mod.mats[i].shifted(rows=[-e for e in texp[i]], cols=[p * e for e in texp[(i - 1) % fp]])
+        for i in range(fp)
+    ]
 
     if tau.kind == CUSPIDAL:
         for i in range(f):
-            if not G[i + f] == ad_swap(G[i]):
+            if not G[i + f] == G[i].swapped(True, True):
                 raise AssertionError("cuspidal invariance of the descended family fails")
 
     mats = []
     for i in range(f):
-        M = G[i]
-        if tau.kind == CUSPIDAL and i == 0:
-            M = _perm_conj(M, swap_rows=False, swap_cols=True)
+        M = G[i].swapped(False, tau.kind == CUSPIDAL and i == 0)
         M = reorder_by_profile(M, J, i, f)
         mats.append(M.map(lambda s: s.to_v(ep)))
 
@@ -329,25 +288,16 @@ def ascend_from_base(res: DescentResult) -> BKModule:
     """Rebuild the eigenbasis matrices from a descent result (left inverse)."""
     tau = res.tau
     p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
-    G = [None] * fp
+    G = []
     for i in range(f):
         M = reorder_by_profile(res.mats[i].map(lambda s: s.to_u(ep)), res.J, i, f)
-        if tau.kind == CUSPIDAL and i == 0:
-            M = _perm_conj(M, swap_rows=False, swap_cols=True)
-        G[i] = M
+        G.append(M.swapped(False, tau.kind == CUSPIDAL and i == 0))
     if tau.kind == CUSPIDAL:
-        for i in range(f):
-            G[i + f] = ad_swap(G[i])
+        G += [M.swapped(True, True) for M in G]
     texp = _twist_exponents(tau, res.J, profile_data(tau, res.J))
-    mats = []
-    for i in range(fp):
-        mats.append(
-            _conj_monomial(
-                G[i],
-                tuple(-e for e in texp[i]),
-                tuple(-p * e for e in texp[(i - 1) % fp]),
-            )
-        )
+    mats = [
+        G[i].shifted(rows=texp[i], cols=[-p * e for e in texp[(i - 1) % fp]]) for i in range(fp)
+    ]
     return BKModule(tau, mats)
 
 
@@ -369,42 +319,33 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
     target = apply_operator(kind, j, tuple(tuple(x) for x in r), p)
     f = len(mats)
     j %= f
-    F = mats[0][0, 0].field
 
     def unit_part(i):
         return _unit_part(mats[i], r[i], f"operator input at {i}")
 
-    one = Series.one(F, "v")
-    v = Series.monomial(F, "v", 1, 1)
+    prev, nxt = (j - 1) % f, (j + 1) % f
     expected = {i: tuple(r[i]) for i in range(f)}
     if kind == "nu":
         S_prev = unit_part(j).inverse(terms)
-        S_j = Mat2.diag(one, v)
         expected[j] = (r[j][0], r[j][1] - 1)
-        expected[(j + 1) % f] = (r[(j + 1) % f][0], r[(j + 1) % f][1] + p)
+        expected[nxt] = (r[nxt][0], r[nxt][1] + p)
+    elif kind == "theta":
+        S_prev = unit_part(prev).shifted(cols=(0, 1))
+        expected[prev] = (r[prev][0], r[prev][1] - 1)
+        expected[j] = (r[j][0], r[j][1] + p)
     else:
-        C = Mat2.diag(one, v) if kind == "theta" else Mat2.diag(v, one)
-        S_prev = unit_part((j - 1) % f) * C
-        S_j = None
-        if kind == "theta":
-            expected[(j - 1) % f] = (r[(j - 1) % f][0], r[(j - 1) % f][1] - 1)
-            expected[j] = (r[j][0], r[j][1] + p)
-        else:
-            expected[(j - 1) % f] = (r[(j - 1) % f][0] - 1, r[(j - 1) % f][1])
-            expected[j] = (r[j][0] + p, r[j][1])
+        S_prev = unit_part(prev).shifted(cols=(1, 0))
+        expected[prev] = (r[prev][0] - 1, r[prev][1])
+        expected[j] = (r[j][0] + p, r[j][1])
 
-    S = [None] * f
-    S[(j - 1) % f] = S_prev
-    if S_j is not None:
-        S[j] = S_j
-    new = []
-    for i in range(f):
-        M = mats[i]
-        if S[(i - 1) % f] is not None:
-            M = M * S[(i - 1) % f].frobenius()
-        if S[i] is not None:
-            M = S[i].inverse(terms) * M
-        new.append(M)
+    # new_i = S_i^{-1} * mats[i] * frobenius(S_{i-1}), with S_{j-1} = S_prev and,
+    # for nu, S_j = diag(1, v) applied as entry moves
+    new = list(mats)
+    new[j] = new[j] * S_prev.frobenius()
+    if kind == "nu":
+        new[nxt] = new[nxt].shifted(cols=(0, p))
+        new[j] = new[j].shifted(rows=(0, -1))
+    new[prev] = S_prev.inverse(terms) * new[prev]
 
     exps = [expected[i] for i in range(f)]
     for i in range(f):

@@ -81,11 +81,6 @@ class Series:
         """True when no nonzero coefficient is known (zero at this precision)."""
         return len(self.coeffs) == 0
 
-    def valuation(self) -> int:
-        if self.is_zero():
-            raise PrecisionError("valuation of a series with no known nonzero term")
-        return self.val
-
     def coefficient(self, exp: int) -> int:
         if self.prec is not None and exp >= self.prec:
             raise PrecisionError(f"coefficient of exponent {exp} beyond precision {self.prec}")
@@ -149,6 +144,8 @@ class Series:
         return Series(self.field, self.scale, self.val, self.field.MUL[c, self.coeffs], self.prec)
 
     def shift(self, k: int) -> "Series":
+        if k == 0:
+            return self
         prec = None if self.prec is None else self.prec + k
         return Series(self.field, self.scale, self.val + k, self.coeffs, prec)
 
@@ -299,11 +296,6 @@ class Mat2:
         zero = Series.zero(field, scale)
         return Mat2(one, zero, zero, one)
 
-    @staticmethod
-    def diag(a: Series, d: Series) -> "Mat2":
-        zero = Series.zero(a.field, a.scale)
-        return Mat2(a, zero, zero, d)
-
     def __getitem__(self, rc):
         r, c = rc
         return self.e[2 * r + c]
@@ -312,9 +304,6 @@ class Mat2:
         a, b, c, d = self.e
         x, y, z, w = other.e
         return Mat2(a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w)
-
-    def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2(*(s + t for s, t in zip(self.e, other.e)))
 
     def det(self) -> Series:
         a, b, c, d = self.e
@@ -331,6 +320,30 @@ class Mat2:
     def transpose(self) -> "Mat2":
         a, b, c, d = self.e
         return Mat2(a, c, b, d)
+
+    def shifted(self, rows=(0, 0), cols=(0, 0)) -> "Mat2":
+        """diag(x**rows[0], x**rows[1]) * self * diag(x**cols[0], x**cols[1]), entry by entry.
+
+        Entry (i, j) moves by rows[i] + cols[j].  Coefficients match the
+        product with the exact monomial matrices; prec is never lower,
+        since the product gives each zero term the prec of its partner.
+        """
+        a, b, c, d = self.e
+        return Mat2(
+            a.shift(rows[0] + cols[0]),
+            b.shift(rows[0] + cols[1]),
+            c.shift(rows[1] + cols[0]),
+            d.shift(rows[1] + cols[1]),
+        )
+
+    def swapped(self, rows: bool, cols: bool) -> "Mat2":
+        """Swap the rows and/or the columns; both together conjugate by the swap permutation."""
+        a, b, c, d = self.e
+        if rows:
+            a, b, c, d = c, d, a, b
+        if cols:
+            a, b, c, d = b, a, d, c
+        return Mat2(a, b, c, d)
 
     def map(self, fn) -> "Mat2":
         return Mat2(*(fn(s) for s in self.e))

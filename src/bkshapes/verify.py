@@ -24,6 +24,7 @@ reporting path itself can be exercised.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -46,7 +47,6 @@ from .hodge import (
 )
 from .intervals import extended, shapeshift_targets
 from .linalg import kernel_basis
-from .series import Mat2
 from .tametypes import (
     CUSPIDAL,
     enumerate_profiles,
@@ -100,6 +100,12 @@ def _gap_types(p, f):
         yield gaps, as_hodge(tuple((g, 0) for g in gaps))
 
 
+@functools.lru_cache(maxsize=1)
+def _all_pairs(p, f):
+    """Every (type, profile) pair at (p, f), built once for all the pair checks of a run."""
+    return tuple((tau, J) for tau in enumerate_types(p, f) for J in enumerate_profiles(tau))
+
+
 def _field_pairs(p, f, rng, cap):
     """(tau, J, F) over every (type, profile) pair, or a seeded sample of cap pairs, and a note.
 
@@ -107,7 +113,7 @@ def _field_pairs(p, f, rng, cap):
     skipped; F is that field.  The note, appended to a check's detail,
     counts the skipped pairs and is empty when there are none.
     """
-    pairs = [(tau, J) for tau in enumerate_types(p, f) for J in enumerate_profiles(tau)]
+    pairs = _all_pairs(p, f)
     if len(pairs) > cap:
         pairs = rng.sample(pairs, cap)
     kept = [
@@ -390,15 +396,7 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
             target = apply_operator(kind, j, r, p)
             for _ in range(trials):
                 B = [random_unit_matrix(rng, F, 4) for _ in range(f)]
-                mats = [
-                    Mat2(
-                        B[i][0, 0].shift(r[i][0]),
-                        B[i][0, 1].shift(r[i][1]),
-                        B[i][1, 0].shift(r[i][0]),
-                        B[i][1, 1].shift(r[i][1]),
-                    )
-                    for i in range(f)
-                ]
+                mats = [B[i].shifted(cols=r[i]) for i in range(f)]
                 _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=48)
                 for i in range(f):
                     if tuple(sorted(exps[i], reverse=True)) != target[i]:
@@ -458,11 +456,7 @@ def check_split_closure(p, f, rng, fault=None, samples=40):
         if x0 is None:
             continue
         rows = kext_obstruction_rows(x0)
-        ker = (
-            kernel_basis(rows, F, f)
-            if rows
-            else [[1 if i == j else 0 for i in range(f)] for j in range(f)]
-        )
+        ker = kernel_basis(rows, F, f)
         if not ker:
             continue
 

@@ -51,7 +51,6 @@ from bkshapes.randgen import (
     random_noshape_matrix,
     random_unit_matrix,
 )
-from bkshapes.series import Mat2
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -236,15 +235,7 @@ def test_criterion_07_operator_lifts():
                 target = apply_operator(kind, j, r, p)
                 for _ in range(50):
                     B = [random_unit_matrix(rng, F, 5) for _ in range(f)]
-                    mats = [
-                        Mat2(
-                            B[i][0, 0].shift(r[i][0]),
-                            B[i][0, 1].shift(r[i][1]),
-                            B[i][1, 0].shift(r[i][0]),
-                            B[i][1, 1].shift(r[i][1]),
-                        )
-                        for i in range(f)
-                    ]
+                    mats = [B[i].shifted(cols=r[i]) for i in range(f)]
                     _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=N)
                     assert (
                         tuple(tuple(sorted(e, reverse=True)) for e in exps) == target

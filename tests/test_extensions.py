@@ -392,6 +392,11 @@ def _solver_points(p, f, sample=None):
         yield ExtensionPoint(tau, J, coefficient_field(p, tau.fprime), a, b, (0,) * f)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_of_no_rows_is_the_identity(n):
+    assert kernel_basis([], F9, n) == [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+
+
 def _classes(x, rows, rng):
     """A random class vector and a random member of the split subspace."""
     F, f = x.field, x.tau.f

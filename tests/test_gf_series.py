@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -280,3 +281,48 @@ def test_mat2_algebra():
     assert prod[0, 0].coefficient(0) == 1 and prod[1, 1].coefficient(0) == 1
     assert prod[0, 1].is_zero() and prod[1, 0].is_zero()
     assert M.det() == (one + v)
+
+
+def _diag_monomials(F, exps):
+    zero = Series.zero(F, "v")
+    x0, x1 = (Series.monomial(F, "v", 1, e) for e in exps)
+    return Mat2(x0, zero, zero, x1)
+
+
+def _random_entry(rng, F, bounded):
+    if rng.random() < 0.2:
+        return Series.zero(F, "v", rng.randrange(-2, 6) if bounded else None)
+    val = rng.randrange(-3, 4)
+    coeffs = [rng.randrange(F.q) for _ in range(rng.randrange(1, 6))]
+    prec = val + rng.randrange(0, 8) if bounded else None
+    return Series(F, "v", val, coeffs, prec)
+
+
+def _assert_matches_product(got, want):
+    """Entries agree with the product and are known at least as far."""
+    for s, t in zip(got.e, want.e):
+        assert s == t
+        assert s.prec is None or (t.prec is not None and s.prec >= t.prec)
+        if t.prec is None:
+            assert s.val == t.val and np.array_equal(s.coeffs, t.coeffs)
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2)])
+def test_shifted_and_swapped_match_monomial_products(p, m, bounded):
+    F = field(p, m)
+    rng = random.Random(f"shifted-{p}-{m}-{bounded}")
+    one, zero = Series.one(F, "v"), Series.zero(F, "v")
+    swap = Mat2(zero, one, one, zero)
+    ident = Mat2.identity(F, "v")
+    for _ in range(200):
+        M = Mat2(*(_random_entry(rng, F, bounded) for _ in range(4)))
+        rows = (rng.randrange(-3, 4), rng.randrange(-3, 4))
+        cols = (rng.randrange(-3, 4), rng.randrange(-3, 4))
+        want = _diag_monomials(F, rows) * M * _diag_monomials(F, cols)
+        _assert_matches_product(M.shifted(rows=rows, cols=cols), want)
+        _assert_matches_product(M.shifted(cols=cols), M * _diag_monomials(F, cols))
+        _assert_matches_product(M.shifted(rows=rows), _diag_monomials(F, rows) * M)
+        for swap_rows, swap_cols in itertools.product((False, True), repeat=2):
+            want = (swap if swap_rows else ident) * M * (swap if swap_cols else ident)
+            _assert_matches_product(M.swapped(swap_rows, swap_cols), want)

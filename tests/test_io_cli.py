@@ -330,6 +330,27 @@ def test_cli_sweep_rejects_bad_arguments(p, f, capsys):
     assert ("--p must be prime" if p == 4 else "--f must be at least 1") in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["profiles", "--p", "4", "--f", "2", "--gamma", "1,0"], "--p must be prime"),
+        (["profiles", "--p", "3", "--f", "0", "--gamma", "1"], "--f must be at least 1"),
+        (["weights", "--p", "6", "--f", "1", "--gamma", "2"], "--p must be prime"),
+        (["hodge", "--p", "3", "--f", "-1", "--gamma", "1", "--profile", "0"], "--f must be at least 1"),
+        (["ext", "--p", "9", "--f", "1", "--gamma", "0", "--profile", "0", "--kext"], "--p must be prime"),
+        (["find-type", "--p", "3", "--f", "2", "--r", "1,0"], "--r has 1 pairs but --f is 2"),
+        (["find-type", "--p", "4", "--f", "1", "--r", "1,0"], "--p must be prime"),
+        (["operators", "--p", "4", "--r", "3,3;4,2", "--kind", "nu", "--j", "0"], "--p must be prime"),
+        (["inclusions", "--p", "1", "--r", "3,3;4,2"], "--p must be prime"),
+    ],
+)
+def test_cli_type_commands_reject_bad_arguments(argv, message, capsys):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_cli_ext_split_builds_one_solver(monkeypatch):
     from bkshapes import extensions
 

@@ -4,22 +4,60 @@ import random
 import pytest
 
 from bkshapes.gf import field
-from bkshapes.hodge import apply_operator, as_hodge, irregular_set
-from bkshapes.phimod import apply_operator_on_basis
+from bkshapes.hodge import apply_operator, as_hodge, irregular_set, operator_moves
+from bkshapes.phimod import _unit_part, apply_operator_on_basis
 from bkshapes.randgen import random_unit_matrix
-from bkshapes.series import Mat2
+from bkshapes.series import Mat2, Series
 
 F25 = field(5, 2)
 F9 = field(3, 2)
 
 
+def _diag(a, d):
+    zero = Series.zero(a.field, a.scale)
+    return Mat2(a, zero, zero, d)
+
+
+def reference_apply_operator_on_basis(mats, r, kind, j, p, terms):
+    """The operator transport with its monomial factors as Mat2 products and inverses."""
+    f = len(mats)
+    j %= f
+    F = mats[0][0, 0].field
+    one = Series.one(F, "v")
+    v = Series.monomial(F, "v", 1, 1)
+    expected = {i: tuple(r[i]) for i in range(f)}
+    if kind == "nu":
+        S_prev = _unit_part(mats[j], r[j], "input").inverse(terms)
+        S_j = _diag(one, v)
+        expected[j] = (r[j][0], r[j][1] - 1)
+        expected[(j + 1) % f] = (r[(j + 1) % f][0], r[(j + 1) % f][1] + p)
+    else:
+        C = _diag(one, v) if kind == "theta" else _diag(v, one)
+        S_prev = _unit_part(mats[(j - 1) % f], r[(j - 1) % f], "input") * C
+        S_j = None
+        if kind == "theta":
+            expected[(j - 1) % f] = (r[(j - 1) % f][0], r[(j - 1) % f][1] - 1)
+            expected[j] = (r[j][0], r[j][1] + p)
+        else:
+            expected[(j - 1) % f] = (r[(j - 1) % f][0] - 1, r[(j - 1) % f][1])
+            expected[j] = (r[j][0] + p, r[j][1])
+    S = [None] * f
+    S[(j - 1) % f] = S_prev
+    if S_j is not None:
+        S[j] = S_j
+    new = []
+    for i in range(f):
+        M = mats[i]
+        if S[(i - 1) % f] is not None:
+            M = M * S[(i - 1) % f].frobenius()
+        if S[i] is not None:
+            M = S[i].inverse(terms) * M
+        new.append(M)
+    return new, [expected[i] for i in range(f)]
+
+
 def normal_form(B, pair):
-    return Mat2(
-        B[0, 0].shift(pair[0]),
-        B[0, 1].shift(pair[1]),
-        B[1, 0].shift(pair[0]),
-        B[1, 1].shift(pair[1]),
-    )
+    return B.shifted(cols=pair)
 
 
 def test_identity_family_examples():
@@ -73,3 +111,26 @@ def test_precondition_errors():
     mats2 = [normal_form(I, steep[i]) for i in range(2)]
     with pytest.raises(ValueError):
         apply_operator_on_basis(mats2, steep, "theta", 0, 5, terms=20)
+
+
+@pytest.mark.parametrize("p,m,trials", [(3, 2, 3), (5, 2, 2), (3, 3, 1)])
+def test_entry_moves_match_monomial_products(p, m, trials):
+    """Every defined move against the transport written with diag(1, v) products."""
+    F = field(p, m)
+    rng = random.Random(f"operator-reference-{p}-{m}")
+    moves = 0
+    for gaps in itertools.product(range(p + 1), repeat=m):
+        r = as_hodge(tuple((g, 0) for g in gaps))
+        for j, kind in operator_moves(r, p):
+            for _ in range(trials):
+                B = [random_unit_matrix(rng, F, 3) for _ in range(m)]
+                mats = [normal_form(B[i], r[i]) for i in range(m)]
+                new, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=24)
+                ref, ref_exps = reference_apply_operator_on_basis(mats, r, kind, j, p, 24)
+                assert exps == ref_exps
+                assert new == ref
+                for A, R in zip(new, ref):
+                    for s, t in zip(A.e, R.e):  # known at least as far (None: exact)
+                        assert s.prec is None or (t.prec is not None and s.prec >= t.prec)
+                moves += 1
+    assert moves > 0
