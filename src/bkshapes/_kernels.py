@@ -1,30 +1,42 @@
-"""Hot inner loop: coefficient convolution over table-driven finite fields.
+"""Hot inner loop: sums of polynomial products over table-driven finite fields.
 
-``convolve`` multiplies two polynomials whose coefficients are field codes
-of F_{p^m} (the code of sum(c_j x^j) is sum(c_j p^j)) with one exact
-numpy convolution, by Kronecker substitution (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, ch. 8):
+``sum_products`` forms, for each of several output entries, a signed sum
+of products of polynomials whose coefficients are field codes of F_{p^m}
+(the code of sum(c_j x^j) is sum(c_j p^j)), with one exact numpy
+convolution per product and one reduction for all entries together, by
+Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
+Algebra*, ch. 8).  A 2x2 matrix product is four entries of two terms, a
+determinant one entry of two terms of opposite sign.
 
 - Each code is spelled as its m base-p digits, and coefficient i of an
   operand fills the slot of positions i*w .. i*w+m-1 of one long integer
   vector, with slot width w = 2m-1.  Digit j of a_i times digit k of b_l
   lands at (i+l)*w + j+k with j+k <= 2m-2 < w, so the digit products of
-  different output coefficients never share a position.
-- One ``np.convolve`` of the two vectors, in float64 (numpy's dot path),
-  gives every slot sum.  A position sums at most min(len a, len b)*m
-  products of digits below p, so every partial sum is an integer below
-  min(len a, len b)*m*(p-1)^2, far below 2^53, and the result is exact
-  for any product the program forms (over GF(4093), the worst field
-  within the table limit, both operands would need about 5*10^8
-  coefficients to reach 2^53).
-- Reducing mod p gives the digits of the product in F_p[x] at degrees
-  0..2m-2; the precomputed digits of x^d mod the defining polynomial fold
-  them back to m digits, which repack as codes.
+  different output coefficients never share a position.  All operands are
+  spelled with one lookup in the digit table.
+- One ``np.convolve`` of two such vectors, in float64 (numpy's dot path),
+  gives every slot sum of one product.  The packed product is linear
+  before its reduction mod p, so each term is added to, or subtracted
+  from, its entry's slots (shifted by whole slots for its offset) and the
+  sums are reduced only once.
+- The fold is linear too: the slot sums, times the precomputed digits of
+  x^d mod the defining polynomial (d = 0..2m-2), fold back to m digit
+  sums per coefficient.  These exact integers are converted to int64,
+  reduced mod p (a floor remainder, so the negative sums that subtracted
+  terms leave land in [0, p) as well) and repacked as codes.  All entries
+  are folded, reduced and repacked together.
+- Exactness: a position of one product sums at most min(len a, len b)*m
+  products of digits below p, and the fold multiplies by at most
+  w*(p-1), and only when m >= 2, where p < 64.  So every sum is an integer
+  of absolute value far below 2^53 for any product the program forms:
+  over GF(4093), the worst field within the table limit, the operands of
+  a two-term entry would need about 2.7*10^8 coefficients to reach 2^53.
 
 The plan (digit table and folding matrix) is worked out from the MUL
 table alone, once per table object: q = len(MUL), p is the least prime
-dividing q, and x is the code p, so x^d = MUL[x^(d-1), p].  A product
-with a length-1 operand is a single row lookup in MUL instead.
+dividing q, and x is the code p, so x^d = MUL[x^(d-1), p].  A lone
+product (``convolve``, or one entry of one unshifted term) needs no slot
+buffer, and one with a length-1 operand is a single row lookup in MUL.
 """
 
 from __future__ import annotations
@@ -59,7 +71,7 @@ class _Plan:
         self.fold = self.digits[xd, :m]
         self.p = p
         self.width = w
-        self.powers = powers.astype(np.float64)
+        self.powers = powers
 
 
 _PLANS: dict[int, tuple] = {}
@@ -74,18 +86,75 @@ def _plan(mul) -> _Plan:
     return plan
 
 
-def convolve(a, b, add, mul):
-    """Product coefficients of the polynomials with code arrays ``a`` and ``b``.
+def _spell(plan, codes) -> list:
+    """The slot vector of each code array, from one digit-table lookup."""
+    w = plan.width
+    digits = plan.digits[np.concatenate(codes)].ravel()
+    spelled, start = [], 0
+    for c in codes:
+        spelled.append(digits[start : start + len(c) * w])
+        start += len(c) * w
+    return spelled
 
-    ``add`` is unused: sums are formed digitwise inside the one convolution.
-    """
+
+def _reduce(plan, slots, n: int, dtype):
+    """Codes of the first n coefficients from their (unreduced, signed) slot sums."""
+    folded = slots[: n * plan.width].reshape(n, plan.width) @ plan.fold
+    return (folded.astype(np.int64) % plan.p @ plan.powers).astype(dtype)
+
+
+def _product(a, b, mul):
+    """Codes of the product a*b: one convolution, needing no slot buffer."""
     if len(a) == 1:
         return mul[a[0], b].astype(a.dtype)
     if len(b) == 1:
         return mul[a, b[0]].astype(a.dtype)
     plan = _plan(mul)
-    n, w = len(a) + len(b) - 1, plan.width
-    slots = np.convolve(plan.digits[a].ravel(), plan.digits[b].ravel())[: n * w]
-    # fmod equals % on these nonnegative integers, and is cheaper on floats
-    digits = np.fmod(np.fmod(slots.reshape(n, w), plan.p) @ plan.fold, plan.p)
-    return (digits @ plan.powers).astype(a.dtype)
+    x, y = _spell(plan, [a, b])
+    return _reduce(plan, np.convolve(x, y), len(a) + len(b) - 1, a.dtype)
+
+
+def sum_products(codes, entries, mul):
+    """Code arrays of sum(sign * codes[i] * codes[k] * x**off) for each entry.
+
+    ``codes`` is a list of code arrays of one dtype, each term's operands
+    nonempty; each entry is a list of terms (sign, i, k, off) with sign +1
+    or -1 and off >= 0.  An entry's array runs up to the top degree of its
+    longest term, and an entry with no terms gives an empty array.
+    """
+    if len(entries) == 1 and len(entries[0]) == 1:
+        sign, i, k, off = entries[0][0]
+        if sign > 0 and off == 0:
+            return [_product(codes[i], codes[k], mul)]
+    plan = _plan(mul)
+    w = plan.width
+    spelled = _spell(plan, codes)
+    sizes = [max([off + len(codes[i]) + len(codes[k]) - 1 for _, i, k, off in terms], default=0)
+             for terms in entries]
+    n = sum(sizes)
+    # a product vector runs w-1 zero positions past its last slot, hence one spare slot
+    slots = np.zeros((n + 1) * w)
+    pos = 0
+    for terms, size in zip(entries, sizes):
+        for sign, i, k, off in terms:
+            prod = np.convolve(spelled[i], spelled[k])
+            at = (pos + off) * w
+            if sign > 0:
+                slots[at : at + len(prod)] += prod
+            else:
+                slots[at : at + len(prod)] -= prod
+        pos += size
+    out = _reduce(plan, slots, n, codes[0].dtype)
+    pos, arrays = 0, []
+    for size in sizes:
+        arrays.append(out[pos : pos + size])
+        pos += size
+    return arrays
+
+
+def convolve(a, b, add, mul):
+    """Product coefficients of the polynomials with code arrays ``a`` and ``b``.
+
+    ``add`` is unused: sums are formed digitwise inside the one convolution.
+    """
+    return _product(a, b, mul)

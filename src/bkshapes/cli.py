@@ -2,9 +2,10 @@
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 (including a non-prime p given to any command that takes one, an f below 1,
-a `find-type` Hodge type whose number of pairs is not f, the unsatisfiable
-transition preferences of `find-type`, a malformed module file and a module
-file whose coefficients are known too coarsely to decide).
+a `find-type` Hodge type whose number of pairs is not f, an index given to
+`--j`, `--transition` or `--no-transition` outside [0, f), the
+unsatisfiable transition preferences of `find-type`, a malformed module
+file and a module file whose coefficients are known too coarsely to decide).
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ def _check_p_f(args):
         raise UsageError(f"--f must be at least 1, got {args.f}")
 
 
+def _check_index(option: str, j: int, f: int):
+    if not 0 <= j < f:
+        raise UsageError(f"{option} must be an index in [0, {f}), got {j}")
+
+
 def _profile_from_args(tau, args):
     if args.profile is None:
         raise UsageError("need --profile")
@@ -164,10 +170,11 @@ def cmd_find_type(args, out):
     if len(r) != args.f:
         raise UsageError(f"--r has {len(r)} pairs but --f is {args.f}")
     constraint = {}
-    for j in args.transition or []:
-        constraint[j] = "transition"
-    for j in args.no_transition or []:
-        constraint[j] = "non-transition"
+    for option, js, want in (("--transition", args.transition, "transition"),
+                             ("--no-transition", args.no_transition, "non-transition")):
+        for j in js or []:
+            _check_index(option, j, args.f)
+            constraint[j] = want
     tau, J = find_type_profile(r, args.p, constraint)
     print(
         f"kind={'PS' if tau.kind == PRINCIPAL else 'C'} eta={tau.eta}"
@@ -181,6 +188,7 @@ def cmd_find_type(args, out):
 def cmd_operators(args, out):
     _check_p(args)
     r = _parse_pairs(args.r)
+    _check_index("--j", args.j, len(r))
     img = apply_operator(args.op, args.j, r, args.p)
     print(
         f"kind={args.op} j={args.j} source={_fmt_pairs(r)} image={_fmt_pairs(img)}"

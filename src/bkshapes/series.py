@@ -41,6 +41,41 @@ def _minprec(a, b):
     return min(a, b)
 
 
+def _sum_products(ops, entries) -> list:
+    """The Series sum(sign * ops[i] * ops[k]) for each entry of (sign, i, k) terms.
+
+    A factor known below prec bounds its product's knowledge, so a product
+    is known below the smaller of prec + val of each factor against the
+    other (a zero series has val 0), and a sum below the least prec of its
+    terms.  The nonzero products are aligned at the least val of their
+    entry and summed in one `_kernels.sum_products` call.
+    """
+    first = ops[0]
+    F, scale = first.field, first.scale
+    for s in ops:
+        if s.field is not F or s.scale != scale:
+            first._check(s)
+    los, precs, lives = [], [], []
+    for terms in entries:
+        prec, live = None, []
+        for sign, i, k in terms:
+            x, y = ops[i], ops[k]
+            if x.prec is not None:
+                prec = _minprec(prec, x.prec + y.val)
+            if y.prec is not None:
+                prec = _minprec(prec, y.prec + x.val)
+            if len(x.coeffs) and len(y.coeffs):
+                live.append((sign, i, k, x.val + y.val))
+        lo = min([t[3] for t in live]) if live else 0
+        los.append(lo)
+        precs.append(prec)
+        lives.append([(sign, i, k, val - lo) for sign, i, k, val in live])
+    if not any(lives):
+        return [Series.zero(F, scale, prec) for prec in precs]
+    out = _kernels.sum_products([s.coeffs for s in ops], lives, F.MUL)
+    return [Series(F, scale, lo, arr, prec) for lo, arr, prec in zip(los, out, precs)]
+
+
 class Series:
     __slots__ = ("field", "scale", "val", "coeffs", "prec")
 
@@ -52,13 +87,12 @@ class Series:
         arr = np.asarray(coeffs, dtype=field.dtype)
         if prec is not None and val + len(arr) > prec:
             arr = arr[: max(0, prec - val)]
-        nz = np.nonzero(arr)[0]
-        if len(nz) == 0:
-            arr = arr[:0]
+        if len(arr) and not (arr[0] and arr[-1]):  # products of trimmed series need no scan
+            nz = np.nonzero(arr)[0]
+            arr = arr[nz[0] : nz[-1] + 1] if len(nz) else arr[:0]
+            val += int(nz[0]) if len(nz) else 0
+        if len(arr) == 0:
             val = 0
-        else:
-            arr = arr[nz[0] : nz[-1] + 1]
-            val += int(nz[0])
         self.val = val
         self.coeffs = arr
         self.prec = prec
@@ -127,16 +161,7 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
-        self._check(other)
-        # a factor known below prec bounds the product's knowledge; a zero series has val 0
-        prec = _minprec(
-            None if self.prec is None else self.prec + other.val,
-            None if other.prec is None else other.prec + self.val,
-        )
-        if self.is_zero() or other.is_zero():
-            return Series.zero(self.field, self.scale, prec)
-        out = _kernels.convolve(self.coeffs, other.coeffs, self.field.ADD, self.field.MUL)
-        return Series(self.field, self.scale, self.val + other.val, out, prec)
+        return _sum_products((self, other), _MUL_TERMS)[0]
 
     def scalar_mul(self, c: int) -> "Series":
         if c == 0:
@@ -282,6 +307,17 @@ class Series:
         return f"<{body}{tail}>"
 
 
+# (sign, i, k) terms of each entry, indexing the operands of `_sum_products`
+_MUL_TERMS = (((1, 0, 1),),)
+# self.e + other.e = (a, b, c, d, x, y, z, w): a*x + b*z, a*y + b*w, c*x + d*z, c*y + d*w
+_MAT2_MUL_TERMS = (
+    ((1, 0, 4), (1, 1, 6)), ((1, 0, 5), (1, 1, 7)), ((1, 2, 4), (1, 3, 6)), ((1, 2, 5), (1, 3, 7))
+)
+_DET_TERMS = (((1, 0, 3), (-1, 1, 2)),)  # a*d - b*c
+# self.e + (dinv,): d*dinv, -b*dinv, -c*dinv, a*dinv
+_ADJUGATE_TERMS = (((1, 3, 4),), ((-1, 1, 4),), ((-1, 2, 4),), ((1, 0, 4),))
+
+
 class Mat2:
     """2x2 matrix over Series, all entries sharing one field and scale."""
 
@@ -301,18 +337,14 @@ class Mat2:
         return self.e[2 * r + c]
 
     def __mul__(self, other: "Mat2") -> "Mat2":
-        a, b, c, d = self.e
-        x, y, z, w = other.e
-        return Mat2(a * x + b * z, a * y + b * w, c * x + d * z, c * y + d * w)
+        return Mat2(*_sum_products(self.e + other.e, _MAT2_MUL_TERMS))
 
     def det(self) -> Series:
-        a, b, c, d = self.e
-        return a * d - b * c
+        return _sum_products(self.e, _DET_TERMS)[0]
 
     def inverse(self, terms: int | None = None) -> "Mat2":
-        a, b, c, d = self.e
         dinv = self.det().inverse(terms)
-        return Mat2(d * dinv, -(b * dinv), -(c * dinv), a * dinv)
+        return Mat2(*_sum_products(self.e + (dinv,), _ADJUGATE_TERMS))
 
     def frobenius(self) -> "Mat2":
         return Mat2(*(s.frobenius() for s in self.e))

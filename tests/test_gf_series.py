@@ -326,3 +326,71 @@ def test_shifted_and_swapped_match_monomial_products(p, m, bounded):
         for swap_rows, swap_cols in itertools.product((False, True), repeat=2):
             want = (swap if swap_rows else ident) * M * (swap if swap_cols else ident)
             _assert_matches_product(M.swapped(swap_rows, swap_cols), want)
+
+
+def _reference_mul(x, y):
+    """The product rule entry by entry: table-driven coefficients, no packing."""
+    F = x.field
+    prec = None
+    for bound in (None if x.prec is None else x.prec + y.val,
+                  None if y.prec is None else y.prec + x.val):
+        if bound is not None:
+            prec = bound if prec is None else min(prec, bound)
+    if x.is_zero() or y.is_zero():
+        return Series.zero(F, x.scale, prec)
+    out = _rowwise_convolve(x.coeffs, y.coeffs, F.ADD, F.MUL)
+    return Series(F, x.scale, x.val + y.val, out, prec)
+
+
+def _oracle_entry(rng, F, scale, bounded):
+    roll = rng.random()
+    prec = rng.randrange(-4, 12) if bounded else None
+    if roll < 0.15:
+        return Series.zero(F, scale, prec)
+    val = rng.randrange(-4, 5)
+    n = 1 if roll < 0.35 else rng.randrange(2, 9)
+    coeffs = [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(n - 1)]
+    if n > 1 and rng.random() < 0.5:
+        coeffs[-1] = rng.randrange(1, F.q)
+    return Series(F, scale, val, coeffs, prec)
+
+
+def _assert_same_series(got, want):
+    assert (got.val, got.prec, got.scale) == (want.val, want.prec, want.scale)
+    assert got.coeffs.dtype == want.coeffs.dtype
+    assert [int(c) for c in got.coeffs] == [int(c) for c in want.coeffs]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS + [(2, 12)])
+def test_fused_products_match_entrywise_formulas(p, m):
+    """Mat2 product, determinant, inverse and Series product against their formulas.
+
+    The reference forms each product on its own with `_reference_mul` and
+    sums through Series addition, as a*x + b*z, a*d - b*c, d*dinv and
+    -(b*dinv); the fused kernel must give equal coefficients, val and prec.
+    """
+    F = field(p, m)
+    rng = random.Random(f"fused-{p}-{m}")
+    mul = _reference_mul
+    for trial in range(48):
+        scale, bounded = ("u", "v")[trial % 2], trial % 4 >= 2
+        M = Mat2(*(_oracle_entry(rng, F, scale, bounded) for _ in range(4)))
+        N = Mat2(*(_oracle_entry(rng, F, scale, bounded) for _ in range(4)))
+        a, b, c, d = M.e
+        x, y, z, w = N.e
+        want = [mul(a, x) + mul(b, z), mul(a, y) + mul(b, w),
+                mul(c, x) + mul(d, z), mul(c, y) + mul(d, w)]
+        for got, ref in zip((M * N).e, want):
+            _assert_same_series(got, ref)
+        det = mul(a, d) - mul(b, c)
+        _assert_same_series(M.det(), det)
+        _assert_same_series(a * x, mul(a, x))
+        try:
+            dinv = det.inverse(12)
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)):
+                M.inverse(12)
+            continue
+        want = [mul(d, dinv), -mul(b, dinv), -mul(c, dinv), mul(a, dinv)]
+        for got, ref in zip(M.inverse(12).e, want):
+            _assert_same_series(got, ref)

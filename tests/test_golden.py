@@ -3,7 +3,8 @@
 The digests pin the exact bytes of `verify`, `sweep`, `ext`, `shape` and
 `descend` on fixed inputs, so a refactor that is meant to leave output
 byte-identical is checked by the suite rather than by a one-off diff.
-The operator checks of `verify` only run at f >= 2, hence (3, 2).  Module
+The operator checks of `verify` only run at f >= 2, hence (3, 2); (5, 2)
+runs the series engine over F_25 and F_625 as well.  Module
 files are written under relative names inside a temporary directory, so
 the `wrote=` lines do not carry a machine path.
 """
@@ -31,6 +32,8 @@ GOLDEN_STDOUT = {
         "948b24984e2ef3fb2ecbb49571f4775381709fd16cfc86fb2a2a1069beb0c258",
     ("verify", "--p", "3", "--f", "2", "--seed", "0"):
         "0cf647a32f6bd0cf8a52e265fc719782f3df3a71ce5f93f6e80bb9c8559edb4b",
+    ("verify", "--p", "5", "--f", "2", "--seed", "0"):
+        "418e352fa8008248d44193773ba7fa9c07101c50b3ee2b8fbd5d96cfd9dc62d2",
     ("sweep", "--p", "3", "--f", "2"):
         "62b85aa4be9f6a88eefe25100b3404082250481329c45791ef63320d870fcda4",
     ("ext", "--p", "3", "--f", "3", "--gamma", "1,0,2", "--profile", "0,2", "--kext"):

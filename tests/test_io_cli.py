@@ -342,6 +342,14 @@ def test_cli_sweep_rejects_bad_arguments(p, f, capsys):
         (["find-type", "--p", "4", "--f", "1", "--r", "1,0"], "--p must be prime"),
         (["operators", "--p", "4", "--r", "3,3;4,2", "--kind", "nu", "--j", "0"], "--p must be prime"),
         (["inclusions", "--p", "1", "--r", "3,3;4,2"], "--p must be prime"),
+        (["operators", "--p", "5", "--r", "3,3;4,2", "--kind", "nu", "--j", "2"],
+         "--j must be an index in [0, 2), got 2"),
+        (["operators", "--p", "5", "--r", "3,3;4,2", "--kind", "nu", "--j", "-2"],
+         "--j must be an index in [0, 2), got -2"),
+        (["find-type", "--p", "5", "--f", "2", "--r", "1,-1;-3,-4", "--transition", "7"],
+         "--transition must be an index in [0, 2), got 7"),
+        (["find-type", "--p", "5", "--f", "2", "--r", "1,-1;-3,-4", "--no-transition", "-1"],
+         "--no-transition must be an index in [0, 2), got -1"),
     ],
 )
 def test_cli_type_commands_reject_bad_arguments(argv, message, capsys):
