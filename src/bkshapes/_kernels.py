@@ -34,9 +34,7 @@ determinant one entry of two terms of opposite sign.
 
 The plan (digit table and folding matrix) is worked out from the MUL
 table alone, once per table object: q = len(MUL), p is the least prime
-dividing q, and x is the code p, so x^d = MUL[x^(d-1), p].  A lone
-product (``convolve``, or one entry of one unshifted term) needs no slot
-buffer, and one with a length-1 operand is a single row lookup in MUL.
+dividing q, and x is the code p, so x^d = MUL[x^(d-1), p].
 """
 
 from __future__ import annotations
@@ -103,17 +101,6 @@ def _reduce(plan, slots, n: int, dtype):
     return (folded.astype(np.int64) % plan.p @ plan.powers).astype(dtype)
 
 
-def _product(a, b, mul):
-    """Codes of the product a*b: one convolution, needing no slot buffer."""
-    if len(a) == 1:
-        return mul[a[0], b].astype(a.dtype)
-    if len(b) == 1:
-        return mul[a, b[0]].astype(a.dtype)
-    plan = _plan(mul)
-    x, y = _spell(plan, [a, b])
-    return _reduce(plan, np.convolve(x, y), len(a) + len(b) - 1, a.dtype)
-
-
 def sum_products(codes, entries, mul):
     """Code arrays of sum(sign * codes[i] * codes[k] * x**off) for each entry.
 
@@ -122,10 +109,6 @@ def sum_products(codes, entries, mul):
     or -1 and off >= 0.  An entry's array runs up to the top degree of its
     longest term, and an entry with no terms gives an empty array.
     """
-    if len(entries) == 1 and len(entries[0]) == 1:
-        sign, i, k, off = entries[0][0]
-        if sign > 0 and off == 0:
-            return [_product(codes[i], codes[k], mul)]
     plan = _plan(mul)
     w = plan.width
     spelled = _spell(plan, codes)
@@ -155,6 +138,9 @@ def sum_products(codes, entries, mul):
 def convolve(a, b, add, mul):
     """Product coefficients of the polynomials with code arrays ``a`` and ``b``.
 
-    ``add`` is unused: sums are formed digitwise inside the one convolution.
+    ``add`` is unused: sums are formed digitwise inside the one convolution,
+    which is folded directly, with no slot buffer.
     """
-    return _product(a, b, mul)
+    plan = _plan(mul)
+    x, y = _spell(plan, [a, b])
+    return _reduce(plan, np.convolve(x, y), len(a) + len(b) - 1, a.dtype)

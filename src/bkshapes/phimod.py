@@ -326,27 +326,29 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
     prev, nxt = (j - 1) % f, (j + 1) % f
     expected = {i: tuple(r[i]) for i in range(f)}
     if kind == "nu":
-        B_j = unit_part(j)
-        S_prev = B_j.inverse(terms)
+        S_prev_inv = unit_part(j)  # B_j, so S_prev = B_j^{-1}
+        S_prev = S_prev_inv.inverse(terms)
         expected[j] = (r[j][0], r[j][1] - 1)
         expected[nxt] = (r[nxt][0], r[nxt][1] + p)
     elif kind == "theta":
         S_prev = unit_part(prev).shifted(cols=(0, 1))
+        S_prev_inv = S_prev.inverse(terms)
         expected[prev] = (r[prev][0], r[prev][1] - 1)
         expected[j] = (r[j][0], r[j][1] + p)
     else:
         S_prev = unit_part(prev).shifted(cols=(1, 0))
+        S_prev_inv = S_prev.inverse(terms)
         expected[prev] = (r[prev][0] - 1, r[prev][1])
         expected[j] = (r[j][0] + p, r[j][1])
 
     # new_i = S_i^{-1} * mats[i] * frobenius(S_{i-1}), with S_{j-1} = S_prev and,
-    # for nu, S_j = diag(1, v) applied as entry moves and S_prev^{-1} = B_j itself
+    # for nu, S_j = diag(1, v) applied as entry moves
     new = list(mats)
     new[j] = new[j] * S_prev.frobenius()
     if kind == "nu":
         new[nxt] = new[nxt].shifted(cols=(0, p))
         new[j] = new[j].shifted(rows=(0, -1))
-    new[prev] = (B_j if kind == "nu" else S_prev.inverse(terms)) * new[prev]
+    new[prev] = S_prev_inv * new[prev]
 
     exps = [expected[i] for i in range(f)]
     for i in range(f):

@@ -221,6 +221,24 @@ def test_convolve_long_product_is_exact(p, m):
         got = _kernels.convolve(a, b, F.ADD, F.MUL)
         assert np.array_equal(got, _rowwise_convolve(a, b, F.ADD, F.MUL))
 
+    # signed two-term entries sum their slots unreduced, so the subtracted term
+    # can leave sums of either sign and of twice the size of one product's
+    def conv(x, y, off=0):
+        return np.concatenate([np.zeros(off, dtype=F.dtype), _rowwise_convolve(x, y, F.ADD, F.MUL)])
+
+    def sub(x, y):
+        n = max(len(x), len(y))
+        x, y = (np.concatenate([z, np.zeros(n - len(z), dtype=F.dtype)]) for z in (x, y))
+        return F.ADD[x, F.NEG[y]]
+
+    a, b, c, d = top, top, top, np.full(2048, 1, dtype=F.dtype)
+    entries = [[(1, 0, 3, 0), (-1, 1, 2, 0)], [(-1, 1, 2, 0)], [(1, 1, 2, 0), (-1, 0, 3, 7)]]
+    got = _kernels.sum_products([a, b, c, d], entries, F.MUL)
+    zero = np.zeros(0, dtype=F.dtype)
+    assert np.array_equal(got[0], sub(conv(a, d), conv(b, c)))
+    assert np.array_equal(got[1], sub(zero, conv(b, c)))
+    assert np.array_equal(got[2], sub(conv(b, c), conv(a, d, 7)))
+
 
 def _inverse_by_division(s, n):
     """First n coefficients of 1/s by the division recurrence, one F.dot per term."""
