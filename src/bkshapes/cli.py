@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 (including a non-prime p given to any command that takes one, an f below 1,
 a `find-type` Hodge type whose number of pairs is not f, an index given to
-`--j`, `--transition` or `--no-transition` outside [0, f), the
+`--j`, `--transition` or `--no-transition` outside [0, f), a `--profile`
+member outside [0, f'), the
 unsatisfiable transition preferences of `find-type`, a malformed module
 file and a module file whose coefficients are known too coarsely to decide).
 """
@@ -100,7 +101,10 @@ def _check_index(option: str, j: int, f: int):
 def _profile_from_args(tau, args):
     if args.profile is None:
         raise UsageError("need --profile")
-    return check_profile(tau, _parse_ints(args.profile))
+    members = _parse_ints(args.profile)
+    for j in members:
+        _check_index("--profile", j, tau.fprime)
+    return check_profile(tau, members)
 
 
 def _type_args(sp, need_profile=False):

@@ -193,8 +193,7 @@ def change_eigenbasis(mod: BKModule, I_list, terms: int | None = None) -> BKModu
     fp = tau.fprime
     full = _with_companions(tau, I_list)
     for i, I in enumerate(full):
-        det = I.det()
-        if det.is_zero() or det.val != 0:
+        if not I.has_unit_det():
             raise ValueError(f"change of basis at {i} must have unit determinant")
     U = [add_descent_data(tau, i, I) for i, I in enumerate(full)]
     new = []
@@ -222,8 +221,7 @@ def _unit_part(M: Mat2, r, what: str) -> Mat2:
     for s in B.e:
         if not s.is_integral():
             raise AssertionError(f"{what} is not integral")
-    det = B.det()
-    if det.is_zero() or det.val != 0:
+    if not B.has_unit_det():
         raise AssertionError(f"{what} has non-unit determinant")
     return B
 

@@ -41,14 +41,25 @@ def _minprec(a, b):
     return min(a, b)
 
 
+def _product_prec(x, y):
+    """The prec of x * y: the smaller of prec + val of each factor against the other.
+
+    A factor known below prec bounds its product's knowledge; a zero
+    series has val 0.  None when both factors are exact.
+    """
+    prec = None if x.prec is None else x.prec + y.val
+    if y.prec is not None:
+        prec = _minprec(prec, y.prec + x.val)
+    return prec
+
+
 def _sum_products(ops, entries) -> list:
     """The Series sum(sign * ops[i] * ops[k]) for each entry of (sign, i, k) terms.
 
-    A factor known below prec bounds its product's knowledge, so a product
-    is known below the smaller of prec + val of each factor against the
-    other (a zero series has val 0), and a sum below the least prec of its
-    terms.  The nonzero products are aligned at the least val of their
-    entry and summed in one `_kernels.sum_products` call.
+    A product is known below `_product_prec` of its factors, and a sum
+    below the least prec of its terms.  The nonzero products are aligned
+    at the least val of their entry and summed in one
+    `_kernels.sum_products` call.
     """
     first = ops[0]
     F, scale = first.field, first.scale
@@ -60,10 +71,7 @@ def _sum_products(ops, entries) -> list:
         prec, live = None, []
         for sign, i, k in terms:
             x, y = ops[i], ops[k]
-            if x.prec is not None:
-                prec = _minprec(prec, x.prec + y.val)
-            if y.prec is not None:
-                prec = _minprec(prec, y.prec + x.val)
+            prec = _minprec(prec, _product_prec(x, y))
             if len(x.coeffs) and len(y.coeffs):
                 live.append((sign, i, k, x.val + y.val))
         lo = min([t[3] for t in live]) if live else 0
@@ -341,6 +349,24 @@ class Mat2:
 
     def det(self) -> Series:
         return _sum_products(self.e, _DET_TERMS)[0]
+
+    def has_unit_det(self) -> bool:
+        """True when det() is a unit: known and nonzero at exponent 0, zero below it.
+
+        With no entry of negative val, only a0*d0 - b0*c0 reaches exponent
+        0, so that and the determinant's prec decide it with no series
+        product; otherwise det() decides it.
+        """
+        a, b, c, d = self.e
+        if a.val < 0 or b.val < 0 or c.val < 0 or d.val < 0:
+            det = self.det()
+            return not det.is_zero() and det.val == 0
+        prec = _minprec(_product_prec(a, d), _product_prec(b, c))
+        if prec is not None and prec <= 0:
+            return False
+        a0, b0, c0, d0 = (int(s.coeffs[0]) if s.val == 0 and len(s.coeffs) else 0 for s in self.e)
+        F = a.field
+        return F.mul(a0, d0) != F.mul(b0, c0)
 
     def inverse(self, terms: int | None = None) -> "Mat2":
         dinv = self.det().inverse(terms)

@@ -33,6 +33,12 @@ class ScalarTypeError(ValueError):
 
 @dataclass(frozen=True)
 class TameType:
+    """A non-scalar tame type; equality, hashing and repr use the five fields.
+
+    The derived data ``fprime`` (the level f'), ``estep`` (p**f' - 1) and
+    ``gamma`` (the digits of eta/eta') are set once, at construction.
+    """
+
     p: int
     f: int
     kind: str
@@ -42,18 +48,16 @@ class TameType:
     def __post_init__(self):
         if self.kind not in (PRINCIPAL, CUSPIDAL):
             raise ValueError(f"unknown kind {self.kind!r}")
-        ep = self.estep
-        object.__setattr__(self, "eta", self.eta % ep)
-        object.__setattr__(self, "eta_prime", self.eta_prime % ep)
+        fp = self.f if self.kind == PRINCIPAL else 2 * self.f
+        ep = self.p**fp - 1
+        eta, eta_prime = self.eta % ep, self.eta_prime % ep
+        set_ = object.__setattr__
+        set_(self, "eta", eta)
+        set_(self, "eta_prime", eta_prime)
+        set_(self, "fprime", fp)
+        set_(self, "estep", ep)
+        set_(self, "gamma", digit_tuple((eta - eta_prime) % ep, self.p, fp))
         self._validate()
-
-    @property
-    def fprime(self) -> int:
-        return self.f if self.kind == PRINCIPAL else 2 * self.f
-
-    @property
-    def estep(self) -> int:
-        return self.p**self.fprime - 1
 
     def _validate(self):
         p, fp, ep = self.p, self.fprime, self.estep
@@ -84,11 +88,6 @@ class TameType:
 
     def ell_prime(self, i: int) -> int:
         return (self.k_prime(i) - self.k(i)) % self.estep
-
-    @property
-    def gamma(self) -> tuple[int, ...]:
-        """Digits of eta/eta' with respect to the level-f' characters."""
-        return digit_tuple((self.eta - self.eta_prime) % self.estep, self.p, self.fprime)
 
     def twist(self, c: int) -> "TameType":
         """Twist both characters by the level-f character with exponent c."""
@@ -217,15 +216,9 @@ class ProfileData:
         return num // ep + self.nu[i % fp] - self.nu[(i + f) % fp] - (1 if i % fp in self.J else 0)
 
 
-@lru_cache(maxsize=65536)
-def _profile_data_cached(key, members):
-    tau = TameType(*key)
-    return _profile_data(tau, frozenset(members))
-
-
 def profile_data(tau: TameType, J) -> ProfileData:
-    J = check_profile(tau, J)
-    return _profile_data_cached(tau.key(), tuple(sorted(J)))
+    """The recipe of (tau, J), computed once per pair; equal types share an entry."""
+    return _profile_data_cached(tau, check_profile(tau, J))
 
 
 def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
@@ -281,6 +274,9 @@ def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
         bad_set=bad,
         in_P_tau=not bad,
     )
+
+
+_profile_data_cached = lru_cache(maxsize=65536)(_profile_data)
 
 
 # -- Serre weights -----------------------------------------------------------

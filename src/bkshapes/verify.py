@@ -332,7 +332,7 @@ def check_operator_chain(p, f, rng, fault=None):
 
 
 def check_shape_invariance(p, f, rng, fault=None, trials=200):
-    tau = enumerate_types(p, f)[0]
+    tau = _all_pairs(p, f)[0][0]
     F = coefficient_field(p, tau.fprime)
     n = 0
     for _ in range(trials):
@@ -347,7 +347,7 @@ def check_shape_invariance(p, f, rng, fault=None, trials=200):
 
 
 def check_strongdet_shape(p, f, rng, fault=None, trials=200):
-    tau = enumerate_types(p, f)[0]
+    tau = _all_pairs(p, f)[0][0]
     F = coefficient_field(p, tau.fprime)
     for t in range(trials):
         shapes = [rng.choice(SHAPES) for _ in range(f)]

@@ -412,3 +412,33 @@ def test_fused_products_match_entrywise_formulas(p, m):
         want = [mul(d, dinv), -mul(b, dinv), -mul(c, dinv), mul(a, dinv)]
         for got, ref in zip(M.inverse(12).e, want):
             _assert_same_series(got, ref)
+
+
+def _unit_test_entry(rng, F, bounded):
+    """An entry that is zero, of val 0, positive val or negative val, exact or prec-bounded."""
+    roll = rng.random()
+    prec = rng.randrange(-3, 6) if bounded else None
+    if roll < 0.15:
+        return Series.zero(F, "v", prec)
+    val = 0 if roll < 0.7 else rng.randrange(1, 4) if roll < 0.9 else rng.randrange(-3, 0)
+    coeffs = [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(rng.randrange(0, 4))]
+    return Series(F, "v", val, coeffs, prec)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (2, 3)])
+def test_has_unit_det_matches_det(p, m):
+    """The constant-term unit test decides every matrix as det() does."""
+    F = field(p, m)
+    rng = random.Random(f"unit-det-{p}-{m}")
+    seen = set()
+    for trial in range(600):
+        M = Mat2(*(_unit_test_entry(rng, F, trial % 2 == 1) for _ in range(4)))
+        det = M.det()
+        want = not det.is_zero() and det.val == 0
+        assert M.has_unit_det() == want, M
+        prec_cut = det.prec is not None and det.prec <= 0
+        seen.add((want, any(s.val < 0 for s in M.e), prec_cut))
+    # units and non-units, the negative-val fallback and a determinant known below 0 all occur
+    assert {(True, False, False), (False, False, False), (False, True, False),
+            (False, False, True)} <= seen
+    assert any(want for want, negative, _ in seen if negative)

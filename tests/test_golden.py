@@ -4,7 +4,8 @@ The digests pin the exact bytes of `verify`, `sweep`, `ext`, `shape` and
 `descend` on fixed inputs, so a refactor that is meant to leave output
 byte-identical is checked by the suite rather than by a one-off diff.
 The operator checks of `verify` only run at f >= 2, hence (3, 2); (5, 2)
-runs the series engine over F_25 and F_625 as well.  Module
+runs the series engine over F_25 and F_625 as well.  The sweeps at (5, 2)
+and (3, 3) are the ones the benchmark's `sweep-fields` workload runs.  Module
 files are written under relative names inside a temporary directory, so
 the `wrote=` lines do not carry a machine path.
 """
@@ -36,6 +37,10 @@ GOLDEN_STDOUT = {
         "418e352fa8008248d44193773ba7fa9c07101c50b3ee2b8fbd5d96cfd9dc62d2",
     ("sweep", "--p", "3", "--f", "2"):
         "62b85aa4be9f6a88eefe25100b3404082250481329c45791ef63320d870fcda4",
+    ("sweep", "--p", "5", "--f", "2"):
+        "84976be8ffc337b2be45c79b90f04980767953b1d5747862dd97fee27024e95a",
+    ("sweep", "--p", "3", "--f", "3"):
+        "cfa449f4f45a7498465b6c495e5c9569ac426c1a760731e77c8a5668805a320f",
     ("ext", "--p", "3", "--f", "3", "--gamma", "1,0,2", "--profile", "0,2", "--kext"):
         "c95dee1c65562bd96f97ed9b89f1ab0c05b7224a444908bd294c8e7e97514077",
 }

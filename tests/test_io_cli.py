@@ -350,6 +350,14 @@ def test_cli_sweep_rejects_bad_arguments(p, f, capsys):
          "--transition must be an index in [0, 2), got 7"),
         (["find-type", "--p", "5", "--f", "2", "--r", "1,-1;-3,-4", "--no-transition", "-1"],
          "--no-transition must be an index in [0, 2), got -1"),
+        (["ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0,5", "--kext"],
+         "--profile must be an index in [0, 2), got 5"),
+        (["ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "-1", "--kext"],
+         "--profile must be an index in [0, 2), got -1"),
+        (["hodge", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "2"],
+         "--profile must be an index in [0, 2), got 2"),
+        (["hodge", "--p", "3", "--f", "2", "--kind", "cuspidal", "--gamma", "1,0", "--profile", "0,4"],
+         "--profile must be an index in [0, 4), got 4"),
     ],
 )
 def test_cli_type_commands_reject_bad_arguments(argv, message, capsys):
@@ -357,6 +365,18 @@ def test_cli_type_commands_reject_bad_arguments(argv, message, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("member", ["2", "-1"])
+def test_cli_descend_rejects_out_of_range_profile(member, tmp_path, capsys):
+    modfile = str(tmp_path / "mod.json")
+    code, _ = run_cli("ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0",
+                      "--build", modfile)
+    assert code == 0
+    code, out = run_cli("descend", "--module", modfile, "--profile", f"0,{member}")
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err == f"error: --profile must be an index in [0, 2), got {member}\n"
 
 
 def test_cli_ext_split_builds_one_solver(monkeypatch):

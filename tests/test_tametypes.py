@@ -1,11 +1,15 @@
+import dataclasses
+
 import pytest
 
+from bkshapes import tametypes
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
     BadProfileError,
     ScalarTypeError,
     SerreWeight,
+    TameType,
     enumerate_profiles,
     enumerate_types,
     jordan_holder_weights,
@@ -135,3 +139,65 @@ def test_useful_identity_exhaustive_p3():
             for i in range(tau.fprime):
                 lhs = 3 * tau.ell_prime(i - 1) - tau.ell_prime(i)
                 assert lhs == tau.estep * (3 - 1 - g[i])
+
+
+# -- the recipe cache and the per-type derived data ----------------------------
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_cached_recipe_equals_fresh_recipe(p, f):
+    for tau in enumerate_types(p, f):
+        for J in enumerate_profiles(tau):
+            assert profile_data(tau, J) == tametypes._profile_data(tau, J)
+
+
+def test_recipe_miss_constructs_no_type(monkeypatch):
+    tau = make_type(5, 2, CUSPIDAL, 7, 7 * 25)
+    built = []
+    post_init = TameType.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TameType, "__post_init__", counting)
+    tametypes._profile_data_cached.cache_clear()
+    for J in enumerate_profiles(tau):
+        pd = profile_data(tau, J)
+        assert pd.tau is tau and pd.J == J
+    info = tametypes._profile_data_cached.cache_info()
+    assert (info.misses, info.hits) == (4, 0)
+    assert built == []
+    # an equal type built elsewhere hits the same entries
+    twin = make_type(5, 2, CUSPIDAL, 7, 7 * 25)
+    assert [profile_data(twin, J) for J in enumerate_profiles(twin)] == [
+        profile_data(tau, J) for J in enumerate_profiles(tau)
+    ]
+    assert tametypes._profile_data_cached.cache_info().misses == 4
+
+
+def _derived_by_formula(tau):
+    """fprime, estep and gamma restated: gamma_i is the digit of p**((-i) mod f') in eta - eta'."""
+    fp = tau.f if tau.kind == PRINCIPAL else 2 * tau.f
+    ep = tau.p**fp - 1
+    r = (tau.eta - tau.eta_prime) % ep
+    return fp, ep, tuple(r // tau.p ** ((-i) % fp) % tau.p for i in range(fp))
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
+def test_derived_type_data_matches_formulas(p, f):
+    for tau in enumerate_types(p, f):
+        assert (tau.fprime, tau.estep, tau.gamma) == _derived_by_formula(tau)
+    for tau in enumerate_types(p, f)[::7]:
+        for c in (1, p, p**f - 2):
+            twisted = tau.twist(c)
+            assert (twisted.fprime, twisted.estep, twisted.gamma) == _derived_by_formula(twisted)
+            assert twisted.gamma == tau.gamma  # a twist keeps the ratio eta/eta'
+
+
+def test_type_repr_eq_and_hash_use_the_five_fields():
+    tau = make_type(3, 2, CUSPIDAL, 1, 9 + 80)
+    assert [fld.name for fld in dataclasses.fields(TameType)] == [
+        "p", "f", "kind", "eta", "eta_prime",
+    ]
+    assert repr(tau) == "TameType(p=3, f=2, kind='cuspidal', eta=1, eta_prime=9)"
+    assert tau == TameType(3, 2, CUSPIDAL, 81, 9) and hash(tau) == hash(tau.key())
