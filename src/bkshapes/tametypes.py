@@ -217,7 +217,7 @@ class ProfileData:
 
 
 def profile_data(tau: TameType, J) -> ProfileData:
-    """The recipe of (tau, J), computed once per pair; equal types share an entry."""
+    """The recipe of (tau, J), from an LRU cache keyed by the type and J."""
     return _profile_data_cached(tau, check_profile(tau, J))
 
 

@@ -39,10 +39,8 @@ def test_required_spans_are_listed():
 
 
 def test_tracer_reads_exist():
-    from bkshapes import series, tametypes, verify
+    """The recipe cache's statistics and Mat2.det, which counts sampler candidates."""
+    from bkshapes import series, tametypes
 
-    for module in spans.MODULES:
-        importlib.import_module(f"bkshapes.{module}")
     assert callable(tametypes._profile_data_cached.cache_info)
-    assert callable(series.Mat2.det) and callable(series.Series.__init__)
-    assert all(callable(fn) for _, fn in verify.CHECKS)
+    assert callable(getattr(series.Mat2, "det", None))
