@@ -14,15 +14,18 @@ words, so no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 
 class NormDescentError(ArithmeticError):
     """A character that was expected to factor through the norm does not."""
 
 
-def _weight(p: int, m: int, i: int) -> int:
-    # weight of index i; index 0 gets p**m == 1 mod p**m - 1
-    return p ** ((-i) % m)
+@lru_cache(maxsize=None)
+def collapse_weights(p: int, m: int) -> tuple[int, ...]:
+    """The weight p**((-i) % m) of each index i of Z/mZ; index 0 gets 1 (p**m is 1 mod p**m - 1)."""
+    return tuple(p ** ((-i) % m) for i in range(m))
 
 
 def collapse_exponents(entries, p: int, m: int) -> int:
@@ -35,8 +38,7 @@ def collapse_exponents(entries, p: int, m: int) -> int:
         raise ValueError("level must be >= 1")
     if len(entries) != m:
         raise ValueError(f"expected {m} entries, got {len(entries)}")
-    mod = p**m - 1
-    return sum(a * _weight(p, m, i) for i, a in enumerate(entries)) % mod
+    return sum(map(mul, entries, collapse_weights(p, m))) % (p**m - 1)
 
 
 def digit_tuple(residue: int, p: int, m: int) -> tuple[int, ...]:
@@ -44,14 +46,9 @@ def digit_tuple(residue: int, p: int, m: int) -> tuple[int, ...]:
 
     Inverse of :func:`collapse_exponents` on canonical representatives.
     """
-    mod = p**m - 1
-    r = residue % mod
-    base = []
-    for _ in range(m):
-        base.append(r % p)
-        r //= p
-    # base[j] is the coefficient of p**j; index i carries weight p**((-i) % m)
-    return tuple(base[(-i) % m] for i in range(m))
+    r = residue % (p**m - 1)
+    # index i carries weight w = p**((-i) % m): its digit is that of w in r
+    return tuple(r // w % p for w in collapse_weights(p, m))
 
 
 @dataclass(frozen=True)
@@ -121,10 +118,9 @@ def solve_twist_chain(d, p: int, m: int) -> tuple[int, ...]:
     if len(d) != m:
         raise ValueError(f"expected {m} entries")
     mod = p**m - 1
-    # nu[m] == p**m * nu[0] - sum(p**(m-i) d[i], i=1..m) with d[m] = d[0]
-    acc = 0
-    for i in range(1, m + 1):
-        acc += p ** (m - i) * d[i % m]
+    # nu[m] == p**m * nu[0] - sum(p**(m-i) d[i], i=1..m) with d[m] = d[0];
+    # p**(m-i) is the collapse weight of index i mod m
+    acc = sum(map(mul, d, collapse_weights(p, m)))
     if acc % mod != 0:
         raise ValueError("chain has no integral solution: collapse is nonzero")
     nu0 = acc // mod

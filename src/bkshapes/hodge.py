@@ -79,16 +79,14 @@ def canonical_hodge(r: HodgePairs, p: int) -> HodgePairs:
     residue (a twist-class invariant), keeping the per-embedding gaps.
     """
     f = len(r)
-    d = diffs(r)
-    res = collapse_exponents([b % (p**f - 1) for _, b in r], p, f)
-    low = digit_tuple(res, p, f)
-    return tuple((low[i] + d[i], low[i]) for i in range(f))
+    low = digit_tuple(collapse_exponents([b for _, b in r], p, f), p, f)
+    return tuple((lo + a - b, lo) for lo, (a, b) in zip(low, r))
 
 
 def hodge_type_of_raw(tau: TameType, J) -> HodgePairs:
     """The pairs (1-theta_i, -s_i-theta_i) the recipe attaches to (tau, J)."""
     pd = profile_data(tau, J)
-    return as_hodge(tuple((1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(tau.f)))
+    return as_hodge((1 - th, -s - th) for th, s in zip(pd.theta, pd.s))
 
 
 def hodge_type_of(tau: TameType, J) -> HodgePairs:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .gf import GF, coefficient_field, field, is_prime
+from .gf import GF, coefficient_field, field, is_prime, least_irreducible
 from .series import DEFAULT_PRECISION, Mat2, Series
 from .tametypes import PRINCIPAL, TameType
 
@@ -131,10 +131,17 @@ def _parse_pairs(s: str):
 
 
 def sweep_header(p: int, f: int) -> str:
+    """The header line; poly[f'] defines F_{p^f'} for each level f' in play.
+
+    Past the table limit the coefficient field is a proper subfield, so
+    its polynomial is not that level's; the least irreducible of degree
+    f' is printed instead.
+    """
     polys = []
     for fp in sorted({f, 2 * f}):
         F = coefficient_field(p, fp)
-        polys.append(f"poly[{fp}]={_fmt_ints(F.poly)}")
+        poly = F.poly if F.m == fp else least_irreducible(p, fp)
+        polys.append(f"poly[{fp}]={_fmt_ints(poly)}")
     return f"# {SWEEP_FORMAT} p={p} f={f} precision={DEFAULT_PRECISION} " + " ".join(polys)
 
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .charexp import (
     CharExp,
     NormDescentError,
     collapse_exponents,
+    collapse_weights,
     digit_tuple,
     factor_through_norm,
     level_f_lift_residue,
@@ -35,8 +37,11 @@ class ScalarTypeError(ValueError):
 class TameType:
     """A non-scalar tame type; equality, hashing and repr use the five fields.
 
-    The derived data ``fprime`` (the level f'), ``estep`` (p**f' - 1) and
-    ``gamma`` (the digits of eta/eta') are set once, at construction.
+    The derived data is set once, at construction: ``fprime`` (the level
+    f'), ``estep`` (p**f' - 1), ``gamma`` (the digits of eta/eta'), ``mu``
+    (the digits of eta'), ``weights`` (the collapse weights at level f')
+    and ``cases``, the recipe's (s_i, t_i) at each index i in the four
+    cases ``cases[i][2 * (i-1 in J) + (i in J)]``.
     """
 
     p: int
@@ -57,7 +62,10 @@ class TameType:
         set_(self, "fprime", fp)
         set_(self, "estep", ep)
         set_(self, "gamma", digit_tuple((eta - eta_prime) % ep, self.p, fp))
+        set_(self, "mu", digit_tuple(eta_prime, self.p, fp))
+        set_(self, "weights", collapse_weights(self.p, fp))
         self._validate()
+        set_(self, "cases", _recipe_cases(self.p, self.gamma))
 
     def _validate(self):
         p, fp, ep = self.p, self.fprime, self.estep
@@ -152,16 +160,10 @@ def enumerate_types(p: int, f: int, kinds=(PRINCIPAL, CUSPIDAL)):
 
 # -- profiles ------------------------------------------------------------
 
-def is_profile(tau: TameType, members) -> bool:
-    J = frozenset(i % tau.fprime for i in members)
-    if tau.kind == PRINCIPAL:
-        return True
-    return all((i in J) != ((i + tau.f) % tau.fprime in J) for i in range(tau.fprime))
-
-
 def check_profile(tau: TameType, members) -> frozenset:
+    """The members reduced into Z/f'Z; a cuspidal profile holds exactly one of i, i+f."""
     J = frozenset(i % tau.fprime for i in members)
-    if not is_profile(tau, J):
+    if tau.kind == CUSPIDAL and any((i in J) == (i + tau.f in J) for i in range(tau.f)):
         raise ValueError(f"{sorted(J)} is not a valid profile for a {tau.kind} type")
     return J
 
@@ -221,34 +223,36 @@ def profile_data(tau: TameType, J) -> ProfileData:
     return _profile_data_cached(tau, check_profile(tau, J))
 
 
+@lru_cache(maxsize=None)
+def _recipe_cases(p: int, gamma: tuple[int, ...]) -> tuple:
+    """Per index, (s_i, t_i) for (i-1 in J, i in J) = (0,0), (0,1), (1,0), (1,1); one table per gamma."""
+    return tuple(((g, 0), (g - 1, 0), (p - 2 - g, g + 1), (p - 1 - g, g)) for g in gamma)
+
+
 def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
     p, f, fp = tau.p, tau.f, tau.fprime
-    g = tau.gamma
     s, t = [], []
-    for i in range(fp):
-        in_prev = ((i - 1) % fp) in J
-        in_self = (i % fp) in J
-        if in_prev:
-            s.append(p - 1 - g[i] - (0 if in_self else 1))
-            t.append(g[i] + (0 if in_self else 1))
-        else:
-            s.append(g[i] - (1 if in_self else 0))
-            t.append(0)
-    for i in range(fp):
-        if not -1 <= s[i] <= p - 1:
-            raise AssertionError(f"s out of range at {i}: {s[i]}")
-        if not 0 <= t[i] <= p:
-            raise AssertionError(f"t out of range at {i}: {t[i]}")
-        if s[i] != s[(i + f) % fp]:
-            raise AssertionError("s is not f-periodic")
+    in_prev = (fp - 1) in J
+    for i, cases in enumerate(tau.cases):
+        in_self = i in J
+        s_i, t_i = cases[2 * in_prev + in_self]
+        if not -1 <= s_i <= p - 1:
+            raise AssertionError(f"s out of range at {i}: {s_i}")
+        if not 0 <= t_i <= p:
+            raise AssertionError(f"t out of range at {i}: {t_i}")
+        s.append(s_i)
+        t.append(t_i)
+        in_prev = in_self
+    if s[f:] + s[:f] != s:
+        raise AssertionError("s is not f-periodic")
 
     # Theta_J at level f' is eta' times the collapse of t; it must descend
     # through the norm in the cuspidal case.
-    lift = CharExp(p, fp, tau.eta_prime + collapse_exponents(t, p, fp))
+    lift = (tau.eta_prime + sum(map(mul, t, tau.weights))) % tau.estep
     if tau.kind == PRINCIPAL:
-        theta_res = lift.residue
+        theta_res = lift
     else:
-        desc = factor_through_norm(lift, f)
+        desc = factor_through_norm(CharExp(p, fp, lift), f)
         if desc is None:
             raise NormDescentError(
                 "Theta_J does not factor through the norm; recipe invariant broken"
@@ -256,9 +260,9 @@ def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
         theta_res = desc.residue
     theta = digit_tuple(theta_res, p, f)
 
-    mu = digit_tuple(tau.eta_prime, p, fp)
+    mu = tau.mu
     theta_ext = periodic_extension(theta, fp // f)
-    d = [mu[i] + t[i] - theta_ext[i] for i in range(fp)]
+    d = [m + t_i - th for m, t_i, th in zip(mu, t, theta_ext)]
     nu = solve_twist_chain(d, p, fp)
 
     bad = frozenset(i for i in range(f) if s[i] == -1)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -207,7 +208,7 @@ def check_lambda_subgroup(p, f, rng, fault=None):
 
 def check_recipe_bounds(p, f, rng, fault=None):
     rows = 0
-    for tau in enumerate_types(p, f):
+    for tau, pairs in itertools.groupby(_all_pairs(p, f), key=operator.itemgetter(0)):
         g = tau.gamma
         for i in range(tau.fprime):
             lhs = p * tau.ell_prime(i - 1) - tau.ell_prime(i)
@@ -215,16 +216,16 @@ def check_recipe_bounds(p, f, rng, fault=None):
                 return False, f"exponent identity fails for {tau}"
         if tau.kind == CUSPIDAL and any(g[i] + g[i + f] != p - 1 for i in range(f)):
             return False, f"cuspidal gamma pairing fails for {tau}"
-        for J in enumerate_profiles(tau):
+        for _, J in pairs:
             pd = profile_data(tau, J)
             s = list(pd.s)
             if fault == "s-flip" and rows == 0:
                 s[0] = p + 1
-            if any(not -1 <= x <= p - 1 for x in s):
+            if min(s) < -1 or max(s) > p - 1:
                 return False, f"s out of [-1,p-1] for {tau.key()} J={sorted(J)}: {s}"
-            if any(not 0 <= x <= p for x in pd.t):
+            if min(pd.t) < 0 or max(pd.t) > p:
                 return False, f"t out of [0,p] for {tau.key()} J={sorted(J)}"
-            if any(s[i] != s[(i + f) % tau.fprime] for i in range(tau.fprime)):
+            if s[f:] + s[:f] != s:
                 return False, f"s not f-periodic for {tau.key()} J={sorted(J)}"
             rows += 1
     return True, f"{rows} (type, profile) pairs"
@@ -280,15 +281,13 @@ def check_remark_exceptions(p, f, rng, fault=None):
 
 def check_convention_coherence(p, f, rng, fault=None):
     n = 0
-    for tau in enumerate_types(p, f):
-        for J in enumerate_profiles(tau):
-            pd = profile_data(tau, J)
-            if not pd.in_P_tau:
-                continue
-            w = serre_weight(tau, J)
-            if not hodge_equiv(as_hodge(w.hodge_pairs()), hodge_type_of(tau, J), p):
-                return False, f"weight/type mismatch for {tau.key()} J={sorted(J)}"
-            n += 1
+    for tau, J in _all_pairs(p, f):
+        if not profile_data(tau, J).in_P_tau:
+            continue
+        w = serre_weight(tau, J)
+        if not hodge_equiv(as_hodge(w.hodge_pairs()), hodge_type_of(tau, J), p):
+            return False, f"weight/type mismatch for {tau.key()} J={sorted(J)}"
+        n += 1
     return True, f"{n} good profiles"
 
 

@@ -1,18 +1,25 @@
-"""The names the benchmark's tracer reads from the package must exist.
+"""The names the benchmark reads from the package must exist.
 
 `bkbench/spans.py` wraps the layer boundaries listed in its SPANS table
-and reads a few more attributes when it installs.  A rename in
-`bkshapes` would only surface in a traced benchmark run; these tests fail
-first.  The benchmark code is loaded from its file and not modified.
+and reads a few more attributes when it installs; `bkbench/round.py`
+wraps the pieces it times in every plain round.  A rename in `bkshapes`
+would only surface in a benchmark run; these tests fail first.  The
+benchmark code is loaded from its files and not modified.
 """
 
+import ast
 import importlib
 import pathlib
+import random
+import time
 import types
+from io import StringIO
 
 import pytest
 
-SPANS_FILE = pathlib.Path(__file__).resolve().parents[1] / "bkbench" / "spans.py"
+BKBENCH = pathlib.Path(__file__).resolve().parents[1] / "bkbench"
+SPANS_FILE = BKBENCH / "spans.py"
+ROUND_FILE = BKBENCH / "round.py"
 
 
 def _load_spans():
@@ -44,3 +51,33 @@ def test_tracer_reads_exist():
 
     assert callable(tametypes._profile_data_cached.cache_info)
     assert callable(getattr(series.Mat2, "det", None))
+
+
+def _load_function(path, name):
+    """One top-level function of a file, compiled from its source alone."""
+    tree = ast.parse(path.read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    namespace = {"time": time}
+    exec(compile(ast.Module(body=[node], type_ignores=[]), str(path), "exec"), namespace)
+    return namespace[name]
+
+
+def test_round_pieces_exist(monkeypatch, tmp_path):
+    """round.py's `time_pieces` wraps io.sweep_header, io.sweep_rows,
+    cli.read_sweep and every verify.CHECKS function; a rename crashes every
+    plain round.  Each wrapped piece records a span when called."""
+    from bkshapes import cli, io, verify
+
+    for mod, name in ((io, "sweep_header"), (io, "sweep_rows"), (cli, "read_sweep")):
+        monkeypatch.setattr(mod, name, getattr(mod, name))  # restored after the test
+    monkeypatch.setattr(verify, "CHECKS", list(verify.CHECKS))
+    time_pieces = _load_function(ROUND_FILE, "time_pieces")
+    spans = []
+    time_pieces("verify-p3f2", spans)
+    name, check = verify.CHECKS[0]
+    assert check(3, 1, random.Random(name))[0]
+    assert len(spans) == 1
+    time_pieces("sweep-fields", spans)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["sweep", "--p", "3", "--f", "1", "--out", "s.txt"], out=StringIO()) == 0
+    assert len(spans) == 4  # the header, the rows and the read-back

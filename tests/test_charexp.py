@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,33 @@ def test_digit_tuple_inverts_collapse(r, pm):
     assert all(0 <= x <= p - 1 for x in d)
     assert not all(x == p - 1 for x in d)
     assert collapse_exponents(d, p, m) == res
+
+
+BRUTE_LEVELS = [(p, m) for p, top in ((2, 8), (3, 8), (5, 4), (7, 3)) for m in range(1, top + 1)]
+
+
+def _brute_collapse(entries, p, m):
+    """sum_i entries[i] * p**(m - i) mod p**m - 1, term by term as the docstring states it."""
+    return sum(a * p ** (m - i) for i, a in enumerate(entries)) % (p**m - 1)
+
+
+@pytest.mark.parametrize("p,m", BRUTE_LEVELS)
+def test_collapse_and_digit_tuple_match_brute_force(p, m):
+    mod = p**m - 1
+    canonical = {}  # residue -> the one digit tuple, never all p-1, collapsing to it
+    for digits in itertools.product(range(p), repeat=m):
+        r = _brute_collapse(digits, p, m)
+        assert collapse_exponents(digits, p, m) == r
+        if not all(x == p - 1 for x in digits):
+            assert r not in canonical
+            canonical[r] = digits
+    assert len(canonical) == mod
+    for r in range(-mod - 2, 2 * mod + 2):
+        assert digit_tuple(r, p, m) == canonical[r % mod]
+    rng = random.Random(f"{p},{m}")
+    for _ in range(200):
+        entries = [rng.randint(-3 * p * p, 3 * p * p) for _ in range(m)]
+        assert collapse_exponents(entries, p, m) == _brute_collapse(entries, p, m)
 
 
 @given(st.sampled_from([(3, 2), (5, 2), (7, 3)]))

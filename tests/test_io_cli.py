@@ -52,6 +52,29 @@ def test_sweep_header_versioned():
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("p,f", [(3, 4), (5, 3), (3, 3)])
+def test_sweep_header_polynomials_define_each_level(p, f):
+    """poly[f'] is monic, irreducible of degree f' (sympy), and the least one, past the table limit too."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    from bkshapes.io import sweep_header
+
+    def irreducible(low):  # low: the coefficients below the leading 1, constant first
+        return gf_irreducible_p([ZZ(1)] + [ZZ(c) for c in reversed(low)], p, ZZ)
+
+    kv = dict(tok.split("=", 1) for tok in sweep_header(p, f).split() if "=" in tok)
+    assert sorted(k for k in kv if k.startswith("poly[")) == [f"poly[{f}]", f"poly[{2 * f}]"]
+    for fp in (f, 2 * f):
+        poly = tuple(int(c) for c in kv[f"poly[{fp}]"].split(","))
+        assert len(poly) == fp + 1 and poly[-1] == 1
+        assert irreducible(poly[:-1])
+        # least: no monic candidate of degree f' packed below it is irreducible
+        packed = sum(c * p**j for j, c in enumerate(poly[:-1]))
+        for n in range(packed):
+            assert not irreducible([n // p**j % p for j in range(fp)])
+
+
 def _f9_module():
     import random
 

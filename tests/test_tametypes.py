@@ -3,13 +3,24 @@ import dataclasses
 import pytest
 
 from bkshapes import tametypes
+from bkshapes.charexp import (
+    CharExp,
+    NormDescentError,
+    collapse_exponents,
+    digit_tuple,
+    factor_through_norm,
+    periodic_extension,
+    solve_twist_chain,
+)
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
     BadProfileError,
+    ProfileData,
     ScalarTypeError,
     SerreWeight,
     TameType,
+    check_profile,
     enumerate_profiles,
     enumerate_types,
     jordan_holder_weights,
@@ -76,6 +87,25 @@ def test_profile_validation():
     tc = type_from_gamma(3, 2, CUSPIDAL, (1, 2))
     with pytest.raises(ValueError):
         profile_data(tc, {0, 2})  # violates the pairing rule
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2), (2, 3)])
+def test_check_profile_matches_pairing_rule(p, f):
+    """Every subset of Z/f'Z, spelled with members shifted by f', against the rule at every index."""
+    gamma = (1,) + (0,) * (f - 1)
+    for tau in (type_from_gamma(p, f, PRINCIPAL, gamma), type_from_gamma(p, f, CUSPIDAL, gamma)):
+        fp = tau.fprime
+        for mask in range(2**fp):
+            J = frozenset(i for i in range(fp) if mask >> i & 1)
+            valid = tau.kind == PRINCIPAL or all(
+                (i in J) != ((i + f) % fp in J) for i in range(fp)
+            )
+            members = [i + fp * (i % 3 - 1) for i in J]
+            if valid:
+                assert check_profile(tau, members) == J
+            else:
+                with pytest.raises(ValueError):
+                    check_profile(tau, members)
 
 
 def test_cuspidal_xi_vanishes_everywhere():
@@ -175,23 +205,43 @@ def test_recipe_miss_constructs_no_type(monkeypatch):
     assert tametypes._profile_data_cached.cache_info().misses == 4
 
 
+DERIVED = ("fprime", "estep", "gamma", "mu", "weights", "cases")
+
+
 def _derived_by_formula(tau):
-    """fprime, estep and gamma restated: gamma_i is the digit of p**((-i) mod f') in eta - eta'."""
+    """The derived data restated from the definitions.
+
+    gamma_i (mu_i) is the digit of p**((-i) mod f') in eta - eta' (in eta');
+    cases[i] lists (s_i, t_i) for (i-1 in J, i in J) = (0,0), (0,1), (1,0),
+    (1,1), from the recipe's branches on gamma_i.
+    """
+    p = tau.p
     fp = tau.f if tau.kind == PRINCIPAL else 2 * tau.f
-    ep = tau.p**fp - 1
-    r = (tau.eta - tau.eta_prime) % ep
-    return fp, ep, tuple(r // tau.p ** ((-i) % fp) % tau.p for i in range(fp))
+    ep = p**fp - 1
+    weights = tuple(p ** ((-i) % fp) for i in range(fp))
+    gamma = tuple((tau.eta - tau.eta_prime) % ep // w % p for w in weights)
+    mu = tuple(tau.eta_prime % ep // w % p for w in weights)
+    cases = tuple(
+        tuple(_reference_case(p, g, in_prev, in_self) for in_prev in (0, 1) for in_self in (0, 1))
+        for g in gamma
+    )
+    return fp, ep, gamma, mu, weights, cases
+
+
+def _derived(tau):
+    return tuple(getattr(tau, name) for name in DERIVED)
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
 def test_derived_type_data_matches_formulas(p, f):
     for tau in enumerate_types(p, f):
-        assert (tau.fprime, tau.estep, tau.gamma) == _derived_by_formula(tau)
+        assert _derived(tau) == _derived_by_formula(tau)
     for tau in enumerate_types(p, f)[::7]:
         for c in (1, p, p**f - 2):
             twisted = tau.twist(c)
-            assert (twisted.fprime, twisted.estep, twisted.gamma) == _derived_by_formula(twisted)
+            assert _derived(twisted) == _derived_by_formula(twisted)
             assert twisted.gamma == tau.gamma  # a twist keeps the ratio eta/eta'
+            assert twisted.cases == tau.cases
 
 
 def test_type_repr_eq_and_hash_use_the_five_fields():
@@ -200,4 +250,72 @@ def test_type_repr_eq_and_hash_use_the_five_fields():
         "p", "f", "kind", "eta", "eta_prime",
     ]
     assert repr(tau) == "TameType(p=3, f=2, kind='cuspidal', eta=1, eta_prime=9)"
-    assert tau == TameType(3, 2, CUSPIDAL, 81, 9) and hash(tau) == hash(tau.key())
+    assert dataclasses.astuple(tau) == tau.key()
+    twin = TameType(3, 2, CUSPIDAL, 81, 9)
+    assert tau == twin and hash(tau) == hash(twin) == hash(tau.key())
+    assert _derived(twin) == _derived(tau) == _derived_by_formula(tau)
+    # the derived data is held on the instance, outside the fields
+    assert set(DERIVED) <= set(vars(tau))
+    # a type differing only in eta' is unequal, and so is its derived data
+    other = TameType(3, 2, CUSPIDAL, 2, 18)
+    assert other != tau and _derived(other) != _derived(tau)
+
+
+@pytest.mark.parametrize(
+    "case0,message",
+    [((3, 0), "s out of range at 0"), ((0, 4), "t out of range at 0"), ((1, 0), "not f-periodic")],
+)
+def test_recipe_checks_fire_on_a_corrupt_table(case0, message):
+    """Every other index reads (0, 0), index 0 reads case0 whatever J is."""
+    tau = type_from_gamma(3, 2, CUSPIDAL, (1, 2))
+    object.__setattr__(tau, "cases", ((case0,) * 4,) + (((0, 0),) * 4,) * 3)
+    with pytest.raises(AssertionError, match=message):
+        tametypes._profile_data(tau, enumerate_profiles(tau)[0])
+
+
+# -- the recipe against its branch-by-branch statement --------------------------
+
+def _reference_case(p, g, in_prev, in_self):
+    """(s_i, t_i) of the recipe at an index with gamma digit g."""
+    if in_prev:
+        return p - 1 - g - (0 if in_self else 1), g + (0 if in_self else 1)
+    return g - (1 if in_self else 0), 0
+
+
+def _reference_profile_data(tau, J):
+    """The recipe computed index by index from gamma, with every check, as the reference."""
+    p, f, fp = tau.p, tau.f, tau.fprime
+    g = tau.gamma
+    s, t = [], []
+    for i in range(fp):
+        s_i, t_i = _reference_case(p, g[i], ((i - 1) % fp) in J, i in J)
+        s.append(s_i)
+        t.append(t_i)
+    for i in range(fp):
+        assert -1 <= s[i] <= p - 1 and 0 <= t[i] <= p
+        assert s[i] == s[(i + f) % fp]
+    lift = CharExp(p, fp, tau.eta_prime + collapse_exponents(t, p, fp))
+    if tau.kind == PRINCIPAL:
+        theta_res = lift.residue
+    else:
+        desc = factor_through_norm(lift, f)
+        if desc is None:
+            raise NormDescentError("Theta_J does not factor through the norm")
+        theta_res = desc.residue
+    theta = digit_tuple(theta_res, p, f)
+    mu = digit_tuple(tau.eta_prime, p, fp)
+    theta_ext = periodic_extension(theta, fp // f)
+    nu = solve_twist_chain([mu[i] + t[i] - theta_ext[i] for i in range(fp)], p, fp)
+    bad = frozenset(i for i in range(f) if s[i] == -1)
+    return ProfileData(tau, J, tuple(s), tuple(t), theta_res, theta, mu, nu, bad, not bad)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+def test_recipe_matches_reference_on_every_pair(p, f):
+    n = 0
+    for tau in enumerate_types(p, f):
+        for J in enumerate_profiles(tau):
+            assert tametypes._profile_data(tau, J) == _reference_profile_data(tau, J), (tau, J)
+            n += 1
+    q = p**f
+    assert n == ((q - 1) * (q - 2) + q * q - q) * 2**f
