@@ -63,21 +63,6 @@ class CharExp:
         mod = self.p**self.level - 1
         object.__setattr__(self, "residue", self.residue % mod)
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.level - 1
-
-    def __mul__(self, other: "CharExp") -> "CharExp":
-        if (other.p, other.level) != (self.p, self.level):
-            raise ValueError("cannot multiply characters of different levels")
-        return CharExp(self.p, self.level, self.residue + other.residue)
-
-    def inverse(self) -> "CharExp":
-        return CharExp(self.p, self.level, -self.residue)
-
-    def power(self, n: int) -> "CharExp":
-        return CharExp(self.p, self.level, self.residue * n)
-
 
 def is_trivial_char(c: CharExp) -> bool:
     return c.residue == 0

@@ -4,9 +4,10 @@ Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 (including a non-prime p given to any command that takes one, an f below 1,
 a `find-type` Hodge type whose number of pairs is not f, an index given to
 `--j`, `--transition` or `--no-transition` outside [0, f), a `--profile`
-member outside [0, f'), the
-unsatisfiable transition preferences of `find-type`, a malformed module
-file and a module file whose coefficients are known too coarsely to decide).
+member outside [0, f'), the unsatisfiable transition preferences of
+`find-type`, a malformed module file and a module file whose coefficients
+are known too coarsely to decide), and 3 when a `verify` check crashed and
+none failed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 from . import __version__
 from .charexp import NormDescentError
-from .gf import MAX_TABLE_Q, coefficient_field, field, is_prime
+from .gf import MAX_TABLE_Q, coefficient_field, is_prime
 from .hodge import (
     ForcedChoiceError,
     apply_operator,
@@ -66,7 +67,6 @@ def _parse_pairs(text: str):
 
 
 def _type_from_args(args) -> TameType:
-    _check_p_f(args)
     kind = PRINCIPAL if args.kind in ("ps", "principal-series") else CUSPIDAL
     if args.gamma is not None:
         gamma = _parse_ints(args.gamma)
@@ -80,17 +80,6 @@ def _type_from_args(args) -> TameType:
             raise UsageError("principal series types need --eta-prime")
         eta_prime = args.eta_prime
     return TameType(args.p, args.f, kind, args.eta, eta_prime)
-
-
-def _check_p(args):
-    if not is_prime(args.p):
-        raise UsageError(f"--p must be prime, got {args.p}")
-
-
-def _check_p_f(args):
-    _check_p(args)
-    if args.f < 1:
-        raise UsageError(f"--f must be at least 1, got {args.f}")
 
 
 def _check_index(option: str, j: int, f: int):
@@ -107,9 +96,15 @@ def _profile_from_args(tau, args):
     return check_profile(tau, members)
 
 
-def _type_args(sp, need_profile=False):
+def _p_f_args(sp, with_f=True):
+    """Declare --p (and --f); `main` checks both before dispatch."""
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--f", type=int, required=True)
+    if with_f:
+        sp.add_argument("--f", type=int, required=True)
+
+
+def _type_args(sp, need_profile=False):
+    _p_f_args(sp)
     sp.add_argument("--kind", choices=["ps", "principal-series", "cuspidal"], default="ps")
     sp.add_argument("--gamma", help="comma list of f digits defining the character ratio")
     sp.add_argument("--eta", type=int, help="exponent of eta at level f'")
@@ -118,13 +113,19 @@ def _type_args(sp, need_profile=False):
         sp.add_argument("--profile", help="comma list of members of J ('-' for empty)")
 
 
-def _pd_record(tau, J) -> str:
-    pd = profile_data(tau, J)
+def _record_head(tau, J) -> str:
     return (
         f"kind={'PS' if tau.kind == PRINCIPAL else 'C'} eta={tau.eta}"
         f" eta_prime={tau.eta_prime} profile={profile_mask(tau, J)}"
         f" members={_fmt_ints(sorted(J))}"
-        f" s={_fmt_ints(pd.s)} t={_fmt_ints(pd.t)} theta={_fmt_ints(pd.theta)}"
+    )
+
+
+def _pd_record(tau, J) -> str:
+    pd = profile_data(tau, J)
+    return (
+        _record_head(tau, J)
+        + f" s={_fmt_ints(pd.s)} t={_fmt_ints(pd.t)} theta={_fmt_ints(pd.theta)}"
         f" bad={_fmt_ints(sorted(pd.bad_set))} P_tau={int(pd.in_P_tau)}"
     )
 
@@ -138,12 +139,9 @@ def cmd_profiles(args, out):
 
 def cmd_weights(args, out):
     tau = _type_from_args(args)
-    good = []
     for J in sorted(enumerate_profiles(tau), key=lambda J: profile_mask(tau, J)):
-        pd = profile_data(tau, J)
-        if pd.in_P_tau:
+        if profile_data(tau, J).in_P_tau:
             w = serre_weight(tau, J)
-            good.append(w)
             print(
                 f"profile={profile_mask(tau, J)} members={_fmt_ints(sorted(J))}"
                 f" weight_t={_fmt_ints(w.t)} weight_s={_fmt_ints(w.s)}",
@@ -169,7 +167,6 @@ def cmd_hodge(args, out):
 
 
 def cmd_find_type(args, out):
-    _check_p_f(args)
     r = _parse_pairs(args.r)
     if len(r) != args.f:
         raise UsageError(f"--r has {len(r)} pairs but --f is {args.f}")
@@ -180,17 +177,11 @@ def cmd_find_type(args, out):
             _check_index(option, j, args.f)
             constraint[j] = want
     tau, J = find_type_profile(r, args.p, constraint)
-    print(
-        f"kind={'PS' if tau.kind == PRINCIPAL else 'C'} eta={tau.eta}"
-        f" eta_prime={tau.eta_prime} profile={profile_mask(tau, J)}"
-        f" members={_fmt_ints(sorted(J))} hodge={_fmt_pairs(hodge_type_of(tau, J))}",
-        file=out,
-    )
+    print(_record_head(tau, J) + f" hodge={_fmt_pairs(hodge_type_of(tau, J))}", file=out)
     return 0
 
 
 def cmd_operators(args, out):
-    _check_p(args)
     r = _parse_pairs(args.r)
     _check_index("--j", args.j, len(r))
     img = apply_operator(args.op, args.j, r, args.p)
@@ -203,7 +194,6 @@ def cmd_operators(args, out):
 
 
 def cmd_inclusions(args, out):
-    _check_p(args)
     r = _parse_pairs(args.r)
     for img in predicted_inclusions(r, args.p):
         print(f"source={_fmt_pairs(r)} target={_fmt_pairs(img)}", file=out)
@@ -211,20 +201,20 @@ def cmd_inclusions(args, out):
 
 
 def _load_module(args):
-    """The eigenbasis module in the file args.module, with its coefficient field."""
+    """The eigenbasis module in the file args.module."""
     from .phimod import BKModule
 
     with open(args.module) as fh:
-        tau, mats, F, scale = module_from_json(fh.read())
+        tau, mats, _, scale = module_from_json(fh.read())
     if scale != "u":
         raise UsageError(f"{args.command} expects an eigenbasis (u-scale) module file")
-    return BKModule(tau, mats), F
+    return BKModule(tau, mats)
 
 
 def cmd_shape(args, out):
     from .phimod import classify_shape, strong_determinant_ok
 
-    mod, _ = _load_module(args)
+    mod = _load_module(args)
     tau = mod.tau
     det_ok = strong_determinant_ok(mod)
     shapes, profiles = classify_shape(mod)
@@ -239,7 +229,7 @@ def cmd_shape(args, out):
 def cmd_descend(args, out):
     from .phimod import descend_to_base
 
-    mod, F = _load_module(args)
+    mod = _load_module(args)
     tau = mod.tau
     J = _profile_from_args(tau, args)
     res = descend_to_base(mod, J)
@@ -250,7 +240,7 @@ def cmd_descend(args, out):
     )
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(module_to_json(tau, res.mats, F, scale="v"))
+            fh.write(module_to_json(tau, res.mats, mod.field, scale="v"))
         print(f"wrote={args.out}", file=out)
     return 0
 
@@ -266,16 +256,13 @@ def cmd_ext(args, out):
 
     tau = _type_from_args(args)
     J = _profile_from_args(tau, args)
-    if args.field_degree is None:
-        F = coefficient_field(args.p, tau.fprime)
-        if F.m < tau.fprime:
-            print(
-                f"warning: coefficient field F_{F.q} is a proper subfield of F_{{{args.p}^{tau.fprime}}},"
-                f" which exceeds the table limit {MAX_TABLE_Q}",
-                file=sys.stderr,
-            )
-    else:
-        F = field(args.p, args.field_degree)
+    F = coefficient_field(args.p, tau.fprime)
+    if F.m < tau.fprime:
+        print(
+            f"warning: coefficient field F_{F.q} is a proper subfield of F_{{{args.p}^{tau.fprime}}},"
+            f" which exceeds the table limit {MAX_TABLE_Q}",
+            file=sys.stderr,
+        )
     if args.kext:
         dim, blocks = kext_structure(ExtensionPoint(tau, J, F, args.a, args.b, (0,) * tau.f))
         bad = profile_data(tau, J).bad_set
@@ -312,7 +299,6 @@ def cmd_ext(args, out):
 
 
 def cmd_sweep(args, out):
-    _check_p_f(args)
     text = write_sweep(args.p, args.f)
     if args.out:
         with open(args.out, "w") as fh:
@@ -327,7 +313,6 @@ def cmd_sweep(args, out):
 def cmd_verify(args, out):
     from .verify import run_suite
 
-    _check_p_f(args)
     results = run_suite(args.p, args.f, seed=args.seed, fault=args.inject_fault)
     failed = sum(not res.passed and not res.crashed for res in results)
     crashed = sum(res.crashed for res in results)
@@ -360,22 +345,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_hodge)
 
     sp = sub.add_parser("find-type", help="inverse construction from a Hodge type")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--f", type=int, required=True)
+    _p_f_args(sp)
     sp.add_argument("--r", required=True, help="pairs like 'r11,r12;r21,r22'")
     sp.add_argument("--transition", type=int, action="append")
     sp.add_argument("--no-transition", dest="no_transition", type=int, action="append")
     sp.set_defaults(fn=cmd_find_type)
 
     sp = sub.add_parser("operators", help="apply a weight operator to a Hodge type")
-    sp.add_argument("--p", type=int, required=True)
+    _p_f_args(sp, with_f=False)
     sp.add_argument("--r", required=True)
     sp.add_argument("--kind", dest="op", choices=["theta", "mu", "nu"], required=True)
     sp.add_argument("--j", type=int, required=True)
     sp.set_defaults(fn=cmd_operators)
 
     sp = sub.add_parser("inclusions", help="operator images at every irregular index")
-    sp.add_argument("--p", type=int, required=True)
+    _p_f_args(sp, with_f=False)
     sp.add_argument("--r", required=True)
     sp.set_defaults(fn=cmd_inclusions)
 
@@ -394,21 +378,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--b", type=int, default=2)
     sp.add_argument("--h", help="comma list of field codes")
-    sp.add_argument("--field-degree", dest="field_degree", type=int)
     sp.add_argument("--split", action="store_true")
     sp.add_argument("--kext", action="store_true")
     sp.add_argument("--build", help="write the eigenbasis module to this file")
     sp.set_defaults(fn=cmd_ext)
 
     sp = sub.add_parser("sweep", help="exhaustive (type, profile) table")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--f", type=int, required=True)
+    _p_f_args(sp)
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--f", type=int, required=True)
+    _p_f_args(sp)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--inject-fault", dest="inject_fault", choices=["s-flip"])
     sp.set_defaults(fn=cmd_verify)
@@ -424,6 +405,10 @@ def main(argv=None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "p" in args and not is_prime(args.p):
+            raise UsageError(f"--p must be prime, got {args.p}")
+        if "f" in args and args.f < 1:
+            raise UsageError(f"--f must be at least 1, got {args.f}")
         return args.fn(args, out)
     except ForcedChoiceError as exc:
         print(f"error: forced to be a {exc.forced} at index {exc.index}", file=sys.stderr)

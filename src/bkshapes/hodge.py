@@ -181,12 +181,9 @@ def _normalize_constraint(f: int, constraint) -> dict[int, bool]:
     out: dict[int, bool] = {}
     for idx, pref in (constraint or {}).items():
         i = idx % f
-        if isinstance(pref, str):
-            if pref not in ("transition", "non-transition"):
-                raise ValueError(f"unknown preference {pref!r}")
-            want = pref == "transition"
-        else:
-            want = bool(pref)
+        if pref not in ("transition", "non-transition"):
+            raise ValueError(f"unknown preference {pref!r}")
+        want = pref == "transition"
         if i in out and out[i] != want:
             raise ValueError(f"contradictory preferences at index {i}")
         out[i] = want

@@ -1,7 +1,7 @@
 """Seeded random generators for series, unit matrices, and shaped modules.
 
 All sampling flows through one random.Random instance so a single 64-bit
-seed reproduces every sweep bit-for-bit.
+seed reproduces every randomized `verify` check bit-for-bit.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import random
 from .gf import GF
 from .series import Mat2, Series
 from .tametypes import TameType, check_profile
-from .phimod import BKModule, module_from_descent_removed
+from .phimod import SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II, BKModule, module_from_descent_removed
 
 
 def random_series(rng: random.Random, F: GF, degree: int, unit: bool = False) -> Series:
@@ -54,13 +54,13 @@ def random_shaped_matrix(rng: random.Random, F: GF, shape: str, degree: int) -> 
     while True:
         b = random_series(rng, F, degree)
         c = random_series(rng, F, degree)
-        if shape == "I_eta":
+        if shape == SHAPE_I_ETA:
             a = v * random_series(rng, F, degree, unit=True)
             d = random_series(rng, F, degree, unit=True)
-        elif shape == "I_eta'":
+        elif shape == SHAPE_I_ETA_PRIME:
             a = random_series(rng, F, degree, unit=True)
             d = v * random_series(rng, F, degree, unit=True)
-        elif shape == "II":
+        elif shape == SHAPE_II:
             a = v * random_series(rng, F, degree)
             d = v * random_series(rng, F, degree)
         else:

@@ -67,6 +67,9 @@ from .extensions import (
     splits_after_inverting_u,
 )
 from .phimod import (
+    SHAPE_I_ETA,
+    SHAPE_I_ETA_PRIME,
+    SHAPE_II,
     NoShapeError,
     apply_operator_on_basis,
     ascend_from_base,
@@ -84,7 +87,7 @@ from .randgen import (
     random_unit_matrix,
 )
 
-SHAPES = ("I_eta", "I_eta'", "II")
+SHAPES = (SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II)
 
 
 @dataclass
@@ -419,7 +422,7 @@ def check_extension_shape_law(p, f, rng, fault=None, cap=200):
             shapes, profs = classify_shape(mod)
             for i in range(tau.fprime):
                 want = data[i].transition and h[i % f] == 0
-                if (shapes[i] == "II") != want:
+                if (shapes[i] == SHAPE_II) != want:
                     return False, f"shape law broken at {tau.key()} J={sorted(J)} h={h} i={i}"
             if frozenset(J) not in profs:
                 return False, f"extension escaped its component at {tau.key()} J={sorted(J)}"

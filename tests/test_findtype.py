@@ -33,6 +33,11 @@ def test_rejects_steinberg_and_unbounded():
         find_type_profile(((4, 0), (1, 0)), 3)
 
 
+def test_rejects_non_string_preferences():
+    with pytest.raises(ValueError, match="unknown preference True"):
+        find_type_profile(((2, 0),), 5, {0: True})
+
+
 def test_forced_transition_f1():
     with pytest.raises(ForcedChoiceError) as exc:
         find_type_profile(((1, 0),), 3, {0: "non-transition"})

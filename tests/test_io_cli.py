@@ -381,6 +381,10 @@ def test_cli_sweep_rejects_bad_arguments(p, f, capsys):
          "--profile must be an index in [0, 2), got 2"),
         (["hodge", "--p", "3", "--f", "2", "--kind", "cuspidal", "--gamma", "1,0", "--profile", "0,4"],
          "--profile must be an index in [0, 4), got 4"),
+        (["weights", "--p", "3", "--f", "0", "--gamma", "1"], "--f must be at least 1"),
+        (["find-type", "--p", "3", "--f", "0", "--r", "1,0"], "--f must be at least 1"),
+        (["ext", "--p", "3", "--f", "0", "--gamma", "1", "--profile", "0", "--kext"],
+         "--f must be at least 1"),
     ],
 )
 def test_cli_type_commands_reject_bad_arguments(argv, message, capsys):
@@ -388,6 +392,25 @@ def test_cli_type_commands_reject_bad_arguments(argv, message, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "type_args,gamma_args,pass_eta_prime",
+    [
+        (["--p", "3", "--f", "2"], ["--gamma", "1,0", "--eta-prime", "4"], True),
+        (["--p", "5", "--f", "2", "--kind", "cuspidal"], ["--gamma", "3,1"], False),
+    ],
+)
+def test_cli_eta_options_name_the_gamma_type(type_args, gamma_args, pass_eta_prime):
+    """--eta (and --eta-prime) set to the exponents --gamma prints give the same records."""
+    code, by_gamma = run_cli("profiles", *type_args, *gamma_args)
+    assert code == 0
+    head = dict(kv.split("=") for kv in by_gamma.split("\n", 1)[0].split())
+    eta_args = ["--eta", head["eta"]]
+    if pass_eta_prime:
+        eta_args += ["--eta-prime", head["eta_prime"]]
+    code, by_eta = run_cli("profiles", *type_args, *eta_args)
+    assert code == 0 and by_eta == by_gamma
 
 
 @pytest.mark.parametrize("member", ["2", "-1"])
