@@ -13,7 +13,6 @@ words, so no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -51,37 +50,18 @@ def digit_tuple(residue: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(r // w % p for w in collapse_weights(p, m))
 
 
-@dataclass(frozen=True)
-class CharExp:
-    """A tame character of level ``m``: an exponent residue mod p**m - 1."""
-
-    p: int
-    level: int
-    residue: int
-
-    def __post_init__(self):
-        mod = self.p**self.level - 1
-        object.__setattr__(self, "residue", self.residue % mod)
-
-
-def is_trivial_char(c: CharExp) -> bool:
-    return c.residue == 0
-
-
-def factor_through_norm(c: CharExp, f: int) -> CharExp | None:
-    """Descend a level-2f character through the norm to level f, if possible.
+def factor_through_norm(residue: int, p: int, f: int) -> int | None:
+    """Descend a level-2f exponent residue through the norm to level f, if possible.
 
     The pullback through the norm multiplies exponents by 1 + p**f, which is
     injective on residues mod p**f - 1.  A residue descends exactly when its
-    canonical representative is divisible by p**f + 1 as an integer; the
-    result is then unique.  Returns None when no descent exists.
+    canonical representative mod p**(2f) - 1 is divisible by p**f + 1 as an
+    integer; the result, already below p**f - 1, is then unique.  Returns
+    None when no descent exists.
     """
-    if c.level != 2 * f:
-        raise ValueError(f"expected a character of level {2 * f}, got level {c.level}")
-    q = c.p**f
-    if c.residue % (q + 1) != 0:
-        return None
-    return CharExp(c.p, f, c.residue // (q + 1))
+    q = p**f
+    r = residue % (q * q - 1)
+    return None if r % (q + 1) else r // (q + 1)
 
 
 def lambda_membership(entries, p: int, f: int) -> bool:
@@ -114,11 +94,6 @@ def solve_twist_chain(d, p: int, m: int) -> tuple[int, ...]:
         nu.append(p * nu[-1] - d[i])
     assert p * nu[-1] - d[0] == nu0
     return tuple(nu)
-
-
-def periodic_extension(entries, copies: int) -> tuple[int, ...]:
-    """Repeat a level-f tuple to level copies*f (used to pass from f to f')."""
-    return tuple(entries) * copies
 
 
 def level_f_lift_residue(residue: int, p: int, f: int, fprime: int) -> int:

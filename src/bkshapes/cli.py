@@ -5,9 +5,10 @@ Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 a `find-type` Hodge type whose number of pairs is not f, an index given to
 `--j`, `--transition` or `--no-transition` outside [0, f), a `--profile`
 member outside [0, f'), the unsatisfiable transition preferences of
-`find-type`, a malformed module file and a module file whose coefficients
-are known too coarsely to decide), and 3 when a `verify` check crashed and
-none failed.
+`find-type`, a malformed integer list given to `--gamma`, `--profile`,
+`--h` or `--r`, a coefficient field over the table limit, a malformed
+module file and a module file whose coefficients are known too coarsely
+to decide), and 3 when a `verify` check crashed and none failed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from . import __version__
 from .charexp import NormDescentError
-from .gf import MAX_TABLE_Q, coefficient_field, is_prime
+from .gf import field, is_prime
 from .hodge import (
     ForcedChoiceError,
     apply_operator,
@@ -56,10 +57,18 @@ class UsageError(Exception):
     pass
 
 
+def _int_list(option: str, text: str) -> tuple[int, ...]:
+    """The comma list of integers ('-' for none) given to ``option``."""
+    try:
+        return _parse_ints(text)
+    except ValueError:
+        raise UsageError(f"{option} must be a comma list of integers, got {text!r}") from None
+
+
 def _parse_pairs(text: str):
     pairs = []
     for part in text.split(";"):
-        xs = [int(v) for v in part.split(",")]
+        xs = _int_list("--r", part)
         if len(xs) != 2:
             raise UsageError(f"bad weight pair {part!r}")
         pairs.append((xs[0], xs[1]))
@@ -69,7 +78,7 @@ def _parse_pairs(text: str):
 def _type_from_args(args) -> TameType:
     kind = PRINCIPAL if args.kind in ("ps", "principal-series") else CUSPIDAL
     if args.gamma is not None:
-        gamma = _parse_ints(args.gamma)
+        gamma = _int_list("--gamma", args.gamma)
         return type_from_gamma(args.p, args.f, kind, gamma, args.eta_prime or 0)
     if args.eta is None:
         raise UsageError("need --gamma or --eta/--eta-prime")
@@ -90,7 +99,7 @@ def _check_index(option: str, j: int, f: int):
 def _profile_from_args(tau, args):
     if args.profile is None:
         raise UsageError("need --profile")
-    members = _parse_ints(args.profile)
+    members = _int_list("--profile", args.profile)
     for j in members:
         _check_index("--profile", j, tau.fprime)
     return check_profile(tau, members)
@@ -256,13 +265,7 @@ def cmd_ext(args, out):
 
     tau = _type_from_args(args)
     J = _profile_from_args(tau, args)
-    F = coefficient_field(args.p, tau.fprime)
-    if F.m < tau.fprime:
-        print(
-            f"warning: coefficient field F_{F.q} is a proper subfield of F_{{{args.p}^{tau.fprime}}},"
-            f" which exceeds the table limit {MAX_TABLE_Q}",
-            file=sys.stderr,
-        )
+    F = field(args.p, tau.fprime)
     if args.kext:
         dim, blocks = kext_structure(ExtensionPoint(tau, J, F, args.a, args.b, (0,) * tau.f))
         bad = profile_data(tau, J).bad_set
@@ -275,7 +278,7 @@ def cmd_ext(args, out):
             file=out,
         )
         return 0
-    h = _parse_ints(args.h) if args.h else (0,) * tau.f
+    h = _int_list("--h", args.h) if args.h else (0,) * tau.f
     x = ExtensionPoint(tau, J, F, args.a, args.b, h)
     mod = build_extension(x)
     shapes, profiles = classify_shape(mod)

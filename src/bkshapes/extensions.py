@@ -132,10 +132,9 @@ class ExtensionPoint:
         return extension_exponents(self.tau, self.J)
 
     def twist_at(self, i: int) -> tuple[int, int]:
-        one = 1
         if i % self.tau.f == 0:
             return self.a, self.b
-        return one, one
+        return 1, 1
 
     def h_at(self, i: int) -> int:
         return self.h[i % self.tau.f]

@@ -221,15 +221,3 @@ class GF:
 def field(p: int, m: int = 1) -> GF:
     return GF(p, m)
 
-
-def coefficient_field(p: int, fprime: int) -> GF:
-    """Largest admissible F_{p^d} with d dividing fprime that fits in tables.
-
-    The faithful choice is d == fprime (the residue field of the big
-    unramified extension); for large (p, f) sweeps we fall back to the
-    largest divisor that keeps q within the table limit.
-    """
-    for d in sorted((d for d in range(1, fprime + 1) if fprime % d == 0), reverse=True):
-        if p**d <= MAX_TABLE_Q:
-            return field(p, d)
-    raise ValueError(f"no admissible coefficient field for p={p}")

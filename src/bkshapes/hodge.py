@@ -50,10 +50,6 @@ def is_steinberg(r: HodgePairs, p: int) -> bool:
     return all(d == p for d in diffs(r))
 
 
-def is_regular(r: HodgePairs) -> bool:
-    return all(d > 0 for d in diffs(r))
-
-
 def irregular_set(r: HodgePairs) -> frozenset:
     return frozenset(i for i, d in enumerate(diffs(r)) if d == 0)
 

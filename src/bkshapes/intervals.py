@@ -11,14 +11,10 @@ from __future__ import annotations
 from .tametypes import CUSPIDAL, TameType, check_profile, is_transition, profile_data
 
 
-def shift_set(S, n: int, f: int) -> frozenset:
-    return frozenset((i + n) % f for i in S)
-
-
 def extended(S, f: int) -> frozenset:
     """S together with its shift by -1."""
     S = frozenset(i % f for i in S)
-    return S | shift_set(S, -1, f)
+    return S | frozenset((i - 1) % f for i in S)
 
 
 def interval_decomposition(S, f: int) -> list[tuple[int, ...]]:

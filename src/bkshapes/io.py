@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .gf import GF, coefficient_field, field, is_prime, least_irreducible
+from .gf import GF, MAX_TABLE_Q, field, is_prime, least_irreducible
 from .series import DEFAULT_PRECISION, Mat2, Series
 from .tametypes import PRINCIPAL, TameType
 
@@ -133,14 +133,13 @@ def _parse_pairs(s: str):
 def sweep_header(p: int, f: int) -> str:
     """The header line; poly[f'] defines F_{p^f'} for each level f' in play.
 
-    Past the table limit the coefficient field is a proper subfield, so
-    its polynomial is not that level's; the least irreducible of degree
-    f' is printed instead.
+    Within the table limit it is read off `field(p, f')`; past it no field
+    can be built, and the least irreducible of degree f', the same
+    polynomial, is printed instead.
     """
     polys = []
     for fp in sorted({f, 2 * f}):
-        F = coefficient_field(p, fp)
-        poly = F.poly if F.m == fp else least_irreducible(p, fp)
+        poly = field(p, fp).poly if p**fp <= MAX_TABLE_Q else least_irreducible(p, fp)
         polys.append(f"poly[{fp}]={_fmt_ints(poly)}")
     return f"# {SWEEP_FORMAT} p={p} f={f} precision={DEFAULT_PRECISION} " + " ".join(polys)
 

@@ -14,14 +14,12 @@ from functools import lru_cache
 from operator import mul
 
 from .charexp import (
-    CharExp,
     NormDescentError,
     collapse_exponents,
     collapse_weights,
     digit_tuple,
     factor_through_norm,
     level_f_lift_residue,
-    periodic_extension,
     solve_twist_chain,
 )
 
@@ -252,17 +250,15 @@ def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
     if tau.kind == PRINCIPAL:
         theta_res = lift
     else:
-        desc = factor_through_norm(CharExp(p, fp, lift), f)
-        if desc is None:
+        theta_res = factor_through_norm(lift, p, f)
+        if theta_res is None:
             raise NormDescentError(
                 "Theta_J does not factor through the norm; recipe invariant broken"
             )
-        theta_res = desc.residue
     theta = digit_tuple(theta_res, p, f)
 
     mu = tau.mu
-    theta_ext = periodic_extension(theta, fp // f)
-    d = [m + t_i - th for m, t_i, th in zip(mu, t, theta_ext)]
+    d = [m + t_i - th for m, t_i, th in zip(mu, t, theta * (fp // f))]
     nu = solve_twist_chain(d, p, fp)
 
     bad = frozenset(i for i in range(f) if s[i] == -1)

@@ -10,9 +10,8 @@ counterexample.
   operators, exactly the moves `hodge.operator_moves` reports as defined.
 - The matrix engine checks walk every (type, profile) pair when there are
   at most `cap` of them and a seeded sample otherwise (`_field_pairs`).
-  Pairs whose faithful coefficient field exceeds the table limit are
-  skipped rather than computed over a subfield, and the check's detail
-  says how many were skipped.
+  Pairs whose coefficient field F_{p^f'} exceeds the table limit are
+  skipped, and the check's detail says how many were skipped.
 - The extension checks use the twists (a, b) = (1, 2); `kext-dimension`
   also tries (2, 1).
 - `descend-normal-form` states the diagonal exponents (1-theta_i,
@@ -30,8 +29,8 @@ import operator
 import random
 from dataclasses import dataclass, replace
 
-from .charexp import CharExp, collapse_exponents, factor_through_norm, lambda_membership
-from .gf import MAX_TABLE_Q, coefficient_field
+from .charexp import collapse_exponents, factor_through_norm, lambda_membership
+from .gf import MAX_TABLE_Q, field
 from .hodge import (
     ForcedChoiceError,
     apply_operator,
@@ -113,7 +112,7 @@ def _all_pairs(p, f):
 def _field_pairs(p, f, rng, cap):
     """(tau, J, F) over every (type, profile) pair, or a seeded sample of cap pairs, and a note.
 
-    Pairs whose faithful coefficient field exceeds the table limit are
+    Pairs whose coefficient field F_{p^f'} exceeds the table limit are
     skipped; F is that field.  The note, appended to a check's detail,
     counts the skipped pairs and is empty when there are none.
     """
@@ -121,7 +120,7 @@ def _field_pairs(p, f, rng, cap):
     if len(pairs) > cap:
         pairs = rng.sample(pairs, cap)
     kept = [
-        (tau, J, coefficient_field(p, tau.fprime))
+        (tau, J, field(p, tau.fprime))
         for tau, J in pairs
         if p**tau.fprime <= MAX_TABLE_Q
     ]
@@ -171,13 +170,13 @@ def check_norm_section(p, f, rng, fault=None):
     step = max(1, len(residues) // 80)
     for e1 in residues:
         for e2 in residues[::step]:
-            t1 = factor_through_norm(CharExp(p, 2 * f, e1), f)
-            t2 = factor_through_norm(CharExp(p, 2 * f, e2), f)
-            t12 = factor_through_norm(CharExp(p, 2 * f, e1 + e2), f)
+            t1 = factor_through_norm(e1, p, f)
+            t2 = factor_through_norm(e2, p, f)
+            t12 = factor_through_norm(e1 + e2, p, f)
             if t1 is not None and t2 is not None:
                 if t12 is None:
                     return False, f"sum failed to descend: {e1}+{e2}"
-                if (t1.residue + t2.residue) % (p**f - 1) != t12.residue:
+                if (t1 + t2) % (p**f - 1) != t12:
                     return False, f"section not additive at {e1},{e2}"
                 count += 1
     return True, f"{count} additive pairs"
@@ -335,7 +334,7 @@ def check_operator_chain(p, f, rng, fault=None):
 
 def check_shape_invariance(p, f, rng, fault=None, trials=200):
     tau = _all_pairs(p, f)[0][0]
-    F = coefficient_field(p, tau.fprime)
+    F = field(p, tau.fprime)
     n = 0
     for _ in range(trials):
         shapes = [rng.choice(SHAPES) for _ in range(f)]
@@ -350,7 +349,7 @@ def check_shape_invariance(p, f, rng, fault=None, trials=200):
 
 def check_strongdet_shape(p, f, rng, fault=None, trials=200):
     tau = _all_pairs(p, f)[0][0]
-    F = coefficient_field(p, tau.fprime)
+    F = field(p, tau.fprime)
     for t in range(trials):
         shapes = [rng.choice(SHAPES) for _ in range(f)]
         mod = random_module(rng, tau, F, shapes, degree=6)
@@ -391,7 +390,7 @@ def check_descend(p, f, rng, fault=None, cap=400):
 def check_operator_basis(p, f, rng, fault=None, trials=50):
     if f < 2:
         return True, "skipped (f=1 has no operators)"
-    F = coefficient_field(p, f)
+    F = field(p, f)
     n = 0
     for gaps, r in _gap_types(p, f):
         for j, kind in operator_moves(r, p):

@@ -6,11 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bkshapes.charexp import (
-    CharExp,
     collapse_exponents,
     digit_tuple,
     factor_through_norm,
-    is_trivial_char,
     lambda_membership,
     level_f_lift_residue,
     solve_twist_chain,
@@ -23,28 +21,23 @@ def test_collapse_hand_values():
     assert collapse_exponents((1, 1), 3, 2) == 4
 
 
-def test_trivial_char():
-    assert is_trivial_char(CharExp(5, 2, 0))
-    assert is_trivial_char(CharExp(5, 2, 24))  # representative wraps
-    assert not is_trivial_char(CharExp(5, 2, 1))
-
-
 def test_norm_descent_examples():
-    assert factor_through_norm(CharExp(3, 2, 4), 1).residue == 1
-    assert factor_through_norm(CharExp(3, 2, 0), 1).residue == 0
-    assert factor_through_norm(CharExp(3, 2, 1), 1) is None
+    assert factor_through_norm(4, 3, 1) == 1
+    assert factor_through_norm(0, 3, 1) == 0
+    assert factor_through_norm(1, 3, 1) is None
+    assert factor_through_norm(4 + 8, 3, 1) == 1  # reduced mod 3**2 - 1 first
 
 
 def test_norm_descent_is_section():
     p, f = 3, 2
     q = p**f
     for e1, e2 in itertools.product(range(p ** (2 * f) - 1), repeat=2):
-        t1 = factor_through_norm(CharExp(p, 2 * f, e1), f)
-        t2 = factor_through_norm(CharExp(p, 2 * f, e2), f)
-        t12 = factor_through_norm(CharExp(p, 2 * f, e1 + e2), f)
+        t1 = factor_through_norm(e1, p, f)
+        t2 = factor_through_norm(e2, p, f)
+        t12 = factor_through_norm(e1 + e2, p, f)
         if t1 is not None and t2 is not None:
             assert t12 is not None
-            assert t12.residue == (t1.residue + t2.residue) % (q - 1)
+            assert t12 == (t1 + t2) % (q - 1)
 
 
 def test_lambda_examples():

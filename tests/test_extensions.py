@@ -18,7 +18,7 @@ from bkshapes.extensions import (
     splits_after_inverting_u,
     splitting_diagnostics,
 )
-from bkshapes.gf import coefficient_field, field
+from bkshapes.gf import field
 from bkshapes.intervals import extended
 from bkshapes.linalg import kernel_basis, rank
 from bkshapes.phimod import classify_shape, strong_determinant_ok
@@ -389,7 +389,7 @@ def _solver_points(p, f, sample=None):
     if sample is not None:
         points = random.Random(f"solver-{p}-{f}").sample(points, sample)
     for tau, J, (a, b) in points:
-        yield ExtensionPoint(tau, J, coefficient_field(p, tau.fprime), a, b, (0,) * f)
+        yield ExtensionPoint(tau, J, field(p, tau.fprime), a, b, (0,) * f)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkshapes.gf import coefficient_field, field, least_irreducible
+from bkshapes.gf import field, least_irreducible
 from bkshapes.series import Mat2, PrecisionError, ScaleError, Series
 
 
@@ -80,11 +80,6 @@ def test_f9_defining_polynomial_is_not_primitive():
     x2 = F.mul(3, 3)
     assert x2 == F.neg(1) and F.mul(x2, x2) == 1
     assert (3, 2) in ORACLE_FIELDS
-
-
-def test_coefficient_field_fallback():
-    assert coefficient_field(3, 4).m == 4
-    assert coefficient_field(7, 6).m == 3  # 7^6 exceeds the table cap
 
 
 def _S(F, scale, val, coeffs, prec=None):

@@ -385,6 +385,14 @@ def test_cli_sweep_rejects_bad_arguments(p, f, capsys):
         (["find-type", "--p", "3", "--f", "0", "--r", "1,0"], "--f must be at least 1"),
         (["ext", "--p", "3", "--f", "0", "--gamma", "1", "--profile", "0", "--kext"],
          "--f must be at least 1"),
+        (["profiles", "--p", "3", "--f", "1", "--gamma", "x"],
+         "--gamma must be a comma list of integers, got 'x'"),
+        (["hodge", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0,a"],
+         "--profile must be a comma list of integers, got '0,a'"),
+        (["ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0", "--h", "1,z"],
+         "--h must be a comma list of integers, got '1,z'"),
+        (["find-type", "--p", "3", "--f", "1", "--r", "garbage"],
+         "--r must be a comma list of integers, got 'garbage'"),
     ],
 )
 def test_cli_type_commands_reject_bad_arguments(argv, message, capsys):
@@ -471,14 +479,15 @@ def test_cli_kext_record():
     assert code == 0 and "kext_dim=1" in out
 
 
-def test_cli_ext_warns_on_subfield_fallback(capsys):
+def test_cli_ext_refuses_field_over_table_limit(capsys):
     code, out = run_cli(
         "ext", "--p", "3", "--f", "4", "--kind", "cuspidal", "--gamma", "0,1,1,2",
         "--profile", "0,1,2,3", "--a", "1", "--b", "2", "--kext",
     )
-    assert code == 0 and out == "kext_dim=1 bad=0 field=F_81 hyperplane[0]=1,0,0,2\n"
+    assert code == 2 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith("warning: ") and err.count("\n") == 1 and "F_81" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "6561" in err and "4096" in err
     code, out = run_cli(
         "ext", "--p", "3", "--f", "1", "--kind", "cuspidal", "--gamma", "0",
         "--profile", "0", "--kext",

@@ -4,12 +4,10 @@ import pytest
 
 from bkshapes import tametypes
 from bkshapes.charexp import (
-    CharExp,
     NormDescentError,
     collapse_exponents,
     digit_tuple,
     factor_through_norm,
-    periodic_extension,
     solve_twist_chain,
 )
 from bkshapes.tametypes import (
@@ -294,17 +292,16 @@ def _reference_profile_data(tau, J):
     for i in range(fp):
         assert -1 <= s[i] <= p - 1 and 0 <= t[i] <= p
         assert s[i] == s[(i + f) % fp]
-    lift = CharExp(p, fp, tau.eta_prime + collapse_exponents(t, p, fp))
+    lift = (tau.eta_prime + collapse_exponents(t, p, fp)) % (p**fp - 1)
     if tau.kind == PRINCIPAL:
-        theta_res = lift.residue
+        theta_res = lift
     else:
-        desc = factor_through_norm(lift, f)
-        if desc is None:
+        theta_res = factor_through_norm(lift, p, f)
+        if theta_res is None:
             raise NormDescentError("Theta_J does not factor through the norm")
-        theta_res = desc.residue
     theta = digit_tuple(theta_res, p, f)
     mu = digit_tuple(tau.eta_prime, p, fp)
-    theta_ext = periodic_extension(theta, fp // f)
+    theta_ext = theta * (fp // f)
     nu = solve_twist_chain([mu[i] + t[i] - theta_ext[i] for i in range(fp)], p, fp)
     bad = frozenset(i for i in range(f) if s[i] == -1)
     return ProfileData(tau, J, tuple(s), tuple(t), theta_res, theta, mu, nu, bad, not bad)
