@@ -32,6 +32,11 @@ determinant one entry of two terms of opposite sign.
   over GF(4093), the worst field within the table limit, the operands of
   a two-term entry would need about 2.7*10^8 coefficients to reach 2^53.
 
+Code arrays may carry a leading stack axis, (N, L) for N polynomials (a
+1-D array is one): a stack is spelled once, convolved row by row into
+one slot buffer and folded and reduced once, so a call's Python work is
+paid once per stack and its temporaries grow with N*(La+Lb).
+
 The plan (digit table and folding matrix) is worked out from the MUL
 table alone, once per table object: q = len(MUL), p is the least prime
 dividing q, and x is the code p, so x^d = MUL[x^(d-1), p].
@@ -39,6 +44,7 @@ dividing q, and x is the code p, so x^d = MUL[x^(d-1), p].
 
 from __future__ import annotations
 
+import itertools
 import weakref
 
 import numpy as np
@@ -85,62 +91,70 @@ def _plan(mul) -> _Plan:
 
 
 def _spell(plan, codes) -> list:
-    """The slot vector of each code array, from one digit-table lookup."""
+    """The slot vectors of each code array, as `_rows`, from one digit-table lookup."""
     w = plan.width
-    digits = plan.digits[np.concatenate(codes)].ravel()
+    digits = plan.digits.take(np.concatenate(codes, axis=-1), axis=0)
+    digits = digits.reshape(digits.shape[:-2] + (digits.shape[-2] * w,))
     spelled, start = [], 0
     for c in codes:
-        spelled.append(digits[start : start + len(c) * w])
-        start += len(c) * w
+        spelled.append(_rows(digits[..., start : start + c.shape[-1] * w]))
+        start += c.shape[-1] * w
     return spelled
 
 
+def _rows(a):
+    """The rows of a stack, or a 1-D array as its one row."""
+    return a if a.ndim == 2 else (a,)
+
+
 def _reduce(plan, slots, n: int, dtype):
-    """Codes of the first n coefficients from their (unreduced, signed) slot sums."""
-    folded = slots[: n * plan.width].reshape(n, plan.width) @ plan.fold
-    return (folded.astype(np.int64) % plan.p @ plan.powers).astype(dtype)
+    """Codes of the first n coefficients from their (unreduced, signed) slot sums, row by row."""
+    folded = slots[..., : n * plan.width].reshape(-1, plan.width) @ plan.fold
+    codes = (folded.astype(np.int64) % plan.p @ plan.powers).astype(dtype)
+    return codes if slots.ndim == 1 else codes.reshape(len(slots), n)
 
 
 def sum_products(codes, entries, mul):
     """Code arrays of sum(sign * codes[i] * codes[k] * x**off) for each entry.
 
-    ``codes`` is a list of code arrays of one dtype, each term's operands
-    nonempty; each entry is a list of terms (sign, i, k, off) with sign +1
-    or -1 and off >= 0.  An entry's array runs up to the top degree of its
-    longest term, and an entry with no terms gives an empty array.
+    ``codes`` is a list of code arrays of one dtype and one stack shape
+    (all 1-D, or all (N, L_i)), each term's operands nonempty; each entry
+    is a list of terms (sign, i, k, off) with sign +1 or -1 and off >= 0.
+    An entry's array has the operands' stack shape and runs up to the top
+    degree of its longest term; an entry with no terms gives an empty array.
     """
     plan = _plan(mul)
     w = plan.width
     spelled = _spell(plan, codes)
-    sizes = [max([off + len(codes[i]) + len(codes[k]) - 1 for _, i, k, off in terms], default=0)
-             for terms in entries]
+    sizes = [max([off + codes[i].shape[-1] + codes[k].shape[-1] - 1 for _, i, k, off in terms],
+                 default=0) for terms in entries]
     n = sum(sizes)
     # a product vector runs w-1 zero positions past its last slot, hence one spare slot
-    slots = np.zeros((n + 1) * w)
-    pos = 0
+    slots = np.zeros(codes[0].shape[:-1] + ((n + 1) * w,))
+    rows, pos = _rows(slots), 0
     for terms, size in zip(entries, sizes):
         for sign, i, k, off in terms:
-            prod = np.convolve(spelled[i], spelled[k])
             at = (pos + off) * w
-            if sign > 0:
-                slots[at : at + len(prod)] += prod
-            else:
-                slots[at : at + len(prod)] -= prod
+            for row, u, v in zip(rows, spelled[i], spelled[k]):
+                prod = np.convolve(u, v)
+                if sign > 0:
+                    row[at : at + len(prod)] += prod
+                else:
+                    row[at : at + len(prod)] -= prod
         pos += size
     out = _reduce(plan, slots, n, codes[0].dtype)
-    pos, arrays = 0, []
-    for size in sizes:
-        arrays.append(out[pos : pos + size])
-        pos += size
-    return arrays
+    return [out[..., end - size : end] for size, end in zip(sizes, itertools.accumulate(sizes))]
 
 
 def convolve(a, b, add, mul):
     """Product coefficients of the polynomials with code arrays ``a`` and ``b``.
 
-    ``add`` is unused: sums are formed digitwise inside the one convolution,
+    Both are 1-D, or both (N, L) stacks multiplied member by member.
+    ``add`` is unused: sums are formed digitwise inside each convolution,
     which is folded directly, with no slot buffer.
     """
     plan = _plan(mul)
     x, y = _spell(plan, [a, b])
-    return _reduce(plan, np.convolve(x, y), len(a) + len(b) - 1, a.dtype)
+    rows = [np.convolve(u, v) for u, v in zip(x, y)]
+    slots = rows[0] if a.ndim == 1 else np.array(rows)
+    return _reduce(plan, slots, a.shape[-1] + b.shape[-1] - 1, a.dtype)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf import GF
 from .hodge import apply_operator, hodge_type_of_raw
 from .series import Mat2, PrecisionError, Series
@@ -38,9 +40,9 @@ class GradingError(ValueError):
 
 
 def _check_residue(s: Series, residue: int, estep: int, what: str):
-    for e in s.support():
-        if e % estep != residue % estep:
-            raise GradingError(f"{what} has exponent {e} outside its grading class")
+    e = s.first_off_class(residue, estep)
+    if e is not None:
+        raise GradingError(f"{what} has exponent {e} outside its grading class")
 
 
 def cuspidal_companion(A: Mat2) -> Mat2:
@@ -216,12 +218,17 @@ class DescentResult:
 
 
 def _unit_part(M: Mat2, r, what: str) -> Mat2:
-    """The B with M == B * diag(x**r[0], x**r[1]); asserts B is integral with unit determinant."""
+    """The B with M == B * diag(x**r[0], x**r[1]); asserts B is integral with unit determinant.
+
+    On a stack every member is decided, and the first failing member names
+    the failure, in the words of its own (one-member) call.
+    """
     B = M.shifted(cols=(-r[0], -r[1]))
-    for s in B.e:
-        if not s.is_integral():
+    integral = np.logical_and.reduce([s.is_integral() for s in B.e])
+    bad = np.flatnonzero(~(integral & B.has_unit_det()))
+    if len(bad):
+        if not np.ravel(integral)[bad[0]]:
             raise AssertionError(f"{what} is not integral")
-    if not B.has_unit_det():
         raise AssertionError(f"{what} has non-unit determinant")
     return B
 
@@ -309,7 +316,8 @@ def dual_module(mats, terms: int | None = None) -> list:
 def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | None = None):
     """Transform a diagonal normal form along a weight operator.
 
-    ``mats[i]`` must equal B_i * diag(v**r[i][0], v**r[i][1]) with unit B_i.
+    ``mats[i]`` must equal B_i * diag(v**r[i][0], v**r[i][1]) with unit B_i;
+    the matrices may be stacks of one size, transported member by member.
     Returns (new_mats, new_exponents) where new_exponents[i] is the actual
     diagonal pair of the output at index i (the sorted pairs agree with the
     Hodge-level operator).

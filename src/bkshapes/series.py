@@ -11,9 +11,18 @@ ramification step estep = p**f' - 1.  Mixing scales is a hard error;
 conversions are explicit and check divisibility of the support.  The
 Frobenius acts by exponent multiplication by p and trivially on
 coefficients.
+
+A Series may also be a stack of N series, one per row of coeffs of shape
+(N, L), so that one call does the work of N; 1-D coeffs are one series.
+A stack has one val, the least member val (a member may carry leading
+zeros), and one prec, the least member prec, so it never claims a
+coefficient some member does not know.  is_integral and
+Mat2.has_unit_det answer per member; everything else acts on the stack.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -34,11 +43,7 @@ DEFAULT_PRECISION = 64
 
 
 def _minprec(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return b if a is None else a if b is None else min(a, b)
 
 
 def _product_prec(x, y):
@@ -62,26 +67,25 @@ def _sum_products(ops, entries) -> list:
     `_kernels.sum_products` call.
     """
     first = ops[0]
-    F, scale = first.field, first.scale
+    F, scale, shape = first.field, first.scale, first.coeffs.shape[:-1]
     for s in ops:
-        if s.field is not F or s.scale != scale:
+        if s.field is not F or s.scale != scale or s.coeffs.shape[:-1] != shape:
             first._check(s)
-    los, precs, lives = [], [], []
+    heads, lives = [], []
     for terms in entries:
         prec, live = None, []
         for sign, i, k in terms:
             x, y = ops[i], ops[k]
             prec = _minprec(prec, _product_prec(x, y))
-            if len(x.coeffs) and len(y.coeffs):
+            if x.coeffs.shape[-1] and y.coeffs.shape[-1]:
                 live.append((sign, i, k, x.val + y.val))
-        lo = min([t[3] for t in live]) if live else 0
-        los.append(lo)
-        precs.append(prec)
+        lo = min([t[3] for t in live], default=0)
+        heads.append((lo, prec))
         lives.append([(sign, i, k, val - lo) for sign, i, k, val in live])
     if not any(lives):
-        return [Series.zero(F, scale, prec) for prec in precs]
+        return [Series(F, scale, 0, first.coeffs[..., :0], prec) for _, prec in heads]
     out = _kernels.sum_products([s.coeffs for s in ops], lives, F.MUL)
-    return [Series(F, scale, lo, arr, prec) for lo, arr, prec in zip(los, out, precs)]
+    return [Series(F, scale, lo, arr, prec) for (lo, prec), arr in zip(heads, out)]
 
 
 class Series:
@@ -93,13 +97,15 @@ class Series:
         self.field = field
         self.scale = scale
         arr = np.asarray(coeffs, dtype=field.dtype)
-        if prec is not None and val + len(arr) > prec:
-            arr = arr[: max(0, prec - val)]
-        if len(arr) and not (arr[0] and arr[-1]):  # products of trimmed series need no scan
-            nz = np.nonzero(arr)[0]
-            arr = arr[nz[0] : nz[-1] + 1] if len(nz) else arr[:0]
-            val += int(nz[0]) if len(nz) else 0
-        if len(arr) == 0:
+        if prec is not None and val + arr.shape[-1] > prec:
+            arr = arr[..., : max(0, prec - val)]
+        if arr.shape[-1]:
+            live = arr if arr.ndim == 1 else arr.any(axis=0)
+            if not (live[0] and live[-1]):  # products of trimmed series need no scan
+                nz = np.nonzero(live)[0]
+                arr = arr[..., nz[0] : nz[-1] + 1] if len(nz) else arr[..., :0]
+                val += int(nz[0]) if len(nz) else 0
+        if arr.shape[-1] == 0:
             val = 0
         self.val = val
         self.coeffs = arr
@@ -118,10 +124,27 @@ class Series:
     def one(field: GF, scale: str, prec=None) -> "Series":
         return Series.monomial(field, scale, 1, 0, prec)
 
+    @staticmethod
+    def stack(members) -> "Series":
+        """The stack of series of one field and scale, in order."""
+        first, live = members[0], [s for s in members if not s.is_zero()]
+        lo = min([s.val for s in live], default=0)
+        arr = np.zeros((len(members), max([s.val + len(s.coeffs) for s in live], default=lo) - lo),
+                       dtype=first.field.dtype)
+        for row, s in zip(arr, members):
+            first._check(s)
+            row[s.val - lo : s.val - lo + len(s.coeffs)] = s.coeffs
+        prec = functools.reduce(_minprec, [s.prec for s in members])
+        return Series(first.field, first.scale, lo, arr, prec)
+
+    def member(self, n: int) -> "Series":
+        """Member n of a stack, as one series."""
+        return Series(self.field, self.scale, self.val, self.coeffs[n], self.prec)
+
     # -- structure -------------------------------------------------------
     def is_zero(self) -> bool:
-        """True when no nonzero coefficient is known (zero at this precision)."""
-        return len(self.coeffs) == 0
+        """True when no nonzero coefficient is known (zero at this precision), in any member."""
+        return self.coeffs.shape[-1] == 0
 
     def coefficient(self, exp: int) -> int:
         if self.prec is not None and exp >= self.prec:
@@ -130,15 +153,16 @@ class Series:
             return 0
         return int(self.coeffs[exp - self.val])
 
-    def support(self):
-        return [self.val + int(i) for i in np.nonzero(self.coeffs)[0]]
+    def first_off_class(self, residue: int, step: int):
+        """The least exponent, in any member, of a nonzero coefficient not residue mod step."""
+        live = self.coeffs != 0 if self.coeffs.ndim == 1 else self.coeffs.any(axis=0)
+        live[(residue - self.val) % step :: step] = False
+        bad = live.nonzero()[0]
+        return self.val + int(bad[0]) if len(bad) else None
 
-    def leading(self) -> int:
-        return int(self.coeffs[0])
-
-    def is_integral(self) -> bool:
-        """No known term of negative exponent (and none hidden below precision)."""
-        return self.is_zero() or self.val >= 0
+    def is_integral(self):
+        """No known term of negative exponent; per member on a stack."""
+        return _decided(~self.coeffs[..., : max(0, -self.val)].any(axis=-1))
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Series"):
@@ -146,6 +170,8 @@ class Series:
             raise ValueError("mixed coefficient fields")
         if self.scale != other.scale:
             raise ScaleError(f"mixed scales {self.scale!r} and {other.scale!r}")
+        if self.coeffs.shape[:-1] != other.coeffs.shape[:-1]:
+            raise ValueError("mixed stack sizes")
 
     def __add__(self, other: "Series") -> "Series":
         self._check(other)
@@ -155,11 +181,8 @@ class Series:
         if other.is_zero():
             return Series(self.field, self.scale, self.val, self.coeffs, prec)
         lo = min(self.val, other.val)
-        hi = max(self.val + len(self.coeffs), other.val + len(other.coeffs))
-        a = np.zeros(hi - lo, dtype=self.field.dtype)
-        b = np.zeros(hi - lo, dtype=self.field.dtype)
-        a[self.val - lo : self.val - lo + len(self.coeffs)] = self.coeffs
-        b[other.val - lo : other.val - lo + len(other.coeffs)] = other.coeffs
+        hi = max(self.val + self.coeffs.shape[-1], other.val + other.coeffs.shape[-1])
+        a, b = _placed(self, lo, hi), _placed(other, lo, hi)
         return Series(self.field, self.scale, lo, self.field.ADD[a, b], prec)
 
     def __neg__(self) -> "Series":
@@ -172,8 +195,6 @@ class Series:
         return _sum_products((self, other), _MUL_TERMS)[0]
 
     def scalar_mul(self, c: int) -> "Series":
-        if c == 0:
-            return Series.zero(self.field, self.scale, self.prec)
         return Series(self.field, self.scale, self.val, self.field.MUL[c, self.coeffs], self.prec)
 
     def shift(self, k: int) -> "Series":
@@ -198,110 +219,82 @@ class Series:
         products replace the term-by-term division recurrence.  The
         inverse mod x^n is unique, so the result is the same.
         """
-        if self.is_zero():
+        F, c = self.field, self.coeffs
+        heads = [r.nonzero()[0][:2] for r in (c if c.ndim == 2 else (c,))]  # per member
+        if not all(len(h) for h in heads):
             if self.prec is None:
                 raise ZeroDivisionError("inverse of the zero series")
             raise PrecisionError("inverse of a series indistinguishable from zero")
-        F = self.field
-        w = self.val
-        if self.prec is None and len(self.coeffs) == 1:
-            return Series.monomial(F, self.scale, F.inv(self.leading()), -w)
-        if self.prec is None:
-            n = terms if terms is not None else DEFAULT_PRECISION
+        w = [self.val + int(h[0]) for h in heads]  # member vals
+        if self.prec is None:  # exact monomials invert exactly
+            top = terms if terms is not None else DEFAULT_PRECISION
+            n = [1 if len(h) == 1 else top for h in heads]
+            precs = [None if len(h) == 1 else top - v for h, v in zip(heads, w)]
         else:
-            n = self.prec - w if terms is None else min(self.prec - w, terms)
-        if n <= 0:
+            n = [self.prec - v if terms is None else min(self.prec - v, terms) for v in w]
+            precs = [m - v for m, v in zip(n, w)]
+        if min(n) <= 0:
             raise PrecisionError("no known coefficients to invert")
-        g = np.array([F.inv(self.leading())], dtype=F.dtype)
-        k = 1
-        while k < n:
-            k2 = min(2 * k, n)
-            ag = _kernels.convolve(self.coeffs[:k2], g, F.ADD, F.MUL)
-            e = np.zeros(k2 - k, dtype=F.dtype)
-            high = ag[k:k2]
-            e[: len(high)] = high
+        if max(w) > self.val:  # align each member at its own val
+            c = Series.stack([self.member(m).shift(self.val - v) for m, v in enumerate(w)]).coeffs
+        g = F.INV[c[..., :1]]
+        k, top = 1, max(n)
+        while k < top:
+            k2 = min(2 * k, top)
+            ag = _kernels.convolve(c[..., :k2], g, F.ADD, F.MUL)
+            e = np.zeros(g.shape[:-1] + (k2 - k,), dtype=F.dtype)
+            high = ag[..., k:k2]
+            e[..., : high.shape[-1]] = high
             ge = _kernels.convolve(g, e, F.ADD, F.MUL)
-            g = np.concatenate([g, F.NEG[ge[: k2 - k]]])
+            g = np.concatenate([g, F.NEG[ge[..., : k2 - k]]], axis=-1)
             k = k2
-        return Series(F, self.scale, -w, g, -w + n)
+        if min(w) == max(w):
+            return Series(F, self.scale, -w[0], g, functools.reduce(_minprec, precs))
+        return Series.stack([Series(F, self.scale, -v, gm, pm) for v, gm, pm in zip(w, g, precs)])
 
     def frobenius(self) -> "Series":
         """Substitute x -> x**p; coefficients are fixed."""
         p = self.field.p
-        if self.is_zero():
-            prec = None if self.prec is None else p * self.prec
-            return Series.zero(self.field, self.scale, prec)
-        out = np.zeros((len(self.coeffs) - 1) * p + 1, dtype=self.field.dtype)
-        out[::p] = self.coeffs
         prec = None if self.prec is None else p * self.prec
-        return Series(self.field, self.scale, p * self.val, out, prec)
+        return Series(self.field, self.scale, p * self.val, _spread(self.coeffs, p), prec)
 
     # -- scale conversion ------------------------------------------------
     def to_u(self, estep: int) -> "Series":
         if self.scale == "u":
             return self
-        if self.is_zero():
-            prec = None if self.prec is None else (self.prec - 1) * estep + 1
-            return Series.zero(self.field, "u", prec)
-        out = np.zeros((len(self.coeffs) - 1) * estep + 1, dtype=self.field.dtype)
-        out[::estep] = self.coeffs
         prec = None if self.prec is None else (self.prec - 1) * estep + 1
-        return Series(self.field, "u", self.val * estep, out, prec)
+        return Series(self.field, "u", self.val * estep, _spread(self.coeffs, estep), prec)
 
     def to_v(self, estep: int) -> "Series":
         if self.scale == "v":
             return self
-        if self.is_zero():
-            prec = None if self.prec is None else -(-self.prec // estep)
-            return Series.zero(self.field, "v", prec)
-        if self.val % estep or any(e % estep for e in self.support()):
+        if self.first_off_class(0, estep) is not None:
             raise ScaleError("support not divisible by the ramification step")
-        lo = self.val // estep
-        out = self.coeffs[::estep]
         prec = None if self.prec is None else -(-self.prec // estep)
-        return Series(self.field, "v", lo, out, prec)
+        return Series(self.field, "v", self.val // estep, self.coeffs[..., ::estep], prec)
 
     # -- comparison / display ----------------------------------------------
     def agrees_with(self, other: "Series") -> bool:
         """Equal on every exponent known to both sides."""
         self._check(other)
+        lo = min(self.val, other.val)
+        hi = max(self.val + self.coeffs.shape[-1], other.val + other.coeffs.shape[-1])
         prec = _minprec(self.prec, other.prec)
-        lo_c, hi_c = [], []
-        for s in (self, other):
-            if not s.is_zero():
-                lo_c.append(s.val)
-                hi_c.append(s.val + len(s.coeffs))
-        if not hi_c:
-            return True
-        lo, hi = min(lo_c), max(hi_c)
         if prec is not None:
-            hi = min(hi, prec)
-        if hi <= lo:
-            return True
-        a = np.zeros(hi - lo, dtype=self.field.dtype)
-        b = np.zeros(hi - lo, dtype=self.field.dtype)
-        for s, buf in ((self, a), (other, b)):
-            if not s.is_zero():
-                start = s.val - lo
-                if start >= len(buf):
-                    continue
-                src = s.coeffs[: len(buf) - start]
-                buf[start : start + len(src)] = src
-        return bool(np.array_equal(a, b))
+            hi = max(lo, min(hi, prec))
+        return bool(np.array_equal(_placed(self, lo, hi), _placed(other, lo, hi)))
 
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.scale == other.scale
-            and self.field == other.field
-            and self.agrees_with(other)
-        )
+        return self.scale == other.scale and self.field == other.field and self.agrees_with(other)
 
     def __hash__(self):  # pragma: no cover
         raise TypeError("Series is unhashable")
 
     def __repr__(self):
+        if self.coeffs.ndim == 2:
+            return repr([self.member(n) for n in range(len(self.coeffs))])
         if self.is_zero():
             body = "0"
         else:
@@ -313,6 +306,28 @@ class Series:
             body = " + ".join(terms[:6]) + (" + ..." if len(terms) > 6 else "")
         tail = "" if self.prec is None else f" + O({self.scale}^{self.prec})"
         return f"<{body}{tail}>"
+
+
+def _placed(s: Series, lo: int, hi: int):
+    """The coefficients of s at exponents lo..hi-1, zero outside what s holds."""
+    out = np.zeros(s.coeffs.shape[:-1] + (hi - lo,), dtype=s.field.dtype)
+    a, b = max(s.val, lo), min(s.val + s.coeffs.shape[-1], hi)
+    if a < b:
+        out[..., a - lo : b - lo] = s.coeffs[..., a - s.val : b - s.val]
+    return out
+
+
+def _spread(coeffs, k: int):
+    """coeffs with k - 1 zeros between neighbours: the substitution x -> x**k."""
+    n = coeffs.shape[-1]
+    out = np.zeros(coeffs.shape[:-1] + ((n - 1) * k + 1 if n else 0,), dtype=coeffs.dtype)
+    out[..., ::k] = coeffs
+    return out
+
+
+def _decided(flags):
+    """A bool for one series, the per-member bool array for a stack."""
+    return flags if flags.ndim else bool(flags)
 
 
 # (sign, i, k) terms of each entry, indexing the operands of `_sum_products`
@@ -340,6 +355,14 @@ class Mat2:
         zero = Series.zero(field, scale)
         return Mat2(one, zero, zero, one)
 
+    @staticmethod
+    def stack(mats) -> "Mat2":
+        """The stack of the given matrices, entry by entry."""
+        return Mat2(*(Series.stack([M.e[k] for M in mats]) for k in range(4)))
+
+    def member(self, n: int) -> "Mat2":
+        return Mat2(*(s.member(n) for s in self.e))
+
     def __getitem__(self, rc):
         r, c = rc
         return self.e[2 * r + c]
@@ -350,23 +373,24 @@ class Mat2:
     def det(self) -> Series:
         return _sum_products(self.e, _DET_TERMS)[0]
 
-    def has_unit_det(self) -> bool:
+    def has_unit_det(self):
         """True when det() is a unit: known and nonzero at exponent 0, zero below it.
 
         With no entry of negative val, only a0*d0 - b0*c0 reaches exponent
         0, so that and the determinant's prec decide it with no series
-        product; otherwise det() decides it.
+        product; otherwise det() decides it.  Per member on a stack.
         """
         a, b, c, d = self.e
         if a.val < 0 or b.val < 0 or c.val < 0 or d.val < 0:
-            det = self.det()
-            return not det.is_zero() and det.val == 0
+            det = self.det()  # its coefficients of exponents below 0, then at 0
+            z = _placed(det, min(det.val, 0), 1)
+            return _decided((z[..., -1] != 0) & ~z[..., :-1].any(axis=-1))
+        zero = np.zeros(a.coeffs.shape[:-1], int)  # the constant term of a member without one
         prec = _minprec(_product_prec(a, d), _product_prec(b, c))
         if prec is not None and prec <= 0:
-            return False
-        a0, b0, c0, d0 = (int(s.coeffs[0]) if s.val == 0 and len(s.coeffs) else 0 for s in self.e)
-        F = a.field
-        return F.mul(a0, d0) != F.mul(b0, c0)
+            return _decided(zero != 0)
+        a0, b0, c0, d0 = (s.coeffs[..., 0] if s.val == 0 < s.coeffs.shape[-1] else zero for s in self.e)
+        return _decided(a.field.MUL[a0, d0] != a.field.MUL[b0, c0])
 
     def inverse(self, terms: int | None = None) -> "Mat2":
         dinv = self.det().inverse(terms)

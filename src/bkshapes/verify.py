@@ -85,6 +85,7 @@ from .randgen import (
     random_noshape_matrix,
     random_unit_matrix,
 )
+from .series import Mat2
 
 SHAPES = (SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II)
 
@@ -211,11 +212,12 @@ def check_lambda_subgroup(p, f, rng, fault=None):
 def check_recipe_bounds(p, f, rng, fault=None):
     rows = 0
     for tau, pairs in itertools.groupby(_all_pairs(p, f), key=operator.itemgetter(0)):
-        g = tau.gamma
-        for i in range(tau.fprime):
-            lhs = p * tau.ell_prime(i - 1) - tau.ell_prime(i)
-            if lhs != tau.estep * (p - 1 - g[i]):
-                return False, f"exponent identity fails for {tau}"
+        fp, ep, g = tau.fprime, tau.estep, tau.gamma
+        # ell'_i = (eta' - eta) * p**i mod p**f' - 1 by definition, not through the type's
+        # own ell_prime, so the type's gamma is checked against its two characters
+        ellp = [(tau.eta_prime - tau.eta) * p**i % ep for i in range(fp)]
+        if any(p * ellp[i - 1] - ellp[i] != ep * (p - 1 - g[i]) for i in range(fp)):
+            return False, f"exponent identity fails for {tau}"
         if tau.kind == CUSPIDAL and any(g[i] + g[i + f] != p - 1 for i in range(f)):
             return False, f"cuspidal gamma pairing fails for {tau}"
         for _, J in pairs:
@@ -395,14 +397,14 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
     for gaps, r in _gap_types(p, f):
         for j, kind in operator_moves(r, p):
             target = apply_operator(kind, j, r, p)
-            for _ in range(trials):
-                B = [random_unit_matrix(rng, F, 4) for _ in range(f)]
-                mats = [B[i].shifted(cols=r[i]) for i in range(f)]
-                _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=48)
-                for i in range(f):
-                    if tuple(sorted(exps[i], reverse=True)) != target[i]:
-                        return False, f"exponent mismatch {kind}_{j} at gaps={gaps}"
-                n += 1
+            # all trials of the case in draw order, transported as one stack per index
+            draws = [[random_unit_matrix(rng, F, 4) for _ in range(f)] for _ in range(trials)]
+            mats = [Mat2.stack([B[i] for B in draws]).shifted(cols=r[i]) for i in range(f)]
+            _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=48)
+            for i in range(f):
+                if tuple(sorted(exps[i], reverse=True)) != target[i]:
+                    return False, f"exponent mismatch {kind}_{j} at gaps={gaps}"
+            n += trials
     return True, f"{n} lifts"
 
 

@@ -140,7 +140,7 @@ def test_frobenius_precision_and_support():
     F = field(3)
     s = _S(F, "v", -1, [1, 0, 2], prec=5)
     fs = s.frobenius()
-    assert fs.val == -3 and fs.support() == [-3, 3]
+    assert fs.val == -3 and [int(c) for c in fs.coeffs] == [1, 0, 0, 0, 0, 0, 2]
     assert fs.prec == 15
 
 
@@ -437,3 +437,77 @@ def test_has_unit_det_matches_det(p, m):
     assert {(True, False, False), (False, False, False), (False, True, False),
             (False, False, True)} <= seen
     assert any(want for want, negative, _ in seen if negative)
+
+
+def _stack_member(rng, F, bounded, nonzero=False):
+    """A series of val -3..3 and 0..8 coefficients, exact or known below an exponent >= 5."""
+    prec = rng.randrange(5, 15) if bounded else None
+    n = rng.randrange(1 if nonzero else 0, 9)
+    if n == 0:
+        return Series.zero(F, "v", prec)
+    coeffs = [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(n - 1)]
+    return Series(F, "v", rng.randrange(-3, 4), coeffs, prec)
+
+
+def _assert_member(stack, n, single):
+    """Member n of a stack result equals the one-member result where both are known.
+
+    An exact stack result is exact for every member.  A bounded one may be
+    known further than the one-member result on a zero member, whose
+    shared val is that of the stack, not 0.
+    """
+    got = stack.member(n)
+    assert got.agrees_with(single), (n, got, single)
+    if stack.prec is None:
+        assert single.prec is None and got.val == single.val
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_stack_matches_each_member(p, m):
+    """Every stacked operation gives, member by member, the one-member result.
+
+    Members differ in val and length, some are zero, and a bounded stack
+    mixes precisions; the stack's shared val and prec are the least of
+    its members', so each member is compared within that prec.
+    """
+    F = field(p, m)
+    rng = random.Random(f"stack-{p}-{m}")
+    N = 5
+    for bounded in (False, True):
+        members = [_stack_member(rng, F, bounded) for _ in range(N)]
+        S = Series.stack(members)
+        assert S.prec == min([s.prec for s in members if s.prec is not None], default=None)
+        for n, s in enumerate(members):
+            _assert_member(S, n, s)
+            _assert_member(S.frobenius(), n, S.member(n).frobenius())
+        units = Series.stack([_stack_member(rng, F, bounded, nonzero=True) for _ in range(N)])
+        for terms in range(1, 49):
+            inv = units.inverse(terms)
+            for n in range(N):
+                _assert_member(inv, n, units.member(n).inverse(terms))
+        for _ in range(6):
+            A, B = (Mat2.stack([Mat2(*(_stack_member(rng, F, bounded) for _ in range(4)))
+                                for _ in range(N)]) for _ in range(2))
+            prod, det = A * B, A.det()
+            unit = A.has_unit_det()
+            rows = (rng.randrange(-3, 4), rng.randrange(-3, 4))
+            cols = (rng.randrange(-3, 4), rng.randrange(-3, 4))
+            moved = A.shifted(rows=rows, cols=cols)
+            flips = [A.swapped(r, c) for r, c in itertools.product((False, True), repeat=2)]
+            for n in range(N):
+                An, Bn = A.member(n), B.member(n)
+                for got, want in zip(prod.e, (An * Bn).e):
+                    _assert_member(got, n, want)
+                _assert_member(det, n, An.det())
+                # the stack decides exponent 0 of a determinant it knows there
+                if det.prec is None or det.prec > 0:
+                    assert unit[n] == An.has_unit_det()
+                else:
+                    assert not unit[n]
+                for got, want in zip(moved.e, An.shifted(rows=rows, cols=cols).e):
+                    _assert_member(got, n, want)
+                for (r, c), flip in zip(itertools.product((False, True), repeat=2), flips):
+                    for got, want in zip(flip.e, An.swapped(r, c).e):
+                        _assert_member(got, n, want)
+                for s in A.e:
+                    assert s.is_integral()[n] == s.member(n).is_integral()

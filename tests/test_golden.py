@@ -4,7 +4,8 @@ The digests pin the exact bytes of `verify`, `sweep`, `ext`, `shape` and
 `descend` on fixed inputs, so a refactor that is meant to leave output
 byte-identical is checked by the suite rather than by a one-off diff.
 The operator checks of `verify` only run at f >= 2, hence (3, 2); (5, 2)
-runs the series engine over F_25 and F_625 as well.  The sweeps at (5, 2)
+runs the series engine over F_25 and F_625 as well, and (3, 3) carries
+three matrices per operator trial.  The sweeps at (5, 2)
 and (3, 3) are the ones the benchmark's `sweep-fields` workload runs.  Module
 files are written under relative names inside a temporary directory, so
 the `wrote=` lines do not carry a machine path.
@@ -35,6 +36,8 @@ GOLDEN_STDOUT = {
         "0cf647a32f6bd0cf8a52e265fc719782f3df3a71ce5f93f6e80bb9c8559edb4b",
     ("verify", "--p", "5", "--f", "2", "--seed", "0"):
         "418e352fa8008248d44193773ba7fa9c07101c50b3ee2b8fbd5d96cfd9dc62d2",
+    ("verify", "--p", "3", "--f", "3", "--seed", "0"):
+        "7500609263a8f9281ebd90156f33cca51730e6ad1e88103fde53c0927e22ddd5",
     ("sweep", "--p", "3", "--f", "2"):
         "62b85aa4be9f6a88eefe25100b3404082250481329c45791ef63320d870fcda4",
     ("sweep", "--p", "5", "--f", "2"):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bkshapes.gf import field
@@ -134,3 +135,91 @@ def test_entry_moves_match_monomial_products(p, m, trials):
                         assert s.prec is None or (t.prec is not None and s.prec >= t.prec)
                 kinds.add(kind)
     assert kinds == {"theta", "mu", "nu"}
+
+
+def _stacked_trials(rng, F, r, trials, degree=3, bad=None):
+    """Per-trial normal forms and their stacks per index; trial 2 at index 0 may be replaced."""
+    per_trial = []
+    for t in range(trials):
+        B = [random_unit_matrix(rng, F, degree) for _ in range(len(r))]
+        if bad is not None and t == 2:
+            B[0] = bad
+        per_trial.append([normal_form(B[i], r[i]) for i in range(len(r))])
+    stacks = [Mat2.stack([mats[i] for mats in per_trial]) for i in range(len(r))]
+    return per_trial, stacks
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3)])
+def test_stacked_transport_matches_each_trial(p, m):
+    F = field(p, m)
+    rng = random.Random(f"stacked-transport-{p}-{m}")
+    for gaps in itertools.product(range(p + 1), repeat=m):
+        r = as_hodge(tuple((g, 0) for g in gaps))
+        for j, kind in list(operator_moves(r, p))[:2]:
+            per_trial, stacks = _stacked_trials(rng, F, r, 4)
+            new, exps = apply_operator_on_basis(stacks, r, kind, j, p, terms=24)
+            for t, mats in enumerate(per_trial):
+                one, one_exps = apply_operator_on_basis(mats, r, kind, j, p, terms=24)
+                assert exps == one_exps
+                for A, R in zip(new, one):
+                    assert A.member(t) == R
+
+
+def _bad_unit_part(case):
+    one, zero = Series.one(F25, "v"), Series.zero(F25, "v")
+    if case == "non-unit":
+        return Mat2(one, one, one, one)
+    if case == "non-integral":
+        return Mat2(one, Series.monomial(F25, "v", 1, -1), zero, one)
+    return Mat2(Series.zero(F25, "v", prec=0), zero, zero, one)  # det known only below 0
+
+
+@pytest.mark.parametrize("case", ["non-unit", "non-integral", "precision"])
+def test_first_failing_member_names_the_failure(case):
+    """One bad unit part in the middle of a stack: flagged alone, and reported as alone.
+
+    A precision cut is the stack's own (its prec is the least member
+    prec), so then every member is flagged; the report is still the text
+    of the one-member call on the bad member.
+    """
+    r = ((3, 3), (4, 2))
+    per_trial, stacks = _stacked_trials(random.Random(case), F25, r, 5, bad=_bad_unit_part(case))
+    B = stacks[0].shifted(cols=(-3, -3))
+    ok = np.logical_and.reduce([s.is_integral() for s in B.e]) & B.has_unit_det()
+    assert list(np.flatnonzero(~ok)) == ([0, 1, 2, 3, 4] if case == "precision" else [2])
+    with pytest.raises(AssertionError) as stacked:
+        apply_operator_on_basis(stacks, r, "nu", 0, 5, terms=20)
+    with pytest.raises(AssertionError) as alone:
+        apply_operator_on_basis(per_trial[2], r, "nu", 0, 5, terms=20)
+    assert str(stacked.value) == str(alone.value)
+    for t in (0, 1, 3, 4):  # the good members transport alone
+        apply_operator_on_basis(per_trial[t], r, "nu", 0, 5, terms=20)
+
+
+def test_check_draws_trials_in_sequential_order(monkeypatch):
+    """`check_operator_basis` stacks exactly the matrices a trial-by-trial loop draws."""
+    from bkshapes import verify
+
+    p, f, trials = 3, 2, 3
+    seen = []
+
+    def recording(mats, r, kind, j, p, terms=None):
+        seen.append(mats)
+        return apply_operator_on_basis(mats, r, kind, j, p, terms)
+
+    monkeypatch.setattr(verify, "apply_operator_on_basis", recording)
+    assert verify.check_operator_basis(p, f, random.Random("draws"), trials=trials)[0]
+    rng = random.Random("draws")
+    want = []
+    for _, r in verify._gap_types(p, f):
+        for _ in operator_moves(r, p):
+            for _ in range(trials):
+                B = [random_unit_matrix(rng, F9, 4) for _ in range(f)]
+                want.append([B[i].shifted(cols=r[i]) for i in range(f)])
+    assert len(seen) * trials == len(want)
+    for k, stacks in enumerate(seen):
+        for t in range(trials):
+            for i in range(f):
+                got, ref = stacks[i].member(t), want[k * trials + t][i]
+                for s, e in zip(got.e, ref.e):
+                    assert (s.val, s.prec, list(s.coeffs)) == (e.val, e.prec, list(e.coeffs))

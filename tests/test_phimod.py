@@ -52,8 +52,9 @@ def test_descent_removal_roundtrip():
     A = Mat2(v, one + v, v * (one + v), one)
     C = add_descent_data(tau, 0, A)
     # eigenbasis grading: off-diagonals carry the exponent classes
-    assert all(e % tau.estep == tau.ell_prime(0) for e in C[0, 1].support())
-    assert all(e % tau.estep == tau.ell(0) for e in C[1, 0].support())
+    assert C[0, 1].first_off_class(tau.ell_prime(0), tau.estep) is None
+    assert C[1, 0].first_off_class(tau.ell(0), tau.estep) is None
+    assert C[0, 1].first_off_class(tau.ell_prime(0) + 1, tau.estep) is not None
     back = remove_descent_data(tau, 0, C)
     assert back == A
 
@@ -83,6 +84,17 @@ def test_grading_rejected():
     bad = Mat2(one_u, one_u, one_u, one_u)  # off-diagonals in the wrong class
     with pytest.raises(GradingError):
         BKModule(tau, [bad, bad])
+
+
+def test_grading_names_the_first_offending_exponent():
+    tau = make_type(3, 2, PRINCIPAL, 5, 2)  # estep 8
+    one_u, zero_u = Series.one(F9, "u"), Series.zero(F9, "u")
+    a = Series(F9, "u", 0, [1, 0, 0, 2, 0, 1, 0, 0, 1])  # exponents 0, 3, 5, 8
+    with pytest.raises(GradingError, match=r"entry \(0,0\) at 0 has exponent 3 outside"):
+        BKModule(tau, [Mat2(a, zero_u, zero_u, one_u)] * 2)
+    # on a stack, the least offending exponent of any member
+    stack = Series.stack([Series(F9, "u", 0, [1] + [0] * 7 + [1]), a.shift(8)])
+    assert stack.first_off_class(0, 8) == 11 and stack.first_off_class(3, 8) == 0
 
 
 def test_strong_det_examples():

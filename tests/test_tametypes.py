@@ -316,3 +316,42 @@ def test_recipe_matches_reference_on_every_pair(p, f):
             n += 1
     q = p**f
     assert n == ((q - 1) * (q - 2) + q * q - q) * 2**f
+
+
+def test_recipe_bounds_fails_on_a_type_read_backwards(monkeypatch):
+    """A mutant that passes the constructor's own check makes `recipe-bounds` FAIL.
+
+    The mutant reads the ratio backwards: gamma holds the digits of eta'/eta
+    and ell_prime returns ell.  The two still satisfy the exponent identity
+    that `TameType._validate` evaluates with them, so every type builds;
+    restated from eta and eta' by definition, the identity fails.
+    """
+    import io
+
+    from bkshapes import verify
+    from bkshapes.cli import main
+
+    validate = TameType._validate
+
+    def backwards(self):  # runs in the constructor, before the recipe cases are read off gamma
+        gamma = digit_tuple((self.eta_prime - self.eta) % self.estep, self.p, self.fprime)
+        object.__setattr__(self, "gamma", gamma)
+        validate(self)  # the constructor's own check accepts the mutant
+
+    def clear_caches():
+        verify._all_pairs.cache_clear()
+        tametypes._profile_data_cached.cache_clear()
+
+    clear_caches()
+    monkeypatch.setattr(TameType, "_validate", backwards)
+    monkeypatch.setattr(TameType, "ell_prime", TameType.ell)
+    monkeypatch.setattr(verify, "CHECKS", [("recipe-bounds", verify.check_recipe_bounds)])
+    try:
+        out = io.StringIO()
+        code = main(["verify", "--p", "3", "--f", "2"], out=out)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert code == 1
+    assert "FAIL recipe-bounds: exponent identity fails" in out.getvalue()
+    assert "ERROR" not in out.getvalue()
