@@ -10,7 +10,7 @@ The package splits into four layers:
   operators, the inverse construction, and profile-shifting combinatorics;
 - gf / series / phimod / extensions: table-driven finite fields, truncated
   Laurent series, partial-Frobenius matrix families (shapes, descent,
-  duality, operator lifts) and the rank-1 extension splitting oracle;
+  operator lifts) and the rank-1 extension splitting oracle;
 - io / sweep records / verify / cli: persistence and the invariant suite.
 """
 

@@ -6,7 +6,8 @@ of products of polynomials whose coefficients are field codes of F_{p^m}
 convolution per product and one reduction for all entries together, by
 Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
 Algebra*, ch. 8).  A 2x2 matrix product is four entries of two terms, a
-determinant one entry of two terms of opposite sign.
+determinant one entry of two terms of opposite sign, and a series
+product (``convolve``) one entry of one term.
 
 - Each code is spelled as its m base-p digits, and coefficient i of an
   operand fills the slot of positions i*w .. i*w+m-1 of one long integer
@@ -149,12 +150,8 @@ def sum_products(codes, entries, mul):
 def convolve(a, b, add, mul):
     """Product coefficients of the polynomials with code arrays ``a`` and ``b``.
 
-    Both are 1-D, or both (N, L) stacks multiplied member by member.
-    ``add`` is unused: sums are formed digitwise inside each convolution,
-    which is folded directly, with no slot buffer.
+    Both are 1-D, or both (N, L) stacks multiplied member by member: the
+    one-entry, one-term case of `sum_products`.  ``add`` is unused: sums
+    are formed digitwise inside each convolution.
     """
-    plan = _plan(mul)
-    x, y = _spell(plan, [a, b])
-    rows = [np.convolve(u, v) for u, v in zip(x, y)]
-    slots = rows[0] if a.ndim == 1 else np.array(rows)
-    return _reduce(plan, slots, a.shape[-1] + b.shape[-1] - 1, a.dtype)
+    return sum_products([a, b], (((1, 0, 1, 0),),), mul)[0]

@@ -26,7 +26,10 @@ So the solver takes the cycle in closed form and pushes each h-source
 (i, delta_i - r_i) off it down its child chain, to the first node below
 LB, whose value must vanish (a pin row), or to a top it never falls back
 from.  The pin rows assemble the obstruction matrix whose nullity is the
-split subspace dimension.
+split subspace dimension.  Every node value is linear in h.  When the
+cycle's gain is 1 its value at m* is free and the loop closes only where
+its h part vanishes (a cycle row); as no chain leaves the cycle, no pin
+row sees the free value, and the section takes it to be 0.
 """
 
 from __future__ import annotations
@@ -161,8 +164,8 @@ def build_extension(x: ExtensionPoint) -> BKModule:
 class _Solver:
     """The closed-form cycle and one forward pass of the coefficient recursion.
 
-    Values are affine in the class vector h (f coordinates) and in one free
-    symbol when the cycle's gain is 1; vectors are [h_0..h_{f-1}, sym_0..].
+    Node values are linear in the class vector h: each is a vector of f
+    coefficients over [h_0..h_{f-1}].
     """
 
     def __init__(self, x: ExtensionPoint):
@@ -197,9 +200,6 @@ class _Solver:
             return None
         return ((i - 1) % self.fp, q)
 
-    def _zero(self):
-        return [0] * (self.f + self.nsyms)
-
     def _step(self, node, pv):
         """Value at node from its parent's value pv (None when it has no parent).
 
@@ -208,7 +208,7 @@ class _Solver:
         """
         i, m = node
         F = self.F
-        val = self._zero() if pv is None else [F.mul(self.ratio[i], c) for c in pv]
+        val = [0] * self.f if pv is None else [F.mul(self.ratio[i], c) for c in pv]
         if m == self.delta[i] - self.r[i]:
             val[i % self.f] = F.add(val[i % self.f], self.ainv[i])
         return val
@@ -232,16 +232,12 @@ class _Solver:
         for i, _m in walk:
             A = F.mul(A, self.ratio[i])
         self.nsyms = int(A == 1)
-        B = self._zero()
+        B = [0] * self.f
         for node in reversed(walk):
             B = self._step(node, B)
-        if A != 1:
-            base = [F.div(c, F.sub(1, A)) for c in B]
-        else:
-            # a free symbol, consistent when the pure-h B vanishes
-            base = self._zero()
-            base[self.f] = 1
+        if A == 1:
             self.cycle_rows.append(B)
+        base = [0] * self.f if A == 1 else [F.div(c, F.sub(1, A)) for c in B]
         self.cycle_value[walk[0]] = val = base
         for node in reversed(walk[1:]):
             val = self._step(node, val)
@@ -278,45 +274,27 @@ class _Solver:
         pinned = sorted((m, i) for i, m in vals if m < self.LB)
         return [vals[i, m] for m, i in pinned if any(vals[i, m])]
 
-    def _reduced_constraints(self):
-        """RREF of every constraint row, symbol columns first, and its pivots.
-
-        Rows whose pivot lies in the h block span the pure-h consequences;
-        the others solve for one symbol each.
-        """
-        f = self.f
-        return rref([r[f:] + r[:f] for r in self.cycle_rows + self.pin_rows()], self.F)
-
     def obstruction_rows(self):
-        """Pure-h functionals whose common kernel is the split subspace."""
-        ns = self.nsyms
-        R, pivots = self._reduced_constraints()
-        return [r[ns:] for r, c in zip(R, pivots) if c >= ns]
+        """Functionals of h whose common kernel is the split subspace."""
+        return rref(self.cycle_rows + self.pin_rows(), self.F)[0]
 
     def splits(self) -> bool:
         """Decide splitting of the class x.h by constructing a section and checking it.
 
-        Solves the constraints for the symbols (free ones set to zero),
-        evaluates the affine node values there, then substitutes the
-        Laurent coefficients into the defining recursion as series and
-        asserts the residual vanishes on the known range.
+        The class splits when every obstruction row vanishes on x.h; then
+        the node values at x.h are the Laurent coefficients of a section,
+        which are substituted into the defining recursion as series, and
+        the residual is asserted to vanish on the known range.
         """
-        x, F, f, ns = self.x, self.F, self.f, self.nsyms
-        point = list(x.h) + [0] * ns
-        R, pivots = self._reduced_constraints()
-        for row, c in zip(R, pivots):
-            rhs = F.neg(F.dot(row[ns:], x.h))
-            if c >= ns:
-                if rhs:
-                    return False  # inconsistent: 0 = nonzero
-            else:
-                point[f + c] = rhs
+        x, F = self.x, self.F
+        if any(F.dot(row, x.h) for row in self.obstruction_rows()):
+            return False
 
         prec = 4 * x.tau.estep + 64
         coeffs = np.zeros((self.fp, prec - self.LB), dtype=F.dtype)
         for (i, m), vec in {**self._forward(prec), **self.cycle_value}.items():
             if m >= self.LB:
-                coeffs[i, m - self.LB] = F.dot(vec, point)
+                coeffs[i, m - self.LB] = F.dot(vec, x.h)
         g = [Series(F, "u", self.LB, arr, prec) for arr in coeffs]
         for i in range(self.fp):
             hi = x.h_at(i)

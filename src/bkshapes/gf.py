@@ -22,29 +22,16 @@ depend only on the defining polynomial, not on which g is used.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
 MAX_TABLE_Q = 4096
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for d in _SMALL_PRIMES:
-        if n == d:
-            return True
-        if n % d == 0:
-            return False
-    d = 49
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Rank-2 semilinear matrix families: eigenbases, shapes, descent, duality.
+"""Rank-2 semilinear matrix families: eigenbases, shapes, descent, operator lifts.
 
 A module of type tau is stored through the matrices of its partial
 Frobenius maps with respect to an eigenbasis: 2x2 matrices over the
@@ -24,7 +24,7 @@ import numpy as np
 from .gf import GF
 from .hodge import apply_operator, hodge_type_of_raw
 from .series import Mat2, PrecisionError, Series
-from .tametypes import CUSPIDAL, TameType, check_profile, profile_data
+from .tametypes import CUSPIDAL, TameType, check_profile, enumerate_profiles, profile_data
 
 SHAPE_I_ETA = "I_eta"
 SHAPE_I_ETA_PRIME = "I_eta'"
@@ -161,8 +161,6 @@ def classify_shape(mod: BKModule):
             if shapes[i + tau.f] != swap[shapes[i]]:
                 raise AssertionError("cuspidal shape symmetry violated")
     profiles = []
-    from .tametypes import enumerate_profiles
-
     for J in enumerate_profiles(tau):
         ok = True
         for i in range(fp):
@@ -306,12 +304,7 @@ def ascend_from_base(res: DescentResult) -> BKModule:
     return BKModule(tau, mats)
 
 
-# -- duality and weight operators on bases ------------------------------------
-
-def dual_module(mats, terms: int | None = None) -> list:
-    """Inverse-transpose of each partial Frobenius matrix (an involution)."""
-    return [M.inverse(terms).transpose() for M in mats]
-
+# -- weight operators on bases -------------------------------------------------
 
 def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | None = None):
     """Transform a diagonal normal form along a weight operator.

@@ -11,7 +11,10 @@ import random
 from .gf import GF
 from .series import Mat2, Series
 from .tametypes import TameType, check_profile
-from .phimod import SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II, BKModule, module_from_descent_removed
+from .phimod import (
+    SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II, BKModule, module_from_descent_removed,
+    module_from_partial_frobenius,
+)
 
 
 def random_series(rng: random.Random, F: GF, degree: int, unit: bool = False) -> Series:
@@ -88,8 +91,6 @@ def random_component_module(
     rng: random.Random, tau: TameType, J, F: GF, degree: int = 8
 ) -> BKModule:
     """Random point of the component: B_i * diag(v,1) or diag(1,v) * B_i."""
-    from .phimod import module_from_partial_frobenius
-
     J = check_profile(tau, J)
     B = [random_unit_matrix(rng, F, degree) for _ in range(tau.f)]
     return module_from_partial_frobenius(tau, J, B)

@@ -399,10 +399,6 @@ class Mat2:
     def frobenius(self) -> "Mat2":
         return Mat2(*(s.frobenius() for s in self.e))
 
-    def transpose(self) -> "Mat2":
-        a, b, c, d = self.e
-        return Mat2(a, c, b, d)
-
     def shifted(self, rows=(0, 0), cols=(0, 0)) -> "Mat2":
         """diag(x**rows[0], x**rows[1]) * self * diag(x**cols[0], x**cols[1]), entry by entry.
 

@@ -296,13 +296,6 @@ class SerreWeight:
         if not all(0 <= x <= p - 1 for x in self.s):
             raise ValueError("symmetric powers out of range")
 
-    @property
-    def f(self) -> int:
-        return len(self.t)
-
-    def is_steinberg(self) -> bool:
-        return all(x == self.p - 1 for x in self.s)
-
     def hodge_pairs(self) -> tuple[tuple[int, int], ...]:
         """The labeled weight pairs {-s-t, 1-t} attached to this weight."""
         return tuple((1 - t, -s - t) for t, s in zip(self.t, self.s))

@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkshapes.gf import field, least_irreducible
+from bkshapes.gf import field, is_prime, least_irreducible
 from bkshapes.series import Mat2, PrecisionError, ScaleError, Series
+
+
+def test_is_prime_matches_sympy():
+    from sympy import isprime
+
+    assert [n for n in range(-3, 20000) if is_prime(n) != isprime(n)] == []
 
 
 def test_least_irreducible_degree2_mod3():

@@ -46,6 +46,16 @@ GOLDEN_STDOUT = {
         "cfa449f4f45a7498465b6c495e5c9569ac426c1a760731e77c8a5668805a320f",
     ("ext", "--p", "3", "--f", "3", "--gamma", "1,0,2", "--profile", "0,2", "--kext"):
         "c95dee1c65562bd96f97ed9b89f1ab0c05b7224a444908bd294c8e7e97514077",
+    # free_cycles=1: the h-source on the cycle (splits=1), off it (splits=0), and f = 2
+    ("ext", "--p", "3", "--f", "1", "--kind", "cuspidal", "--eta", "1", "--profile", "0",
+     "--h", "1", "--split"):
+        "52bf34382ecda34b55da3eb9e87153c05966a4365c3da7f50fecd165294bf8de",
+    ("ext", "--p", "3", "--f", "1", "--kind", "cuspidal", "--eta", "1", "--profile", "1",
+     "--h", "1", "--split"):
+        "f5b5e0b5fa94cfa7976cd7bda1ccf5a4776fde961bcb983e0e9c57a30e5e59e2",
+    ("ext", "--p", "3", "--f", "2", "--kind", "cuspidal", "--eta", "1", "--profile", "2,3",
+     "--h", "1,0", "--split"):
+        "37fd05d3be03e016130e15fb98344eb24c34d4303eaceae8590ac04d8cedae4e",
 }
 
 # ext --build writes mod.json; shape reads it; descend --out writes desc.json

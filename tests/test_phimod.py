@@ -14,7 +14,6 @@ from bkshapes.phimod import (
     classify_shape,
     cuspidal_companion,
     descend_to_base,
-    dual_module,
     module_from_descent_removed,
     remove_descent_data,
     shape_at,
@@ -24,7 +23,6 @@ from bkshapes.randgen import (
     random_basis_change,
     random_component_module,
     random_module,
-    random_unit_matrix,
 )
 from bkshapes.tametypes import (
     CUSPIDAL,
@@ -238,18 +236,3 @@ def test_descend_then_transport_pipeline():
         if done >= 20:
             break
     assert done >= 10
-
-
-def test_dual_module_examples():
-    one = Series.one(F9, "v")
-    v = Series.monomial(F9, "v", 1, 1)
-    ident = Mat2.identity(F9, "v")
-    assert dual_module([ident], terms=10)[0] == ident
-    zero = Series.zero(F9, "v")
-    d = dual_module([Mat2(v, zero, zero, one)], terms=10)[0]
-    assert d == Mat2(Series.monomial(F9, "v", 1, -1), zero, zero, one)
-    rng = random.Random(2)
-    M = random_unit_matrix(rng, F9, 4)
-    dd = dual_module(dual_module([M], terms=40), terms=40)[0]
-    for s, t in zip(dd.e, M.e):
-        assert s == t
