@@ -30,8 +30,32 @@ import numpy as np
 MAX_TABLE_Q = 4096
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin below _MR_LIMIT, trial division above it."""
+    if n >= _MR_LIMIT:
+        return all(n % d for d in range(2, math.isqrt(n) + 1))
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):  # b**(d * 2**r) for r < s must reach n - 1
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:

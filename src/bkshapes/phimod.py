@@ -129,37 +129,57 @@ def module_from_partial_frobenius(tau: TameType, J, B_list) -> BKModule:
 
 # -- shapes -------------------------------------------------------------------
 
-def _divisible(s: Series, what: str) -> bool:
-    if s.is_zero():
-        if s.prec is not None and s.prec <= 0:
-            raise PrecisionError(f"{what}: cannot decide divisibility at this precision")
-        return True
-    return s.val >= 1
+_SHAPE_OF = {(True, True): SHAPE_II, (True, False): SHAPE_I_ETA, (False, True): SHAPE_I_ETA_PRIME}
+_SWAPPED = {SHAPE_I_ETA: SHAPE_I_ETA_PRIME, SHAPE_I_ETA_PRIME: SHAPE_I_ETA, SHAPE_II: SHAPE_II}
 
 
-def shape_at(mod: BKModule, i: int) -> str:
-    A = mod.descent_removed(i)
-    va = _divisible(A[0, 0], f"entry a at {i}")
-    vd = _divisible(A[1, 1], f"entry d at {i}")
-    if va and vd:
-        return SHAPE_II
-    if va:
-        return SHAPE_I_ETA
-    if vd:
-        return SHAPE_I_ETA_PRIME
-    raise NoShapeError(f"no diagonal divisibility at index {i}")
+def _divisible(s: Series, what: str, live):
+    """No known term below exponent 1, per member; raises when a live member cannot be decided."""
+    if s.prec is not None and s.prec <= 0 and np.any(~s.coeffs.any(axis=-1) & live):
+        raise PrecisionError(f"{what}: cannot decide divisibility at this precision")
+    return ~s.coeffs[..., : max(0, 1 - s.val)].any(axis=-1)
+
+
+def shape_words(mod: BKModule, partial: bool = False) -> list:
+    """The per-index shapes of each member of a module (one member unless it is a stack).
+
+    Index by index, a shape reads which diagonal entries of the
+    descent-removed matrix are divisible.  A member with neither divisible
+    at some index has no shape: NoShapeError names the first such index,
+    or with `partial` the member's word holds None from there on.  A
+    member is decided index by index as a lone module would be, so
+    undecidable divisibility raises PrecisionError only before its first
+    shapeless index.  A cuspidal word that breaks the symmetry of indices
+    i and i+f raises AssertionError.
+    """
+    tau = mod.tau
+    live, columns = True, []
+    for i in range(tau.fprime):
+        A = mod.descent_removed(i)
+        va = _divisible(A[0, 0], f"entry a at {i}", live)
+        vd = _divisible(A[1, 1], f"entry d at {i}", live)
+        live = live & (va | vd)
+        if not (partial or np.all(live)):
+            raise NoShapeError(f"no diagonal divisibility at index {i}")
+        columns.append([_SHAPE_OF[a, d] if ok else None
+                        for a, d, ok in zip(np.ravel(va), np.ravel(vd), np.ravel(live))])
+    words = list(zip(*columns))
+    f = tau.f
+    if tau.kind == CUSPIDAL and any(
+        None not in w and any(w[i + f] != _SWAPPED[w[i]] for i in range(f)) for w in words
+    ):
+        raise AssertionError("cuspidal shape symmetry violated")
+    return words
 
 
 def classify_shape(mod: BKModule):
-    """Per-index shapes and the profiles whose component contains the module."""
+    """Per-index shapes and the profiles whose component contains the module.
+
+    The one-member case of `shape_words`.
+    """
     tau = mod.tau
     fp = tau.fprime
-    shapes = tuple(shape_at(mod, i) for i in range(fp))
-    if tau.kind == CUSPIDAL:
-        swap = {SHAPE_I_ETA: SHAPE_I_ETA_PRIME, SHAPE_I_ETA_PRIME: SHAPE_I_ETA, SHAPE_II: SHAPE_II}
-        for i in range(tau.f):
-            if shapes[i + tau.f] != swap[shapes[i]]:
-                raise AssertionError("cuspidal shape symmetry violated")
+    (shapes,) = shape_words(mod)
     profiles = []
     for J in enumerate_profiles(tau):
         ok = True
@@ -173,27 +193,34 @@ def classify_shape(mod: BKModule):
     return shapes, sorted(profiles, key=sorted)
 
 
-def strong_determinant_ok(mod: BKModule) -> bool:
-    """Every partial Frobenius determinant is a unit times u**estep."""
+def strong_determinant_ok(mod: BKModule):
+    """Every partial Frobenius determinant is a unit times u**estep; per member on a stack.
+
+    A member fails at its first index whose determinant is not; a
+    determinant known zero only below exponent estep + 1 there cannot be
+    decided and raises PrecisionError.
+    """
     ep = mod.tau.estep
+    ok = True
     for i, M in enumerate(mod.mats):
         det = M.det()
-        if det.is_zero():
-            if det.prec is not None and det.prec <= ep:
-                raise PrecisionError(f"determinant at {i} undecidable at this precision")
-            return False
-        if det.val != ep:
-            return False
-    return True
+        if det.prec is not None and det.prec <= ep and np.any(~det.coeffs.any(axis=-1) & ok):
+            raise PrecisionError(f"determinant at {i} undecidable at this precision")
+        ok = ok & det.has_val(ep)
+    return ok
 
 
 def change_eigenbasis(mod: BKModule, I_list, terms: int | None = None) -> BKModule:
-    """Conjugate by a unit family given in descent-removed (v-scale) form."""
+    """Conjugate by a unit family given in descent-removed (v-scale) form.
+
+    On a stack of modules the family is a stack of the same size, and
+    every member's change of basis must have unit determinant.
+    """
     tau = mod.tau
     fp = tau.fprime
     full = _with_companions(tau, I_list)
     for i, I in enumerate(full):
-        if not I.has_unit_det():
+        if not np.all(I.has_unit_det()):
             raise ValueError(f"change of basis at {i} must have unit determinant")
     U = [add_descent_data(tau, i, I) for i, I in enumerate(full)]
     new = []

@@ -16,7 +16,7 @@ A Series may also be a stack of N series, one per row of coeffs of shape
 (N, L), so that one call does the work of N; 1-D coeffs are one series.
 A stack has one val, the least member val (a member may carry leading
 zeros), and one prec, the least member prec, so it never claims a
-coefficient some member does not know.  is_integral and
+coefficient some member does not know.  is_integral, has_val and
 Mat2.has_unit_det answer per member; everything else acts on the stack.
 """
 
@@ -126,16 +126,20 @@ class Series:
 
     @staticmethod
     def stack(members) -> "Series":
-        """The stack of series of one field and scale, in order."""
-        first, live = members[0], [s for s in members if not s.is_zero()]
-        lo = min([s.val for s in live], default=0)
-        arr = np.zeros((len(members), max([s.val + len(s.coeffs) for s in live], default=lo) - lo),
-                       dtype=first.field.dtype)
+        """The stack of single series of one field and scale, in order."""
+        first = members[0]
+        F, scale = first.field, first.scale
+        if not all(s.field is F and s.scale == scale and s.coeffs.ndim == 1 for s in members):
+            for s in members:  # the first mismatch names itself; an equal field built apart passes
+                first._check(s)
+            if first.coeffs.ndim != 1:
+                raise ValueError("the members of a stack are single series")
+        spans = [(s.val, s.val + len(s.coeffs)) for s in members if len(s.coeffs)]
+        lo, hi = (min(a for a, _ in spans), max(b for _, b in spans)) if spans else (0, 0)
+        arr = np.zeros((len(members), hi - lo), F.dtype)
         for row, s in zip(arr, members):
-            first._check(s)
             row[s.val - lo : s.val - lo + len(s.coeffs)] = s.coeffs
-        prec = functools.reduce(_minprec, [s.prec for s in members])
-        return Series(first.field, first.scale, lo, arr, prec)
+        return Series(F, scale, lo, arr, functools.reduce(_minprec, [s.prec for s in members]))
 
     def member(self, n: int) -> "Series":
         """Member n of a stack, as one series."""
@@ -163,6 +167,11 @@ class Series:
     def is_integral(self):
         """No known term of negative exponent; per member on a stack."""
         return _decided(~self.coeffs[..., : max(0, -self.val)].any(axis=-1))
+
+    def has_val(self, e: int):
+        """Known to be x**e times a unit (nonzero at exponent e, zero below); per member."""
+        z = _placed(self, min(self.val, e), e + 1)
+        return _decided((z[..., -1] != 0) & ~z[..., :-1].any(axis=-1))
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Series"):
@@ -277,6 +286,8 @@ class Series:
     def agrees_with(self, other: "Series") -> bool:
         """Equal on every exponent known to both sides."""
         self._check(other)
+        if (self.val, self.prec, self.coeffs.shape) == (other.val, other.prec, other.coeffs.shape):
+            return bool(np.array_equal(self.coeffs, other.coeffs))  # no padded copies needed
         lo = min(self.val, other.val)
         hi = max(self.val + self.coeffs.shape[-1], other.val + other.coeffs.shape[-1])
         prec = _minprec(self.prec, other.prec)
@@ -288,9 +299,6 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         return self.scale == other.scale and self.field == other.field and self.agrees_with(other)
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("Series is unhashable")
 
     def __repr__(self):
         if self.coeffs.ndim == 2:
@@ -382,9 +390,7 @@ class Mat2:
         """
         a, b, c, d = self.e
         if a.val < 0 or b.val < 0 or c.val < 0 or d.val < 0:
-            det = self.det()  # its coefficients of exponents below 0, then at 0
-            z = _placed(det, min(det.val, 0), 1)
-            return _decided((z[..., -1] != 0) & ~z[..., :-1].any(axis=-1))
+            return self.det().has_val(0)
         zero = np.zeros(a.coeffs.shape[:-1], int)  # the constant term of a member without one
         prec = _minprec(_product_prec(a, d), _product_prec(b, c))
         if prec is not None and prec <= 0:

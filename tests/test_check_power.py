@@ -1,0 +1,69 @@
+"""Every mutant of the program in the table makes the `verify` checks it names FAIL.
+
+A PASS is worth only as much as the check's power to fail.  Each mutant
+here is a plausible fault of the program, never of the check: a function
+in `bkshapes` replaced for the duration of one run.  With it in place,
+`verify --p 3 --f 2` must print FAIL for each check the table names, not
+ERROR: the check finds a counterexample rather than crashing on one.
+"""
+
+import io
+
+import pytest
+
+from bkshapes import phimod, randgen, verify
+from bkshapes.cli import main
+from bkshapes.series import Mat2, Series
+
+
+def _basis_change_columns_swapped(orig):
+    """The sampler lays a unit change of basis out as ((y, x), (w, v z)), not ((x, y), (v z, w))."""
+
+    def random_basis_change(rng, F, degree):
+        return orig(rng, F, degree).swapped(False, True)
+
+    return random_basis_change
+
+
+def _noshape_with_divisible_corner(orig):
+    """The shapeless sampler multiplies its (0,0) entry by v, so the matrix has a shape."""
+
+    def random_noshape_matrix(rng, F, degree):
+        a, b, c, d = orig(rng, F, degree).e
+        return Mat2(Series.monomial(F, "v", 1, 1) * a, b, c, d)
+
+    return random_noshape_matrix
+
+
+def _divisible_reads_integrality(orig):
+    """Divisibility asks for no term below exponent 0 instead of below 1."""
+
+    def _divisible(s, what, live):
+        return ~s.coeffs[..., : max(0, -s.val)].any(axis=-1)
+
+    return _divisible
+
+
+# (the mutant, made from the original; the modules holding the function; its name; the checks
+# it must make FAIL)
+MUTANTS = [
+    (_basis_change_columns_swapped, (randgen, verify), "random_basis_change",
+     ["shape-invariance"]),
+    (_noshape_with_divisible_corner, (randgen, verify), "random_noshape_matrix",
+     ["strongdet-vs-shape"]),
+    (_divisible_reads_integrality, (phimod,), "_divisible", ["strongdet-vs-shape"]),
+]
+
+
+@pytest.mark.parametrize("mutant,modules,name,killed", MUTANTS,
+                         ids=lambda v: getattr(v, "__name__", None))
+def test_mutant_makes_the_check_fail(monkeypatch, mutant, modules, name, killed):
+    replacement = mutant(getattr(modules[0], name))
+    for module in modules:
+        monkeypatch.setattr(module, name, replacement)
+    monkeypatch.setattr(verify, "CHECKS", [(c, fn) for c, fn in verify.CHECKS if c in killed])
+    out = io.StringIO()
+    assert main(["verify", "--p", "3", "--f", "2"], out=out) == 1
+    for check in killed:
+        assert f"FAIL {check}: " in out.getvalue()
+    assert "ERROR" not in out.getvalue()

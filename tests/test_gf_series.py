@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bkshapes.gf import field, is_prime, least_irreducible
+from bkshapes.gf import GF, field, is_prime, least_irreducible
 from bkshapes.series import Mat2, PrecisionError, ScaleError, Series
 
 
@@ -14,6 +15,20 @@ def test_is_prime_matches_sympy():
     from sympy import isprime
 
     assert [n for n in range(-3, 20000) if is_prime(n) != isprime(n)] == []
+    # strong pseudoprimes to the bases 2, 3, 5, 7, to the first 9 primes and to the first
+    # 12, Carmichael numbers, large primes, and odd numbers below the Miller-Rabin limit
+    hard = [3215031751, 3825123056546413051, 318665857834031151167461,
+            561, 1105, 1729, 41041, 825265, 321197185,
+            2**61 - 1, 10**18 + 9, 10**24 + 7]
+    rng = random.Random("is-prime")
+    hard += [rng.randrange(10**6, 10**24) | 1 for _ in range(2000)]
+    assert [n for n in hard if is_prime(n) != isprime(n)] == []
+
+
+def test_is_prime_is_fast_at_the_boundary():
+    start = time.perf_counter()
+    assert is_prime(10**14 + 31)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_least_irreducible_degree2_mod3():
@@ -517,3 +532,19 @@ def test_stack_matches_each_member(p, m):
                         _assert_member(got, n, want)
                 for s in A.e:
                     assert s.is_integral()[n] == s.member(n).is_integral()
+
+
+def test_stack_refuses_mixed_members():
+    F9, F25 = field(3, 2), field(5, 2)
+    one = Series.one(F9, "v")
+    with pytest.raises(ScaleError):
+        Series.stack([one, one, Series.one(F9, "u")])
+    with pytest.raises(ValueError, match="mixed coefficient fields"):
+        Series.stack([one, Series.one(F25, "v")])
+    with pytest.raises(ValueError, match="single series"):
+        Series.stack([Series.stack([one, one])] * 2)
+    # a field equal to the members' but built apart is the same field
+    S = Series.stack([Series(F9, "v", 2, [1, 2]), Series.zero(F9, "v"), Series(GF(3, 2), "v", -1, [5])])
+    assert (S.val, S.coeffs.tolist()) == (-1, [[0, 0, 0, 1, 2], [0, 0, 0, 0, 0], [5, 0, 0, 0, 0]])
+    zeros = Series.stack([Series.zero(F9, "v", prec=4), Series.zero(F9, "v")])
+    assert (zeros.val, zeros.coeffs.shape, zeros.prec) == (0, (2, 0), 4)

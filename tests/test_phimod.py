@@ -16,14 +16,17 @@ from bkshapes.phimod import (
     descend_to_base,
     module_from_descent_removed,
     remove_descent_data,
-    shape_at,
+    shape_words,
     strong_determinant_ok,
 )
 from bkshapes.randgen import (
     random_basis_change,
     random_component_module,
     random_module,
+    random_noshape_matrix,
+    random_shaped_matrix,
 )
+from bkshapes.series import PrecisionError
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -111,7 +114,7 @@ def test_shape_examples():
     one = Series.one(F3, "v")
     zero = Series.zero(F3, "v")
     m = module_from_descent_removed(tau, [Mat2(v, zero, zero, one)])
-    assert shape_at(m, 0) == "I_eta"
+    assert shape_words(m) == [("I_eta",)]
     m2 = module_from_descent_removed(tau, [Mat2(v, zero, zero, v)])
     shapes, profs = classify_shape(m2)
     assert shapes == ("II",) and sorted(map(sorted, profs)) == [[], [0]]
@@ -191,8 +194,6 @@ def test_descend_is_basis_independent():
 
 
 def test_strong_det_inconclusive_at_low_precision():
-    from bkshapes.series import PrecisionError
-
     tau = make_type(3, 1, PRINCIPAL, 1, 0)
     one = Series.one(F3, "v")
     zero = Series.zero(F3, "v")
@@ -205,7 +206,7 @@ def test_strong_det_inconclusive_at_low_precision():
     blind = Series(F3, "v", 0, [], prec=0)
     mod2 = module_from_descent_removed(tau, [Mat2(blind, zero, zero, one)])
     with pytest.raises(PrecisionError):
-        shape_at(mod2, 0)
+        classify_shape(mod2)
 
 
 def test_descend_then_transport_pipeline():
@@ -236,3 +237,61 @@ def test_descend_then_transport_pipeline():
         if done >= 20:
             break
     assert done >= 10
+
+
+def _stacked_module(tau, per_trial):
+    """The module of each trial's v-scale matrices, and the stack of all of them."""
+    mods = [module_from_descent_removed(tau, A) for A in per_trial]
+    stacks = [Mat2.stack([A[i] for A in per_trial]) for i in range(tau.f)]
+    return mods, module_from_descent_removed(tau, stacks)
+
+
+@pytest.mark.parametrize("kind", [PRINCIPAL, CUSPIDAL])
+def test_stacked_shapes_and_determinants_match_each_member(kind):
+    """shape_words, strong_determinant_ok and change_eigenbasis answer per member on a stack."""
+    rng = random.Random(f"stacked-shapes-{kind}")
+    tau = next(t for t in enumerate_types(3, 2) if t.kind == kind)
+    F = field(3, tau.fprime)
+    shaped = [[random_shaped_matrix(rng, F, rng.choice(["I_eta", "I_eta'", "II"]), 5)
+               for _ in range(2)] for _ in range(8)]
+    # shapeless at index 0, at index 1, at both, or nowhere
+    shapeless = [{0}, {1}, {0, 1}, set()]
+    mixed = [[random_noshape_matrix(rng, F, 5) if i in shapeless[t % 4] else A[i] for i in range(2)]
+             for t, A in enumerate(shaped)]
+    for per_trial in (shaped, mixed):
+        mods, stack = _stacked_module(tau, per_trial)
+        assert list(strong_determinant_ok(stack)) == [strong_determinant_ok(m) for m in mods]
+        for mod, word in zip(mods, shape_words(stack, partial=True)):
+            try:
+                assert word == classify_shape(mod)[0]
+            except NoShapeError as exc:  # None from the index the lone module names
+                first = word.index(None)
+                assert str(exc) == f"no diagonal divisibility at index {first}"
+                assert set(word[first:]) == {None}
+    with pytest.raises(NoShapeError, match="index 0"):
+        shape_words(_stacked_module(tau, mixed)[1])
+    mods, stack = _stacked_module(tau, shaped)
+    I = [[random_basis_change(rng, F, 4) for _ in range(2)] for _ in shaped]
+    moved = change_eigenbasis(stack, [Mat2.stack([B[i] for B in I]) for i in range(2)], terms=30)
+    for t, mod in enumerate(mods):
+        alone = change_eigenbasis(mod, I[t], terms=30)
+        for A, B in zip(moved.mats, alone.mats):
+            assert A.member(t) == B
+    assert shape_words(moved) == shape_words(stack) == [classify_shape(m)[0] for m in mods]
+
+
+def test_stacked_unit_determinant_test_names_the_index():
+    """One non-unit change of basis in a stack fails the stack with the lone member's message."""
+    rng = random.Random(5)
+    tau = make_type(3, 2, PRINCIPAL, 5, 2)
+    per_trial = [[random_shaped_matrix(rng, F9, "II", 4) for _ in range(2)] for _ in range(3)]
+    mods, stack = _stacked_module(tau, per_trial)
+    v, zero = Series.monomial(F9, "v", 1, 1), Series.zero(F9, "v")
+    I = [[random_basis_change(rng, F9, 4) for _ in range(2)] for _ in range(3)]
+    I[1][1] = Mat2(v, zero, zero, v)
+    with pytest.raises(ValueError) as alone:
+        change_eigenbasis(mods[1], I[1], terms=20)
+    with pytest.raises(ValueError) as stacked:
+        change_eigenbasis(stack, [Mat2.stack([B[i] for B in I]) for i in range(2)], terms=20)
+    assert str(stacked.value) == str(alone.value)
+    assert str(alone.value) == "change of basis at 1 must have unit determinant"
