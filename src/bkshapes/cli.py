@@ -1,14 +1,15 @@
 """Command-line interface: batch computations over line-delimited records.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-(including a non-prime p given to any command that takes one, an f below 1,
-a `find-type` Hodge type whose number of pairs is not f, an index given to
-`--j`, `--transition` or `--no-transition` outside [0, f), a `--profile`
-member outside [0, f'), the unsatisfiable transition preferences of
-`find-type`, a malformed integer list given to `--gamma`, `--profile`,
-`--h` or `--r`, a coefficient field over the table limit, a malformed
-module file and a module file whose coefficients are known too coarsely
-to decide), and 3 when a `verify` check crashed and none failed.
+(including a p that is not prime, or too large for the primality test, given
+to any command that takes one, an f below 1, a `find-type` Hodge type whose
+number of pairs is not f, an index given to `--j`, `--transition` or
+`--no-transition` outside [0, f), a `--profile` member outside [0, f'), the
+unsatisfiable transition preferences of `find-type`, a malformed integer
+list given to `--gamma`, `--profile`, `--h` or `--r`, a coefficient field
+over the table limit, a malformed or mis-graded module file and a module
+file whose coefficients are known too coarsely to decide), and 3 when a
+`verify` check crashed and none failed.
 """
 
 from __future__ import annotations
@@ -210,14 +211,14 @@ def cmd_inclusions(args, out):
 
 
 def _load_module(args):
-    """The eigenbasis module in the file args.module."""
-    from .phimod import BKModule
+    """The module whose eigenbasis matrices the file args.module holds."""
+    from .phimod import module_from_eigenbasis
 
     with open(args.module) as fh:
         tau, mats, _, scale = module_from_json(fh.read())
     if scale != "u":
         raise UsageError(f"{args.command} expects an eigenbasis (u-scale) module file")
-    return BKModule(tau, mats)
+    return module_from_eigenbasis(tau, mats)
 
 
 def cmd_shape(args, out):
@@ -261,7 +262,7 @@ def cmd_ext(args, out):
         kext_structure,
         splitting_diagnostics,
     )
-    from .phimod import classify_shape
+    from .phimod import classify_shape, eigenbasis_matrices
 
     tau = _type_from_args(args)
     J = _profile_from_args(tau, args)
@@ -296,7 +297,7 @@ def cmd_ext(args, out):
     print(line, file=out)
     if args.build:
         with open(args.build, "w") as fh:
-            fh.write(module_to_json(tau, mod.mats, F, scale="u"))
+            fh.write(module_to_json(tau, eigenbasis_matrices(mod), F, scale="u"))
         print(f"wrote={args.build}", file=out)
     return 0
 

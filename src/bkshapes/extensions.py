@@ -144,18 +144,25 @@ class ExtensionPoint:
 
 
 def build_extension(x: ExtensionPoint) -> BKModule:
-    """Eigenbasis matrices of the extension module."""
+    """The extension module, from its eigenbasis matrices ((a u^r, 0), (h u^delta, b u^s))
+    reordered by profile: removing the descent data moves the entry at (row, col) by
+    (row - col) * ell'_i."""
     tau, F = x.tau, x.field
-    fp = tau.fprime
-    data = x.data
+    fp, ep = tau.fprime, tau.estep
     mats = []
-    for i in range(fp):
+    for i, rung in enumerate(x.data):
         ai, bi = x.twist_at(i)
-        rung = data[i]
-        top = Series.monomial(F, "u", ai, rung.r)
-        mid = Series.monomial(F, "u", x.h_at(i), rung.delta) if x.h_at(i) else Series.zero(F, "u")
-        bot = Series.monomial(F, "u", bi, rung.s)
-        mats.append(reorder_by_profile(Mat2(top, Series.zero(F, "u"), mid, bot), x.J, i, fp))
+        lp = tau.ell_prime(i)
+        # those moves by the row and the column of an entry before the reorder
+        rows = (0, lp) if i in x.J else (lp, 0)
+        cols = (0, -lp) if (i - 1) % fp in x.J else (-lp, 0)
+
+        def entry(c, e, row, col):
+            return Series.monomial(F, "v", c, (e + rows[row] + cols[col]) // ep)
+
+        M = Mat2(entry(ai, rung.r, 0, 0), Series.zero(F, "v"),
+                 entry(x.h_at(i), rung.delta, 1, 0), entry(bi, rung.s, 1, 1))
+        mats.append(reorder_by_profile(M, x.J, i, fp))
     return BKModule(tau, mats)
 
 

@@ -22,7 +22,6 @@ depend only on the defining polynomial, not on which g is used.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,9 +36,9 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below _MR_LIMIT, trial division above it."""
+    """Deterministic Miller-Rabin; ValueError for n at or above _MR_LIMIT, where it is not exact."""
     if n >= _MR_LIMIT:
-        return all(n % d for d in range(2, math.isqrt(n) + 1))
+        raise ValueError(f"cannot decide whether {n} is prime: the limit is {_MR_LIMIT}")
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
         return n in _MR_BASES
     d, s = n - 1, 0

@@ -1,12 +1,13 @@
 """Rank-2 semilinear matrix families: eigenbases, shapes, descent, operator lifts.
 
-A module of type tau is stored through the matrices of its partial
-Frobenius maps with respect to an eigenbasis: 2x2 matrices over the
-u-scale series whose entries carry the grading forced by the two
-characters.  Removing the descent data conjugates into v-scale matrices;
-the shape of the module reads divisibility off the diagonal; descending to
+A module of type tau is stored through the descent-removed matrices A_i
+of its partial Frobenius maps, 2x2 matrices over the v-scale series.  The
+shape of the module reads divisibility off their diagonals; descending to
 the base field produces the diagonal normal form whose exponents are the
-Hodge data of the pair (tau, J).
+Hodge data of the pair (tau, J).  Only module files hold the eigenbasis
+matrices C_i = diag(1, u**-ell'_i) * A_i * diag(1, u**ell'_i) over the
+u-scale series (u**estep = v), whose entries carry the grading forced by
+the two characters: `module_from_eigenbasis` checks it on reading.
 
 Monomial diagonal factors diag(x**a, x**b) and the swap permutation are
 applied as entry moves (`Mat2.shifted`, `Mat2.swapped`), never as matrix
@@ -46,10 +47,7 @@ def _check_residue(s: Series, residue: int, estep: int, what: str):
 
 
 def cuspidal_companion(A: Mat2) -> Mat2:
-    """The index i+f matrix attached to a v-scale matrix ((a,b),(vc,d))."""
-    vc = A[1, 0]
-    if not vc.is_zero() and vc.val < 1:
-        raise GradingError("lower-left entry must be divisible in the v-scale")
+    """The index i+f matrix ((d, c), (v b, a)) attached to a v-scale matrix ((a,b),(vc,d))."""
     return A.swapped(True, True).shifted(rows=(0, 1), cols=(0, -1))
 
 
@@ -59,43 +57,50 @@ def _with_companions(tau: TameType, A_list) -> list:
         raise ValueError(f"need {tau.f} matrices")
     full = list(A_list)
     if tau.kind == CUSPIDAL:
+        if any(not A[1, 0].is_zero() and A[1, 0].val < 1 for A in A_list):
+            raise GradingError("lower-left entry must be divisible in the v-scale")
         full += [cuspidal_companion(A) for A in A_list]
     return full
 
 
 @dataclass
 class BKModule:
-    """Eigenbasis presentation: f' matrices of partial Frobenius maps."""
+    """Descent-removed presentation: f' matrices of partial Frobenius maps."""
 
     tau: TameType
-    mats: list  # u-scale Mat2, indexed by Z/f'Z
+    mats: list  # v-scale Mat2 A_i, indexed by Z/f'Z; for a cuspidal type A_{i+f} is A_i's companion
 
     def __post_init__(self):
         tau = self.tau
         if len(self.mats) != tau.fprime:
             raise ValueError(f"need {tau.fprime} matrices")
-        ep = tau.estep
-        for i, M in enumerate(self.mats):
-            for s in M.e:
-                if s.scale != "u":
-                    raise ValueError("eigenbasis matrices live in the u-scale")
-            _check_residue(M[0, 0], 0, ep, f"entry (0,0) at {i}")
-            _check_residue(M[1, 1], 0, ep, f"entry (1,1) at {i}")
-            _check_residue(M[0, 1], tau.ell_prime(i), ep, f"entry (0,1) at {i}")
-            _check_residue(M[1, 0], tau.ell(i), ep, f"entry (1,0) at {i}")
-        if tau.kind == CUSPIDAL:
-            f = tau.f
-            for i in range(f):
-                if not self.mats[i + f] == self.mats[i].swapped(True, True):
-                    raise GradingError(f"cuspidal linkage fails at index {i}")
+        if any(s.scale != "v" for M in self.mats for s in M.e):
+            raise ValueError("descent-removed matrices live in the v-scale")
+        f = tau.f
+        for i in range(f if tau.kind == CUSPIDAL else 0):
+            if not self.mats[i + f] == cuspidal_companion(self.mats[i]):
+                raise GradingError(f"cuspidal linkage fails at index {i}")
 
     @property
     def field(self) -> GF:
         return self.mats[0][0, 0].field
 
-    def descent_removed(self, i: int) -> Mat2:
-        """The v-scale matrix at index i (the eigenbasis conjugated form)."""
-        return remove_descent_data(self.tau, i, self.mats[i % self.tau.fprime])
+
+def module_from_eigenbasis(tau: TameType, C_list) -> BKModule:
+    """The module of the f' u-scale eigenbasis matrices of a module file, checked entry by
+    entry against the grading classes the two characters force."""
+    if len(C_list) != tau.fprime:
+        raise ValueError(f"need {tau.fprime} matrices")
+    for i, M in enumerate(C_list):
+        classes = (0, 0, tau.ell_prime(i), tau.ell(i))
+        for (r, c), residue in zip(((0, 0), (1, 1), (0, 1), (1, 0)), classes):
+            _check_residue(M[r, c], residue, tau.estep, f"entry ({r},{c}) at {i}")
+    return BKModule(tau, [remove_descent_data(tau, i, C) for i, C in enumerate(C_list)])
+
+
+def eigenbasis_matrices(mod: BKModule) -> list:
+    """The u-scale eigenbasis matrices of a module, as a module file holds them."""
+    return [add_descent_data(mod.tau, i, A) for i, A in enumerate(mod.mats)]
 
 
 def remove_descent_data(tau: TameType, i: int, C: Mat2) -> Mat2:
@@ -111,8 +116,7 @@ def add_descent_data(tau: TameType, i: int, A: Mat2) -> Mat2:
 
 def module_from_descent_removed(tau: TameType, A_list) -> BKModule:
     """Build from v-scale matrices at indices 0..f-1 (companions derived)."""
-    full = _with_companions(tau, A_list)
-    return BKModule(tau, [add_descent_data(tau, i, A) for i, A in enumerate(full)])
+    return BKModule(tau, _with_companions(tau, A_list))
 
 
 def module_from_partial_frobenius(tau: TameType, J, B_list) -> BKModule:
@@ -154,8 +158,7 @@ def shape_words(mod: BKModule, partial: bool = False) -> list:
     """
     tau = mod.tau
     live, columns = True, []
-    for i in range(tau.fprime):
-        A = mod.descent_removed(i)
+    for i, A in enumerate(mod.mats):
         va = _divisible(A[0, 0], f"entry a at {i}", live)
         vd = _divisible(A[1, 1], f"entry d at {i}", live)
         live = live & (va | vd)
@@ -177,56 +180,48 @@ def classify_shape(mod: BKModule):
 
     The one-member case of `shape_words`.
     """
-    tau = mod.tau
-    fp = tau.fprime
     (shapes,) = shape_words(mod)
-    profiles = []
-    for J in enumerate_profiles(tau):
-        ok = True
-        for i in range(fp):
-            needs = (SHAPE_I_ETA, SHAPE_II) if i in J else (SHAPE_I_ETA_PRIME, SHAPE_II)
-            if shapes[i] not in needs:
-                ok = False
-                break
-        if ok:
-            profiles.append(J)
+    profiles = [J for J in enumerate_profiles(mod.tau) if all(
+        s in ((SHAPE_I_ETA, SHAPE_II) if i in J else (SHAPE_I_ETA_PRIME, SHAPE_II))
+        for i, s in enumerate(shapes))]
     return shapes, sorted(profiles, key=sorted)
 
 
 def strong_determinant_ok(mod: BKModule):
-    """Every partial Frobenius determinant is a unit times u**estep; per member on a stack.
+    """Every det A_i is v times a unit (det C_i = u**estep * unit; the descent data cancel).
 
-    A member fails at its first index whose determinant is not; a
-    determinant known zero only below exponent estep + 1 there cannot be
-    decided and raises PrecisionError.
+    Per member on a stack.  A member fails at its first index whose determinant is
+    not; one with no known nonzero term and an unknown coefficient of v raises
+    PrecisionError.
     """
-    ep = mod.tau.estep
     ok = True
-    for i, M in enumerate(mod.mats):
-        det = M.det()
-        if det.prec is not None and det.prec <= ep and np.any(~det.coeffs.any(axis=-1) & ok):
+    for i, A in enumerate(mod.mats):
+        det = A.det()
+        if det.prec is not None and det.prec <= 1 and np.any(~det.coeffs.any(axis=-1) & ok):
             raise PrecisionError(f"determinant at {i} undecidable at this precision")
-        ok = ok & det.has_val(ep)
+        ok = ok & det.has_val(1)
     return ok
 
 
 def change_eigenbasis(mod: BKModule, I_list, terms: int | None = None) -> BKModule:
     """Conjugate by a unit family given in descent-removed (v-scale) form.
 
-    On a stack of modules the family is a stack of the same size, and
-    every member's change of basis must have unit determinant.
+    A_i becomes I_i^-1 * A_i * D * phi(I_{i-1}) * D^-1, where the descent data leave
+    D = diag(1, v**m), m = (ell'_i - p*ell'_{i-1}) / estep (an integer: `recipe-bounds`);
+    each inverse keeps at most `terms` v-coefficients.  On a stack the family is a stack
+    of the same size, and every member's change of basis must have unit determinant.
     """
     tau = mod.tau
-    fp = tau.fprime
+    p, ep = tau.p, tau.estep
     full = _with_companions(tau, I_list)
     for i, I in enumerate(full):
         if not np.all(I.has_unit_det()):
             raise ValueError(f"change of basis at {i} must have unit determinant")
-    U = [add_descent_data(tau, i, I) for i, I in enumerate(full)]
     new = []
-    for i in range(fp):
-        Uinv = U[i].inverse(terms)
-        new.append(Uinv * mod.mats[i] * U[(i - 1) % fp].frobenius())
+    for i, A in enumerate(mod.mats):
+        m = (tau.ell_prime(i) - p * tau.ell_prime(i - 1)) // ep
+        D_phi = full[i - 1].frobenius().shifted(rows=(0, m), cols=(0, -m))
+        new.append(full[i].inverse(terms) * A * D_phi)
     return BKModule(tau, new)
 
 
@@ -258,13 +253,22 @@ def _unit_part(M: Mat2, r, what: str) -> Mat2:
     return B
 
 
-def _twist_exponents(tau: TameType, J, pd) -> list:
-    """Per-index exponent pairs of the monomial basis carrying the eigenbasis to the invariants."""
-    ep = tau.estep
+def _twist_moves(tau: TameType, J, pd) -> list:
+    """Per index, the v-scale (rows, cols) entry moves carrying A_i to the invariants basis.
+
+    With the descent data, the monomial basis of the twist chain is
+    diag(u**w_i, u**(w_i + estep*j_i)), j_i = [i not in J], so A_i becomes
+    v**n_i * diag(1, v**-j_i) * A_i * diag(1, v**(m_i + p*j_{i-1})), where
+    n_i = (p*w_{i-1} - w_i) / estep and m_i is as in `change_eigenbasis`.
+    """
+    p, fp, ep = tau.p, tau.fprime, tau.estep
+    w = [tau.ell_prime(i) - tau.k_prime(i) + ep * (pd.nu[i] - 1) for i in range(fp)]
+    j = [int(i not in J) for i in range(fp)]
     out = []
-    for i in range(tau.fprime):
-        base = -tau.k_prime(i) + ep * (pd.nu[i] - 1)
-        out.append((tau.ell_prime(i) + base, ep * (0 if i in J else 1) + base))
+    for i in range(fp):
+        n = (p * w[i - 1] - w[i]) // ep
+        m = (tau.ell_prime(i) - p * tau.ell_prime(i - 1)) // ep
+        out.append(((n, n - j[i]), (0, m + p * j[i - 1])))
     return out
 
 
@@ -282,32 +286,24 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
     exponent is asserted to vanish and the output is the f-indexed family
     of invariants.
     """
-    tau = mod.tau
+    tau, f = mod.tau, mod.tau.f
     J = check_profile(tau, J)
     pd = profile_data(tau, J)
-    p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
 
     if tau.kind == CUSPIDAL:
         for i in range(f):
             if pd.xi(i) != 0:
                 raise AssertionError(f"cuspidal matching exponent nonzero at {i}")
 
-    texp = _twist_exponents(tau, J, pd)
-    G = [
-        mod.mats[i].shifted(rows=[-e for e in texp[i]], cols=[p * e for e in texp[(i - 1) % fp]])
-        for i in range(fp)
-    ]
+    G = [A.shifted(*moves) for A, moves in zip(mod.mats, _twist_moves(tau, J, pd))]
 
     if tau.kind == CUSPIDAL:
         for i in range(f):
             if not G[i + f] == G[i].swapped(True, True):
                 raise AssertionError("cuspidal invariance of the descended family fails")
 
-    mats = []
-    for i in range(f):
-        M = G[i].swapped(False, tau.kind == CUSPIDAL and i == 0)
-        M = reorder_by_profile(M, J, i, f)
-        mats.append(M.map(lambda s: s.to_v(ep)))
+    mats = [reorder_by_profile(G[i].swapped(False, tau.kind == CUSPIDAL and i == 0), J, i, f)
+            for i in range(f)]
 
     exponents = list(hodge_type_of_raw(tau, J))
     units = [_unit_part(mats[i], exponents[i], f"unit part at {i}") for i in range(f)]
@@ -315,20 +311,15 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
 
 
 def ascend_from_base(res: DescentResult) -> BKModule:
-    """Rebuild the eigenbasis matrices from a descent result (left inverse)."""
-    tau = res.tau
-    p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
-    G = []
-    for i in range(f):
-        M = reorder_by_profile(res.mats[i].map(lambda s: s.to_u(ep)), res.J, i, f)
-        G.append(M.swapped(False, tau.kind == CUSPIDAL and i == 0))
+    """Rebuild the descent-removed matrices from a descent result (left inverse)."""
+    tau, f = res.tau, res.tau.f
+    G = [reorder_by_profile(M, res.J, i, f).swapped(False, tau.kind == CUSPIDAL and i == 0)
+         for i, M in enumerate(res.mats)]
     if tau.kind == CUSPIDAL:
         G += [M.swapped(True, True) for M in G]
-    texp = _twist_exponents(tau, res.J, profile_data(tau, res.J))
-    mats = [
-        G[i].shifted(rows=texp[i], cols=[-p * e for e in texp[(i - 1) % fp]]) for i in range(fp)
-    ]
-    return BKModule(tau, mats)
+    moves = _twist_moves(tau, res.J, profile_data(tau, res.J))
+    return BKModule(tau, [M.shifted([-r for r in rows], [-c for c in cols])
+                          for M, (rows, cols) in zip(G, moves)])
 
 
 # -- weight operators on bases -------------------------------------------------

@@ -6,11 +6,11 @@ is undetermined.  prec=None means the series is exact (all higher
 coefficients are genuinely zero); exact values arise from the monomial
 matrices of the theory and keep most computations truncation-free.
 
-The variable carries a scale tag, 'u' or 'v', where v = u**estep for the
-ramification step estep = p**f' - 1.  Mixing scales is a hard error;
-conversions are explicit and check divisibility of the support.  The
-Frobenius acts by exponent multiplication by p and trivially on
-coefficients.
+The variable carries a scale tag, 'u' or 'v', with v = u**estep for the
+ramification step estep = p**f' - 1.  The module engine computes in v; u
+appears only in module files (`to_u`, `to_v` convert, checking the support)
+and in the splitting solver's self-check.  Mixing scales is a hard error.
+The Frobenius multiplies exponents by p and fixes coefficients.
 
 A Series may also be a stack of N series, one per row of coeffs of shape
 (N, L), so that one call does the work of N; 1-D coeffs are one series.
@@ -269,14 +269,12 @@ class Series:
 
     # -- scale conversion ------------------------------------------------
     def to_u(self, estep: int) -> "Series":
-        if self.scale == "u":
-            return self
+        """This v-scale series in the u-scale: v -> u**estep."""
         prec = None if self.prec is None else (self.prec - 1) * estep + 1
         return Series(self.field, "u", self.val * estep, _spread(self.coeffs, estep), prec)
 
     def to_v(self, estep: int) -> "Series":
-        if self.scale == "v":
-            return self
+        """This u-scale series, whose support must be divisible by estep, in the v-scale."""
         if self.first_off_class(0, estep) is not None:
             raise ScaleError("support not divisible by the ramification step")
         prec = None if self.prec is None else -(-self.prec // estep)

@@ -31,6 +31,17 @@ def test_is_prime_is_fast_at_the_boundary():
     assert time.perf_counter() - start < 0.01
 
 
+def test_is_prime_refuses_at_and_above_its_limit():
+    from sympy import isprime
+
+    from bkshapes.gf import _MR_LIMIT
+
+    assert is_prime(_MR_LIMIT - 2) == isprime(_MR_LIMIT - 2)
+    for n in (_MR_LIMIT, _MR_LIMIT + 2, 10**40):
+        with pytest.raises(ValueError, match=f"the limit is {_MR_LIMIT}$"):
+            is_prime(n)
+
+
 def test_least_irreducible_degree2_mod3():
     # x^2 + 1 is the first irreducible in packed order over F_3
     assert least_irreducible(3, 2) == (1, 0, 1)

@@ -4,8 +4,8 @@ The digests pin the exact bytes of `verify`, `sweep`, `ext`, `shape` and
 `descend` on fixed inputs, so a refactor that is meant to leave output
 byte-identical is checked by the suite rather than by a one-off diff.
 The operator checks of `verify` only run at f >= 2, hence (3, 2); (5, 2)
-runs the series engine over F_25 and F_625 as well, and (3, 3) carries
-three matrices per operator trial.  The sweeps at (5, 2)
+runs the series engine over F_25 and F_625 as well, (7, 2) over F_2401,
+and (3, 3) carries three matrices per operator trial.  The sweeps at (5, 2)
 and (3, 3) are the ones the benchmark's `sweep-fields` workload runs.  Module
 files are written under relative names inside a temporary directory, so
 the `wrote=` lines do not carry a machine path.
@@ -36,6 +36,8 @@ GOLDEN_STDOUT = {
         "0cf647a32f6bd0cf8a52e265fc719782f3df3a71ce5f93f6e80bb9c8559edb4b",
     ("verify", "--p", "5", "--f", "2", "--seed", "0"):
         "418e352fa8008248d44193773ba7fa9c07101c50b3ee2b8fbd5d96cfd9dc62d2",
+    ("verify", "--p", "7", "--f", "2", "--seed", "0"):
+        "8e73afb182a4c284ae08e2e0e908b0039f0bffaba5cf8332500cebcb3d567d36",
     ("verify", "--p", "3", "--f", "3", "--seed", "0"):
         "7500609263a8f9281ebd90156f33cca51730e6ad1e88103fde53c0927e22ddd5",
     ("sweep", "--p", "3", "--f", "2"):
@@ -67,19 +69,28 @@ GOLDEN_PIPELINE = {
     "desc.json": "ffeff183ce2905c1e71716d151c3adf094a5495459b64cd4856046a43c028a96",
 }
 
+# the same pipeline on a cuspidal type, whose module file holds f' = 2f matrices
+GOLDEN_CUSPIDAL_PIPELINE = {
+    "ext": "8f37f401a1532eff31a8f97e7771f5849e8f594952f53f5f1bc69281419b2095",
+    "mod.json": "cf4240934bf1e046b00aa39bb20b10275c279b7e58aabe361b3d2ce9af3b6120",
+    "shape": "3ced40a1abde6cdd995b1465603338e269d829f6ce0c86c889bb7e5849ba5544",
+    "descend": "6a6fd833c29b23ddb8c6db146863cbb116421ea503fb772185d573218acb4745",
+    "desc.json": "0eb47fb56c8fc144cd53a89a0898cc8a6c16198ec6a0140048d204ddfcc59373",
+}
 
-def pipeline_outputs():
+
+def pipeline_outputs(type_args=("--gamma", "1,0"), profile="0", h="1,1"):
     """Stdout of each step and the bytes of each module file written."""
     got = {}
     code, got["ext"] = _stdout(
-        "ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0",
-        "--h", "1,1", "--split", "--build", "mod.json",
+        "ext", "--p", "3", "--f", "2", *type_args, "--profile", profile,
+        "--h", h, "--split", "--build", "mod.json",
     )
     assert code == 0
     code, got["shape"] = _stdout("shape", "--module", "mod.json")
     assert code == 0
     code, got["descend"] = _stdout(
-        "descend", "--module", "mod.json", "--profile", "0", "--out", "desc.json",
+        "descend", "--module", "mod.json", "--profile", profile, "--out", "desc.json",
     )
     assert code == 0
     for name in ("mod.json", "desc.json"):
@@ -99,3 +110,9 @@ def test_golden_module_pipeline(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = pipeline_outputs()
     assert {k: _sha(v) for k, v in got.items()} == GOLDEN_PIPELINE
+
+
+def test_golden_cuspidal_module_pipeline(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got = pipeline_outputs(("--kind", "cuspidal", "--eta", "1"), profile="2,3", h="1,0")
+    assert {k: _sha(v) for k, v in got.items()} == GOLDEN_CUSPIDAL_PIPELINE

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -76,30 +77,32 @@ def test_sweep_header_polynomials_define_each_level(p, f):
 
 
 def _f9_module():
+    """A type, the u-scale eigenbasis matrices of a module over F_9 as its file holds them, F_9."""
     import random
 
+    from bkshapes.phimod import eigenbasis_matrices
     from bkshapes.randgen import random_component_module
     from bkshapes.tametypes import make_type
 
     tau = make_type(3, 2, "principal-series", 5, 2)
     F = field(3, 2)
-    return tau, random_component_module(random.Random(0), tau, {0}, F, degree=3), F
+    return tau, eigenbasis_matrices(random_component_module(random.Random(0), tau, {0}, F, degree=3)), F
 
 
 def test_module_file_roundtrip():
-    tau, mod, F = _f9_module()
-    text = module_to_json(tau, mod.mats, F, scale="u")
+    tau, C, F = _f9_module()
+    text = module_to_json(tau, C, F, scale="u")
     tau2, mats2, F2, scale = module_from_json(text)
     assert tau2 == tau and F2 == F and scale == "u"
-    for a, b in zip(mats2, mod.mats):
+    for a, b in zip(mats2, C):
         assert a == b
 
 
 @pytest.mark.parametrize("digits", [[7, 0], [1, 0, 0], [1], [-1, 0], [1.5, 0], ["1", 0]])
 def test_module_file_rejects_bad_digits(digits, tmp_path, capsys):
     # F_9 elements are two digits in [0, 3); [7, 0] would decode to code 7
-    tau, mod, F = _f9_module()
-    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    tau, C, F = _f9_module()
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
     doc["matrices"][0][0]["coeffs"][0] = digits
     with pytest.raises(ValueError, match="digits"):
         module_from_json(json.dumps(doc))
@@ -128,8 +131,8 @@ def _shape_exit(doc, tmp_path, capsys):
     ids=lambda path: ".".join(map(str, path)),
 )
 def test_module_file_missing_key_exits_2(path, tmp_path, capsys):
-    tau, mod, F = _f9_module()
-    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    tau, C, F = _f9_module()
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
     owner = doc
     for key in path[:-1]:
         owner = owner[key]
@@ -143,8 +146,8 @@ def test_module_file_missing_key_exits_2(path, tmp_path, capsys):
     "where,value", [("matrices", 5), ("field", [3, 2]), ("type", None)], ids=["matrices", "field", "type"]
 )
 def test_module_file_wrong_type_exits_2(where, value, tmp_path, capsys):
-    tau, mod, F = _f9_module()
-    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    tau, C, F = _f9_module()
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
     doc[where] = value
     with pytest.raises(ValueError, match="malformed"):
         module_from_json(json.dumps(doc))
@@ -152,8 +155,8 @@ def test_module_file_wrong_type_exits_2(where, value, tmp_path, capsys):
 
 
 def test_module_file_negative_precision_exits_2(tmp_path, capsys):
-    tau, mod, F = _f9_module()
-    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    tau, C, F = _f9_module()
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
     doc["matrices"][0][0]["prec"] = -5
     assert "precision" in _shape_exit(doc, tmp_path, capsys)
 
@@ -172,8 +175,8 @@ def test_module_file_negative_precision_exits_2(tmp_path, capsys):
     ],
 )
 def test_module_file_out_of_range_type_or_field_exits_2(where, key, value, message, tmp_path, capsys):
-    tau, mod, F = _f9_module()
-    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    tau, C, F = _f9_module()
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
     doc[where][key] = value
     with pytest.raises(ValueError, match=message):
         module_from_json(json.dumps(doc))
@@ -184,20 +187,29 @@ def test_module_file_out_of_range_type_or_field_exits_2(where, key, value, messa
     "key,value", [("val", 1.5), ("val", True), ("val", "1"), ("prec", 2.5), ("prec", True), ("prec", "9")]
 )
 def test_module_file_non_integer_val_or_prec_exits_2(key, value, tmp_path, capsys):
-    tau, mod, F = _f9_module()
-    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    tau, C, F = _f9_module()
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
     doc["matrices"][0][0][key] = value
     with pytest.raises(ValueError, match=f"{key!r} must be an integer"):
         module_from_json(json.dumps(doc))
     _shape_exit(doc, tmp_path, capsys)
 
 
+def test_shape_rejects_a_misgraded_module_file(tmp_path, capsys):
+    """The grading of a u-scale file is checked where it is read, entry by entry."""
+    tau, C, F = _f9_module()  # estep 8
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
+    doc["matrices"][0][0] = {"val": 0, "coeffs": [[1, 0], [0, 0], [0, 0], [2, 0]], "prec": None}
+    err = _shape_exit(doc, tmp_path, capsys)
+    assert err == "error: entry (0,0) at 0 has exponent 3 outside its grading class\n"
+
+
 def test_module_file_null_prec_is_exact():
-    tau, mod, F = _f9_module()
-    doc = json.loads(module_to_json(tau, mod.mats, F, scale="u"))
+    tau, C, F = _f9_module()
+    doc = json.loads(module_to_json(tau, C, F, scale="u"))
     doc["matrices"][0][0]["prec"] = None
     _, mats, _, _ = module_from_json(json.dumps(doc))
-    assert mats[0][0, 0].prec is None and mats[0][0, 0] == mod.mats[0][0, 0]
+    assert mats[0][0, 0].prec is None and mats[0][0, 0] == C[0][0, 0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,6 +354,17 @@ def test_cli_verify_rejects_bad_arguments(p, f, capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_verify_refuses_p_past_the_primality_limit(capsys):
+    """At and above the Miller-Rabin limit primality is not decided: exit 2 at once."""
+    from bkshapes.gf import _MR_LIMIT
+
+    start = time.perf_counter()
+    code, out = run_cli("verify", "--p", str(_MR_LIMIT), "--f", "1")
+    assert code == 2 and out == "" and time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot decide whether {_MR_LIMIT} is prime: the limit is {_MR_LIMIT}\n"
 
 
 @pytest.mark.parametrize("p,f", [(3, 0), (3, -1), (4, 1)])

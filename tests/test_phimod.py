@@ -14,7 +14,9 @@ from bkshapes.phimod import (
     classify_shape,
     cuspidal_companion,
     descend_to_base,
+    eigenbasis_matrices,
     module_from_descent_removed,
+    module_from_eigenbasis,
     remove_descent_data,
     shape_words,
     strong_determinant_ok,
@@ -74,9 +76,26 @@ def test_cuspidal_module_linkage_consistent():
     tau = type_from_gamma(3, 1, CUSPIDAL, (1,))
     rng = random.Random(1)
     mod = random_component_module(rng, tau, {0}, F9, degree=3)
-    # companions were derived through the v-scale formula; the u-scale
-    # linkage must then hold on the nose (checked in the constructor too)
-    assert mod.mats[1] == mod.mats[0].swapped(True, True)
+    # companions were derived through the v-scale formula (checked in the
+    # constructor too); the u-scale linkage of the file form must then hold
+    # on the nose
+    assert mod.mats[1] == cuspidal_companion(mod.mats[0])
+    C = eigenbasis_matrices(mod)
+    assert C[1] == C[0].swapped(True, True)
+    assert module_from_eigenbasis(tau, C).mats == mod.mats
+
+
+def test_cuspidal_linkage_rejected():
+    """Unlinked companions fail in the v-scale and at the file boundary alike."""
+    tau = type_from_gamma(3, 1, CUSPIDAL, (1,))
+    rng = random.Random(1)
+    mod = random_component_module(rng, tau, {0}, F9, degree=3)
+    unlinked = [mod.mats[0], mod.mats[1].shifted(rows=(1, 1))]
+    with pytest.raises(GradingError, match=r"^cuspidal linkage fails at index 0$"):
+        BKModule(tau, unlinked)
+    C = eigenbasis_matrices(mod)
+    with pytest.raises(GradingError, match=r"^cuspidal linkage fails at index 0$"):
+        module_from_eigenbasis(tau, [C[0], C[1].shifted(rows=(8, 8))])
 
 
 def test_grading_rejected():
@@ -84,7 +103,7 @@ def test_grading_rejected():
     one_u = Series.one(F9, "u")
     bad = Mat2(one_u, one_u, one_u, one_u)  # off-diagonals in the wrong class
     with pytest.raises(GradingError):
-        BKModule(tau, [bad, bad])
+        module_from_eigenbasis(tau, [bad, bad])
 
 
 def test_grading_names_the_first_offending_exponent():
@@ -92,7 +111,7 @@ def test_grading_names_the_first_offending_exponent():
     one_u, zero_u = Series.one(F9, "u"), Series.zero(F9, "u")
     a = Series(F9, "u", 0, [1, 0, 0, 2, 0, 1, 0, 0, 1])  # exponents 0, 3, 5, 8
     with pytest.raises(GradingError, match=r"entry \(0,0\) at 0 has exponent 3 outside"):
-        BKModule(tau, [Mat2(a, zero_u, zero_u, one_u)] * 2)
+        module_from_eigenbasis(tau, [Mat2(a, zero_u, zero_u, one_u)] * 2)
     # on a stack, the least offending exponent of any member
     stack = Series.stack([Series(F9, "u", 0, [1] + [0] * 7 + [1]), a.shift(8)])
     assert stack.first_off_class(0, 8) == 11 and stack.first_off_class(3, 8) == 0
