@@ -145,12 +145,12 @@ class ExtensionPoint:
 
 def build_extension(x: ExtensionPoint) -> BKModule:
     """The extension module, from its eigenbasis matrices ((a u^r, 0), (h u^delta, b u^s))
-    reordered by profile: removing the descent data moves the entry at (row, col) by
-    (row - col) * ell'_i."""
+    at indices 0..f-1 reordered by profile: removing the descent data moves the entry at
+    (row, col) by (row - col) * ell'_i."""
     tau, F = x.tau, x.field
     fp, ep = tau.fprime, tau.estep
     mats = []
-    for i, rung in enumerate(x.data):
+    for i, rung in enumerate(x.data[: tau.f]):
         ai, bi = x.twist_at(i)
         lp = tau.ell_prime(i)
         # those moves by the row and the column of an entry before the reorder

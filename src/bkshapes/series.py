@@ -49,12 +49,14 @@ def _minprec(a, b):
 def _product_prec(x, y):
     """The prec of x * y: the smaller of prec + val of each factor against the other.
 
-    A factor known below prec bounds its product's knowledge; a zero
-    series has val 0.  None when both factors are exact.
+    A factor known below prec bounds its product's knowledge.  A zero
+    factor known below prec is O(x**prec), so it counts with val prec; an
+    exact zero counts with val 0.  None when both factors are exact.
     """
-    prec = None if x.prec is None else x.prec + y.val
+    xlo, ylo = (s.prec if s.prec is not None and s.is_zero() else s.val for s in (x, y))
+    prec = None if x.prec is None else x.prec + ylo
     if y.prec is not None:
-        prec = _minprec(prec, y.prec + x.val)
+        prec = _minprec(prec, y.prec + xlo)
     return prec
 
 

@@ -409,7 +409,7 @@ def check_shape_invariance(p, f, rng, fault=None, trials=200):
 
     def stages(drawn):
         mod = module_from_descent_removed(tau, _index_stacks([A for A, _ in drawn]))
-        mod2 = change_eigenbasis(mod, _index_stacks([I for _, I in drawn]), terms=40)
+        mod2 = change_eigenbasis(mod, _index_stacks([I for _, I in drawn]), terms=1)
         yield [w2 != w and "shape changed under unit conjugation"
                for w2, w in zip(shape_words(mod2), shape_words(mod))]
 
@@ -453,7 +453,7 @@ def check_descend(p, f, rng, fault=None, cap=400):
         if res.exponents != want:
             return False, f"diagonal exponents disagree at {tau.key()} J={sorted(J)}"
         back = ascend_from_base(res)
-        for i in range(tau.fprime):
+        for i in range(f):
             if not back.mats[i] == mod.mats[i]:
                 return False, f"reconstruction failed at {tau.key()} J={sorted(J)} i={i}"
         n += 1

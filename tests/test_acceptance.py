@@ -214,7 +214,7 @@ def test_criterion_06_descent_normal_form():
                 for B in res.units:
                     assert B.det().val == 0
                 back = ascend_from_base(res)
-                for i in range(tau.fprime):
+                for i in range(f):
                     assert back.mats[i] == mod.mats[i]
                 runs += 1
     report(6, f"descent normal form on {runs} (type, profile) pairs", t0)

@@ -44,6 +44,15 @@ def _divisible_reads_integrality(orig):
     return _divisible
 
 
+def _theta_transported_as_mu(orig):
+    """The basis transport of theta moves the first diagonal exponent at j-1, as mu's does."""
+
+    def apply_operator_on_basis(mats, r, kind, j, p, terms=None):
+        return orig(mats, r, "mu" if kind == "theta" else kind, j, p, terms)
+
+    return apply_operator_on_basis
+
+
 # (the mutant, made from the original; the modules holding the function; its name; the checks
 # it must make FAIL)
 MUTANTS = [
@@ -52,6 +61,8 @@ MUTANTS = [
     (_noshape_with_divisible_corner, (randgen, verify), "random_noshape_matrix",
      ["strongdet-vs-shape"]),
     (_divisible_reads_integrality, (phimod,), "_divisible", ["strongdet-vs-shape"]),
+    (_theta_transported_as_mu, (phimod, verify), "apply_operator_on_basis",
+     ["operator-basis-lifts"]),
 ]
 
 

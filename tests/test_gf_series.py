@@ -166,6 +166,14 @@ def test_precision_tracking():
     with pytest.raises(PrecisionError):
         a.coefficient(5)
     assert a.coefficient(3) == 0
+    # a zero known below prec is O(v**prec), so O(v) * O(v) is known below v**2
+    F9 = field(3, 2)
+    fuzzy, v = _S(F9, "v", 0, [], prec=1), Series.monomial(F9, "v", 1, 1)
+    assert (fuzzy * fuzzy).prec == 2 and (fuzzy.shift(3) * fuzzy).prec == 5
+    assert (fuzzy * v).prec == (v * fuzzy).prec == 2
+    assert (Series.zero(F9, "v") * fuzzy).prec == 1  # an exact zero counts with val 0
+    det = Mat2(v, fuzzy, fuzzy, Series.one(F9, "v")).det()
+    assert det == v and det.prec == 2
 
 
 def test_frobenius_precision_and_support():
@@ -374,11 +382,19 @@ def test_shifted_and_swapped_match_monomial_products(p, m, bounded):
 
 
 def _reference_mul(x, y):
-    """The product rule entry by entry: table-driven coefficients, no packing."""
+    """The product rule entry by entry: table-driven coefficients, no packing.
+
+    Each factor's prec plus the least exponent the other can have a term at
+    bounds the product's prec; a zero known below prec is O(x**prec).
+    """
     F = x.field
+
+    def least(s):
+        return s.prec if s.is_zero() and s.prec is not None else s.val
+
     prec = None
-    for bound in (None if x.prec is None else x.prec + y.val,
-                  None if y.prec is None else y.prec + x.val):
+    for bound in (None if x.prec is None else x.prec + least(y),
+                  None if y.prec is None else y.prec + least(x)):
         if bound is not None:
             prec = bound if prec is None else min(prec, bound)
     if x.is_zero() or y.is_zero():

@@ -204,6 +204,21 @@ def test_shape_rejects_a_misgraded_module_file(tmp_path, capsys):
     assert err == "error: entry (0,0) at 0 has exponent 3 outside its grading class\n"
 
 
+def test_shape_rejects_an_unlinked_cuspidal_module_file(tmp_path, capsys):
+    """A cuspidal file whose index-f matrix is not the companion of index 0 is refused on reading."""
+    import random
+
+    from bkshapes.phimod import eigenbasis_matrices
+    from bkshapes.randgen import random_component_module
+    from bkshapes.tametypes import CUSPIDAL, type_from_gamma
+
+    tau, F = type_from_gamma(3, 1, CUSPIDAL, (1,)), field(3, 2)  # estep 8
+    C = eigenbasis_matrices(random_component_module(random.Random(1), tau, {0}, F, degree=3))
+    doc = json.loads(module_to_json(tau, [C[0], C[1].shifted(rows=(8, 8))], F, scale="u"))
+    err = _shape_exit(doc, tmp_path, capsys)
+    assert err == "error: cuspidal linkage fails at index 0\n"
+
+
 def test_module_file_null_prec_is_exact():
     tau, C, F = _f9_module()
     doc = json.loads(module_to_json(tau, C, F, scale="u"))

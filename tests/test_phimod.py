@@ -76,23 +76,23 @@ def test_cuspidal_module_linkage_consistent():
     tau = type_from_gamma(3, 1, CUSPIDAL, (1,))
     rng = random.Random(1)
     mod = random_component_module(rng, tau, {0}, F9, degree=3)
-    # companions were derived through the v-scale formula (checked in the
-    # constructor too); the u-scale linkage of the file form must then hold
-    # on the nose
-    assert mod.mats[1] == cuspidal_companion(mod.mats[0])
+    # the module holds f matrices; the file form derives the companion through
+    # the v-scale formula, and its u-scale linkage must then hold on the nose
+    assert len(mod.mats) == tau.f
     C = eigenbasis_matrices(mod)
+    assert len(C) == tau.fprime
+    assert remove_descent_data(tau, 1, C[1]) == cuspidal_companion(mod.mats[0])
     assert C[1] == C[0].swapped(True, True)
     assert module_from_eigenbasis(tau, C).mats == mod.mats
 
 
 def test_cuspidal_linkage_rejected():
-    """Unlinked companions fail in the v-scale and at the file boundary alike."""
+    """A module holds no companions, so unlinked ones can only come from a module file."""
     tau = type_from_gamma(3, 1, CUSPIDAL, (1,))
     rng = random.Random(1)
     mod = random_component_module(rng, tau, {0}, F9, degree=3)
-    unlinked = [mod.mats[0], mod.mats[1].shifted(rows=(1, 1))]
-    with pytest.raises(GradingError, match=r"^cuspidal linkage fails at index 0$"):
-        BKModule(tau, unlinked)
+    with pytest.raises(ValueError, match=r"^need 1 matrices$"):
+        BKModule(tau, [mod.mats[0], cuspidal_companion(mod.mats[0])])
     C = eigenbasis_matrices(mod)
     with pytest.raises(GradingError, match=r"^cuspidal linkage fails at index 0$"):
         module_from_eigenbasis(tau, [C[0], C[1].shifted(rows=(8, 8))])
@@ -125,6 +125,17 @@ def test_strong_det_examples():
     assert strong_determinant_ok(module_from_descent_removed(tau, [Mat2(v, zero, zero, one)]))
     assert not strong_determinant_ok(module_from_descent_removed(tau, [Mat2(one, zero, zero, one)]))
     assert not strong_determinant_ok(module_from_descent_removed(tau, [Mat2(v, zero, zero, v)]))
+
+
+@pytest.mark.parametrize("kind", [PRINCIPAL, CUSPIDAL])
+def test_strong_det_decides_through_precision_bounded_zeros(kind):
+    """det [[v, O(v)], [O(v), 1]] = v + O(v**2) is v times a unit, though no entry is exact."""
+    tau = next(t for t in enumerate_types(3, 1) if t.kind == kind)
+    F = field(3, tau.fprime)
+    v, one, fuzzy = Series.monomial(F, "v", 1, 1), Series.one(F, "v"), Series.zero(F, "v", prec=1)
+    mod = module_from_descent_removed(tau, [Mat2(v, fuzzy, fuzzy, one)])
+    assert strong_determinant_ok(mod) is True
+    assert shape_words(mod) == [("I_eta",) if kind == PRINCIPAL else ("I_eta", "I_eta'")]
 
 
 def test_shape_examples():
@@ -191,7 +202,7 @@ def test_descend_all_pairs(p, f):
                 (1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(f)
             ]
             back = ascend_from_base(res)
-            for i in range(tau.fprime):
+            for i in range(f):
                 assert back.mats[i] == mod.mats[i]
             for B in res.units:
                 det = B.det()
