@@ -7,8 +7,9 @@ partial Frobenius acts on the generator pair (m, n) by
     m_{i-1} |-> a_i u^{r_i} m_i + h_i u^{delta_i} n_i
     n_{i-1} |-> b_i u^{s_i} n_i
 
-with exponents driven by the transition pattern of J.  Splitting after
-inverting u asks for a Laurent solution g of
+with exponents r, s, delta driven by the transition pattern of J; they
+serve the solver, while the module is built from J (`build_extension`).
+Splitting after inverting u asks for a Laurent solution g of
 
     a_i u^{r_i} g_i = h_i u^{delta_i} + b_i u^{s_i} phi(g_{i-1}),
 
@@ -43,16 +44,14 @@ from .gf import GF
 from .linalg import rank, rref, row_space_supported_on
 from .series import Mat2, Series
 from .tametypes import CUSPIDAL, TameType, check_profile, is_transition, profile_data
-from .phimod import BKModule, reorder_by_profile
+from .phimod import BKModule, module_from_partial_frobenius, reorder_by_profile
 from .intervals import extended, interval_decomposition
 
 
 @dataclass(frozen=True)
 class RungData:
-    """Per-index exponent data of the two rank-1 modules and their extensions."""
+    """Per-index exponents of the extensions' partial Frobenius, read by the solver."""
 
-    c: int
-    d: int
     transition: bool
     r: int
     s: int
@@ -73,27 +72,22 @@ def extension_exponents(tau: TameType, J) -> list[RungData]:
             r, s, delta = (d - c) % ep, (c - d) % ep, 0
         else:
             r, s, delta = ep, 0, (c - d) % ep
-        out.append(RungData(c, d, trans, r, s, delta))
+        out.append(RungData(trans, r, s, delta))
     return out
 
 
 def rank1_etale_isomorphic(tau: TameType, J) -> bool:
     """Whether the two untwisted rank-1 modules agree after inverting u.
 
-    Detected on exponent data: an isomorphism needs integer shifts w_i in
-    the grading class of d_i - c_i with s_i = r_i + p*w_{i-1} - w_i, which
-    reduces to a collapse condition.
+    It needs shifts w_i in the grading class of d_i - c_i with s_i = r_i + p*w_{i-1} - w_i;
+    by the exponent identity the defect s_i - r_i - p*w_{i-1} + w_i is estep*lambda_i,
+    lambda_i = -1-gamma_i, -gamma_i, gamma_i+1-p or gamma_i-p as (i-1 in J, i in J) is
+    (0,0), (0,1), (1,0) or (1,1), and such shifts exist when lambda collapses to 0.
     """
-    data = extension_exponents(tau, J)
-    p, fp, ep = tau.p, tau.fprime, tau.estep
-    lam = []
-    for i in range(fp):
-        w_prev = (data[(i - 1) % fp].d - data[(i - 1) % fp].c) % ep
-        w_here = (data[i].d - data[i].c) % ep
-        D = data[i].s - data[i].r - p * w_prev + w_here
-        if D % ep:
-            return False
-        lam.append(D // ep)
+    J = check_profile(tau, J)
+    p, fp = tau.p, tau.fprime
+    lam = [(-1 - g, -g, g + 1 - p, g - p)[2 * ((i - 1) % fp in J) + (i in J)]
+           for i, g in enumerate(tau.gamma)]
     return collapse_exponents(lam, p, fp) == 0
 
 
@@ -144,26 +138,20 @@ class ExtensionPoint:
 
 
 def build_extension(x: ExtensionPoint) -> BKModule:
-    """The extension module, from its eigenbasis matrices ((a u^r, 0), (h u^delta, b u^s))
-    at indices 0..f-1 reordered by profile: removing the descent data moves the entry at
-    (row, col) by (row - col) * ell'_i."""
+    """The point of J's component with unit matrices B_i = ((a_i, 0), (h_i, b_i)) reordered.
+
+    Removing the descent data from the eigenbasis matrix ((a u^r, 0), (h u^delta, b u^s))
+    moves its entry at (row, col) by (row - col)*ell'_i; in all four cases (i in J or not,
+    i-1 in J or not) that leaves exponents 0 or 1 in v, which put the v exactly as
+    B_i*diag(v, 1) inside J and diag(1, v)*B_i outside it.
+    """
     tau, F = x.tau, x.field
-    fp, ep = tau.fprime, tau.estep
-    mats = []
-    for i, rung in enumerate(x.data[: tau.f]):
-        ai, bi = x.twist_at(i)
-        lp = tau.ell_prime(i)
-        # those moves by the row and the column of an entry before the reorder
-        rows = (0, lp) if i in x.J else (lp, 0)
-        cols = (0, -lp) if (i - 1) % fp in x.J else (-lp, 0)
-
-        def entry(c, e, row, col):
-            return Series.monomial(F, "v", c, (e + rows[row] + cols[col]) // ep)
-
-        M = Mat2(entry(ai, rung.r, 0, 0), Series.zero(F, "v"),
-                 entry(x.h_at(i), rung.delta, 1, 0), entry(bi, rung.s, 1, 1))
-        mats.append(reorder_by_profile(M, x.J, i, fp))
-    return BKModule(tau, mats)
+    B = []
+    for i in range(tau.f):
+        a, b = x.twist_at(i)
+        M = Mat2(*(Series.monomial(F, "v", c, 0) for c in (a, 0, x.h_at(i), b)))
+        B.append(reorder_by_profile(M, x.J, i, tau.fprime))
+    return module_from_partial_frobenius(tau, x.J, B)
 
 
 # -- the splitting solver ------------------------------------------------------

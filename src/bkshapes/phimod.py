@@ -10,7 +10,8 @@ whose exponents are the Hodge data of the pair (tau, J).  Only module
 files hold the f' eigenbasis matrices C_i = diag(1, u**-ell'_i) * A_i *
 diag(1, u**ell'_i) over the u-scale series (u**estep = v), whose entries
 carry the grading forced by the two characters: `module_from_eigenbasis`
-checks it and the cuspidal linkage on reading.
+checks it and the cuspidal linkage on reading.  The engine reads its
+exponents from J and the recipe's gamma, t and theta alone.
 
 Monomial diagonal factors diag(x**a, x**b) and the swap permutation are
 applied as entry moves (`Mat2.shifted`, `Mat2.swapped`), never as matrix
@@ -41,12 +42,6 @@ class NoShapeError(ArithmeticError):
 
 class GradingError(ValueError):
     """Matrix entries violate the eigenbasis grading."""
-
-
-def _check_residue(s: Series, residue: int, estep: int, what: str):
-    e = s.first_off_class(residue, estep)
-    if e is not None:
-        raise GradingError(f"{what} has exponent {e} outside its grading class")
 
 
 def cuspidal_companion(A: Mat2) -> Mat2:
@@ -90,7 +85,10 @@ def module_from_eigenbasis(tau: TameType, C_list) -> BKModule:
     for i, M in enumerate(C_list):
         classes = (0, 0, tau.ell_prime(i), tau.ell(i))
         for (r, c), residue in zip(((0, 0), (1, 1), (0, 1), (1, 0)), classes):
-            _check_residue(M[r, c], residue, tau.estep, f"entry ({r},{c}) at {i}")
+            e = M[r, c].first_off_class(residue, tau.estep)
+            if e is not None:
+                raise GradingError(f"entry ({r},{c}) at {i} has exponent {e} "
+                                   "outside its grading class")
     A = [remove_descent_data(tau, i, C) for i, C in enumerate(C_list)]
     f = tau.f
     for i in range(f if tau.kind == CUSPIDAL else 0):
@@ -124,12 +122,8 @@ def module_from_descent_removed(tau: TameType, A_list) -> BKModule:
 def module_from_partial_frobenius(tau: TameType, J, B_list) -> BKModule:
     """The component normal form: B*diag(v,1) inside J, diag(1,v)*B outside."""
     J = check_profile(tau, J)
-    f = tau.f
-    if len(B_list) != f:
-        raise ValueError(f"need {f} unit matrices")
-    A_list = [
-        B.shifted(cols=(1, 0)) if i in J else B.shifted(rows=(0, 1)) for i, B in enumerate(B_list)
-    ]
+    A_list = [B.shifted(cols=(1, 0)) if i in J else B.shifted(rows=(0, 1))
+              for i, B in enumerate(B_list)]
     return module_from_descent_removed(tau, A_list)
 
 
@@ -208,14 +202,14 @@ def change_eigenbasis(mod: BKModule, I_list, terms: int | None = None) -> BKModu
     """Conjugate by a unit family given in descent-removed (v-scale) form.
 
     A_i becomes I_i^-1 * A_i * D * phi(I_{i-1}) * D^-1, where the descent data leave
-    D = diag(1, v**m), m = (ell'_i - p*ell'_{i-1}) / estep (an integer: `recipe-bounds`);
+    D = diag(1, u**(ell'_i - p*ell'_{i-1})) = diag(1, v**m_i), m_i = gamma_i + 1 - p, by the
+    exponent identity p*ell'_{i-1} - ell'_i = estep*(p-1-gamma_i) (`recipe-bounds`);
     each inverse keeps at most `terms` v-coefficients.  The family has f matrices; the
     wrap at index 0 reads I_{f'-1}, for a cuspidal type the companion of I_{f-1}.  On a
     stack the family is a stack of the same size, and every member's change of basis
     must have unit determinant.
     """
     tau = mod.tau
-    p, ep = tau.p, tau.estep
     I_list = _family(tau, I_list)
     for i, I in enumerate(I_list):
         if not np.all(I.has_unit_det()):
@@ -223,7 +217,7 @@ def change_eigenbasis(mod: BKModule, I_list, terms: int | None = None) -> BKModu
     last = cuspidal_companion(I_list[-1]) if tau.kind == CUSPIDAL else I_list[-1]
     new = []
     for i, A in enumerate(mod.mats):
-        m = (tau.ell_prime(i) - p * tau.ell_prime(i - 1)) // ep
+        m = tau.gamma[i] + 1 - tau.p
         D_phi = (I_list[i - 1] if i else last).frobenius().shifted(rows=(0, m), cols=(0, -m))
         new.append(I_list[i].inverse(terms) * A * D_phi)
     return BKModule(tau, new)
@@ -261,17 +255,18 @@ def _twist_moves(tau: TameType, J, pd) -> list:
     """Per index i < f, the v-scale (rows, cols) entry moves carrying A_i to the invariants basis.
 
     With the descent data, the monomial basis of the twist chain is
-    diag(u**w_i, u**(w_i + estep*j_i)), j_i = [i not in J], so A_i becomes
-    v**n_i * diag(1, v**-j_i) * A_i * diag(1, v**(m_i + p*j_{i-1})), where
-    n_i = (p*w_{i-1} - w_i) / estep and m_i is as in `change_eigenbasis`.
+    diag(u**w_i, u**(w_i + estep*j_i)), w_i = ell'_i - k'_i + estep*(nu_i - 1),
+    j_i = [i not in J], so A_i becomes v**n_i * diag(1, v**-j_i) * A_i *
+    diag(1, v**(m_i + p*j_{i-1})), m_i as in `change_eigenbasis`, and
+    n_i = (p*w_{i-1} - w_i) / estep = t_i - gamma_i - theta_i, since
+    p*k'_{i-1} - k'_i = estep*mu_i, p*nu_{i-1} - nu_i = mu_i + t_i - theta_i (the
+    twist chain) and p*ell'_{i-1} - ell'_i = estep*(p-1-gamma_i).
     """
-    p, fp, ep = tau.p, tau.fprime, tau.estep
-    w = [tau.ell_prime(i) - tau.k_prime(i) + ep * (pd.nu[i] - 1) for i in range(fp)]
-    j = [int(i not in J) for i in range(fp)]
+    p, g = tau.p, tau.gamma
+    j = [int(i not in J) for i in range(tau.fprime)]
     out = []
     for i in range(tau.f):
-        n = (p * w[i - 1] - w[i]) // ep
-        m = (tau.ell_prime(i) - p * tau.ell_prime(i - 1)) // ep
+        n, m = pd.t[i] - g[i] - pd.theta[i], g[i] + 1 - p
         out.append(((n, n - j[i]), (0, m + p * j[i - 1])))
     return out
 

@@ -50,9 +50,12 @@ def _product_prec(x, y):
     """The prec of x * y: the smaller of prec + val of each factor against the other.
 
     A factor known below prec bounds its product's knowledge.  A zero
-    factor known below prec is O(x**prec), so it counts with val prec; an
-    exact zero counts with val 0.  None when both factors are exact.
+    factor known below prec is O(x**prec), so it counts with val prec.
+    None when both factors are exact or either is an exact zero, since
+    the product is then exactly zero.
     """
+    if any(s.prec is None and s.is_zero() for s in (x, y)):
+        return None
     xlo, ylo = (s.prec if s.prec is not None and s.is_zero() else s.val for s in (x, y))
     prec = None if x.prec is None else x.prec + ylo
     if y.prec is not None:

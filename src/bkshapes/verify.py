@@ -65,7 +65,6 @@ from .extensions import (
     ExceptionalPairError,
     ExtensionPoint,
     build_extension,
-    extension_exponents,
     kext_dimension,
     kext_obstruction_rows,
     kext_structure,
@@ -471,7 +470,7 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
             # all trials of the case in draw order, transported as one stack per index
             draws = [[random_unit_matrix(rng, F, 4) for _ in range(f)] for _ in range(trials)]
             mats = [M.shifted(cols=r[i]) for i, M in enumerate(_index_stacks(draws))]
-            _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=48)
+            _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=2)
             for i in range(f):
                 if tuple(sorted(exps[i], reverse=True)) != target[i]:
                     return False, f"exponent mismatch {kind}_{j} at gaps={gaps}"
@@ -483,7 +482,6 @@ def check_extension_shape_law(p, f, rng, fault=None, cap=200):
     n = 0
     pairs, note = _field_pairs(p, f, rng, cap)
     for tau, J, F in pairs:
-        data = extension_exponents(tau, J)
         for h in itertools.product((0, 1), repeat=f):
             x = _extension_point(tau, J, F, h)
             if x is None:
@@ -493,7 +491,7 @@ def check_extension_shape_law(p, f, rng, fault=None, cap=200):
                 return False, f"extension fails determinant at {tau.key()} J={sorted(J)}"
             shapes, profs = classify_shape(mod)
             for i in range(tau.fprime):
-                want = data[i].transition and h[i % f] == 0
+                want = is_transition(J, i, tau.fprime) and h[i % f] == 0
                 if (shapes[i] == SHAPE_II) != want:
                     return False, f"shape law broken at {tau.key()} J={sorted(J)} h={h} i={i}"
             if frozenset(J) not in profs:

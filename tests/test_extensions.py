@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bkshapes import extensions
+from bkshapes.charexp import collapse_exponents
 from bkshapes.extensions import (
     ExceptionalPairError,
     ExtensionPoint,
@@ -21,8 +22,8 @@ from bkshapes.extensions import (
 from bkshapes.gf import field
 from bkshapes.intervals import extended
 from bkshapes.linalg import kernel_basis, rank, rref
-from bkshapes.phimod import classify_shape, strong_determinant_ok
-from bkshapes.series import Series
+from bkshapes.phimod import BKModule, classify_shape, reorder_by_profile, strong_determinant_ok
+from bkshapes.series import Mat2, Series
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -54,7 +55,7 @@ def test_exponent_formulas_hand_checked():
     for i, d in enumerate(data2):
         assert not d.transition
         assert d.r == tau.estep and d.s == 0
-        assert d.delta == (d.c - d.d) % tau.estep
+        assert d.delta == (tau.k(i) - tau.k_prime(i)) % tau.estep  # (c, d) = (k_i, k'_i) inside J
 
 
 def test_cuspidal_exponents_f_periodic():
@@ -192,6 +193,80 @@ def test_exceptional_pair_refused():
                 # unequal twists remain allowed
                 ExtensionPoint(tau, J, F, 1, 2, (0,) * tau.f)
     assert hits > 0
+
+
+def _reference_rank1_etale_isomorphic(tau, J):
+    """The shift condition on the u-scale exponents: with w_i = (d_i - c_i) mod estep the
+    defect s_i - r_i - p*w_{i-1} + w_i must be estep*lambda_i, and lambda collapse to 0."""
+    data = extension_exponents(tau, J)
+    p, fp, ep = tau.p, tau.fprime, tau.estep
+    w = [(tau.k_prime(i) - tau.k(i)) % ep if i in J else (tau.k(i) - tau.k_prime(i)) % ep
+         for i in range(fp)]
+    lam = []
+    for i in range(fp):
+        D = data[i].s - data[i].r - p * w[i - 1] + w[i]
+        if D % ep:
+            return False
+        lam.append(D // ep)
+    return collapse_exponents(lam, p, fp) == 0
+
+
+def test_exceptional_pairs_match_the_shift_condition():
+    pairs = hits = 0
+    for p, f in ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (3, 2), (5, 2), (2, 3)):
+        for tau in enumerate_types(p, f):
+            for J in enumerate_profiles(tau):
+                got = rank1_etale_isomorphic(tau, J)
+                assert got == _reference_rank1_etale_isomorphic(tau, J), (tau.key(), sorted(J))
+                pairs += 1
+                hits += got
+    assert 0 < hits < pairs
+
+
+def _reference_build_extension(x):
+    """The extension module from the u-scale exponents r, s, delta: the entry at (row, col)
+    of ((a u^r, 0), (h u^delta, b u^s)) moved by the descent data, then divided by estep,
+    and the matrix reordered by profile."""
+    tau, F = x.tau, x.field
+    fp, ep = tau.fprime, tau.estep
+    mats = []
+    for i, rung in enumerate(x.data[: tau.f]):
+        ai, bi = x.twist_at(i)
+        lp = tau.ell_prime(i)
+        rows = (0, lp) if i in x.J else (lp, 0)
+        cols = (0, -lp) if (i - 1) % fp in x.J else (-lp, 0)
+
+        def entry(c, e, row, col):
+            q, rest = divmod(e + rows[row] + cols[col], ep)
+            assert rest == 0
+            return Series.monomial(F, "v", c, q)
+
+        M = Mat2(entry(ai, rung.r, 0, 0), Series.zero(F, "v"),
+                 entry(x.h_at(i), rung.delta, 1, 0), entry(bi, rung.s, 1, 1))
+        mats.append(reorder_by_profile(M, x.J, i, fp))
+    return BKModule(tau, mats)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_build_extension_is_the_point_of_the_exponent_moves(p, f):
+    """On every (type, profile), both twist orders and a random class: equal val, prec, coefficients."""
+    rng = random.Random(f"build-{p}-{f}")
+    built = 0
+    for tau in enumerate_types(p, f):
+        F = field(p, tau.fprime)
+        for J in enumerate_profiles(tau):
+            h = tuple(rng.randrange(F.q) for _ in range(f))
+            for a, b in ((1, F.q - 1), (F.q - 1, 1)):
+                try:
+                    x = ExtensionPoint(tau, J, F, a, b, h)
+                except ExceptionalPairError:
+                    continue
+                got, want = build_extension(x), _reference_build_extension(x)
+                for A, B in zip(got.mats, want.mats):
+                    assert [(s.val, s.prec, s.coeffs.tolist()) for s in A.e] == \
+                        [(s.val, s.prec, s.coeffs.tolist()) for s in B.e]
+                built += 1
+    assert built
 
 
 def test_split_counts_are_field_powers():

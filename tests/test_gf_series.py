@@ -171,7 +171,9 @@ def test_precision_tracking():
     fuzzy, v = _S(F9, "v", 0, [], prec=1), Series.monomial(F9, "v", 1, 1)
     assert (fuzzy * fuzzy).prec == 2 and (fuzzy.shift(3) * fuzzy).prec == 5
     assert (fuzzy * v).prec == (v * fuzzy).prec == 2
-    assert (Series.zero(F9, "v") * fuzzy).prec == 1  # an exact zero counts with val 0
+    # an exact zero factor makes the product exactly zero, however little the other knows
+    assert (Series.zero(F9, "v") * fuzzy).prec is None
+    assert (fuzzy.shift(-4) * Series.zero(F9, "v")).prec is None
     det = Mat2(v, fuzzy, fuzzy, Series.one(F9, "v")).det()
     assert det == v and det.prec == 2
 
@@ -385,9 +387,12 @@ def _reference_mul(x, y):
     """The product rule entry by entry: table-driven coefficients, no packing.
 
     Each factor's prec plus the least exponent the other can have a term at
-    bounds the product's prec; a zero known below prec is O(x**prec).
+    bounds the product's prec; a zero known below prec is O(x**prec), and
+    an exact zero factor makes the product exactly zero.
     """
     F = x.field
+    if any(s.is_zero() and s.prec is None for s in (x, y)):
+        return Series.zero(F, x.scale)
 
     def least(s):
         return s.prec if s.is_zero() and s.prec is not None else s.val
@@ -404,6 +409,8 @@ def _reference_mul(x, y):
 
 
 def _oracle_entry(rng, F, scale, bounded):
+    if bounded is None:  # exact or prec-bounded, entry by entry
+        bounded = rng.random() < 0.5
     roll = rng.random()
     prec = rng.randrange(-4, 12) if bounded else None
     if roll < 0.15:
@@ -433,8 +440,9 @@ def test_fused_products_match_entrywise_formulas(p, m):
     F = field(p, m)
     rng = random.Random(f"fused-{p}-{m}")
     mul = _reference_mul
-    for trial in range(48):
-        scale, bounded = ("u", "v")[trial % 2], trial % 4 >= 2
+    for trial in range(64):
+        # from trial 48 on, exact entries (exact zeros among them) meet prec-bounded ones
+        scale, bounded = ("u", "v")[trial % 2], trial % 4 >= 2 if trial < 48 else None
         M = Mat2(*(_oracle_entry(rng, F, scale, bounded) for _ in range(4)))
         N = Mat2(*(_oracle_entry(rng, F, scale, bounded) for _ in range(4)))
         a, b, c, d = M.e

@@ -223,3 +223,22 @@ def test_check_draws_trials_in_sequential_order(monkeypatch):
                 got, ref = stacks[i].member(t), want[k * trials + t][i]
                 for s, e in zip(got.e, ref.e):
                     assert (s.val, s.prec, list(s.coeffs)) == (e.val, e.prec, list(e.coeffs))
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
+def test_check_reads_unit_parts_known_at_exponent_0(monkeypatch, p, f):
+    """`check_operator_basis` keeps two v-coefficients per inverse, which is enough: every
+    unit part it reads, of its inputs and of their images, is known at exponent 0."""
+    from bkshapes import phimod, verify
+
+    orig, precs = phimod._unit_part, []
+
+    def recording(M, r, what):
+        B = orig(M, r, what)
+        precs.extend(s.prec for s in B.e)
+        return B
+
+    monkeypatch.setattr(phimod, "_unit_part", recording)
+    for seed in range(4):
+        assert verify.check_operator_basis(p, f, random.Random(seed))[0]
+    assert precs and all(q is None or q >= 1 for q in precs)

@@ -8,6 +8,7 @@ from bkshapes.phimod import (
     BKModule,
     GradingError,
     NoShapeError,
+    _twist_moves,
     add_descent_data,
     ascend_from_base,
     change_eigenbasis,
@@ -187,6 +188,42 @@ def test_change_eigenbasis_rejects_nonunit():
     zero = Series.zero(F9, "v")
     with pytest.raises(ValueError):
         change_eigenbasis(mod, [Mat2(v, zero, zero, v)] * 2, terms=20)
+
+
+def _ell_prime_m(tau, i):
+    """The move of a change of eigenbasis as the descent data give it: (ell'_i - p*ell'_{i-1}) / estep."""
+    m, rest = divmod(tau.ell_prime(i) - tau.p * tau.ell_prime(i - 1), tau.estep)
+    assert rest == 0
+    return m
+
+
+def _wchain_twist_moves(tau, J, pd):
+    """The twist moves through the monomial basis diag(u**w_i, u**(w_i + estep*j_i)) of the
+    twist chain, w_i = ell'_i - k'_i + estep*(nu_i - 1), with n_i = (p*w_{i-1} - w_i) / estep."""
+    p, fp, ep = tau.p, tau.fprime, tau.estep
+    w = [tau.ell_prime(i) - tau.k_prime(i) + ep * (pd.nu[i] - 1) for i in range(fp)]
+    j = [int(i not in J) for i in range(fp)]
+    out = []
+    for i in range(tau.f):
+        n, rest = divmod(p * w[i - 1] - w[i], ep)
+        assert rest == 0
+        out.append(((n, n - j[i]), (0, _ell_prime_m(tau, i) + p * j[i - 1])))
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                 (5, 1), (5, 2), (7, 2), (11, 1)])
+def test_closed_form_moves_match_the_descent_data_forms(p, f):
+    """m_i = gamma_i + 1 - p and n_i = t_i - gamma_i - theta_i, on every (type, profile)."""
+    pairs = 0
+    for tau in enumerate_types(p, f):
+        for i in range(tau.f):
+            assert _ell_prime_m(tau, i) == tau.gamma[i] + 1 - p
+        for J in enumerate_profiles(tau):
+            pd = profile_data(tau, J)
+            assert _twist_moves(tau, pd.J, pd) == _wchain_twist_moves(tau, pd.J, pd)
+            pairs += 1
+    assert pairs
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (3, 2)])
