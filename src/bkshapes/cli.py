@@ -6,10 +6,14 @@ to any command that takes one, an f below 1, a `find-type` Hodge type whose
 number of pairs is not f, an index given to `--j`, `--transition` or
 `--no-transition` outside [0, f), a `--profile` member outside [0, f'), the
 unsatisfiable transition preferences of `find-type`, a malformed integer
-list given to `--gamma`, `--profile`, `--h` or `--r`, a coefficient field
-over the table limit, a malformed or mis-graded module file and a module
-file whose coefficients are known too coarsely to decide), and 3 when a
-`verify` check crashed and none failed.
+list given to `--gamma`, `--profile`, `--h` or `--r`, `ext --kext` with
+`--split`, `--h` or `--build`, a coefficient field over the table limit,
+a malformed or mis-graded module file, a module file whose coefficients
+are known too coarsely to decide, a module with no shape given to
+`shape` or `descend`, and a module given to `descend` that is not a
+point of the `--profile`'s component: it fails the strong determinant
+condition, or the profile is not among those `shape` lists), and 3 when
+a `verify` check crashed and none failed.
 """
 
 from __future__ import annotations
@@ -221,16 +225,27 @@ def _load_module(args):
     return module_from_eigenbasis(tau, mats)
 
 
-def cmd_shape(args, out):
-    from .phimod import classify_shape, strong_determinant_ok
+def _shape_of(mod):
+    """The strong determinant verdict, the shapes and the profiles of a module file's module.
 
-    mod = _load_module(args)
-    tau = mod.tau
+    A module with no shape is refused like any module file that cannot be decided.
+    """
+    from .phimod import NoShapeError, classify_shape, strong_determinant_ok
+
     det_ok = strong_determinant_ok(mod)
-    shapes, profiles = classify_shape(mod)
+    try:
+        shapes, profiles = classify_shape(mod)
+    except NoShapeError as exc:
+        raise UsageError(f"module has no shape: {exc}") from None
+    return det_ok, shapes, profiles
+
+
+def cmd_shape(args, out):
+    mod = _load_module(args)
+    det_ok, shapes, profiles = _shape_of(mod)
     print(
         f"strong_det={int(det_ok)} shapes={','.join(shapes)} "
-        + " ".join(f"profile={profile_mask(tau, J)}" for J in profiles),
+        + " ".join(f"profile={profile_mask(mod.tau, J)}" for J in profiles),
         file=out,
     )
     return 0
@@ -242,6 +257,12 @@ def cmd_descend(args, out):
     mod = _load_module(args)
     tau = mod.tau
     J = _profile_from_args(tau, args)
+    # descent holds exactly on the points of J's component, which `shape` reports
+    det_ok, _, profiles = _shape_of(mod)
+    if not det_ok:
+        raise UsageError("module fails the strong determinant condition; it lies on no component")
+    if J not in profiles:
+        raise UsageError(f"module is not a point of the component of profile {profile_mask(tau, J)}")
     res = descend_to_base(mod, J)
     print(
         f"profile={profile_mask(tau, J)} exponents={_fmt_pairs(res.exponents)}"
@@ -264,6 +285,10 @@ def cmd_ext(args, out):
     )
     from .phimod import classify_shape, eigenbasis_matrices
 
+    ignored = [opt for opt, given in (("--split", args.split), ("--h", args.h is not None),
+                                      ("--build", args.build is not None)) if given]
+    if args.kext and ignored:
+        raise UsageError(f"--kext does not combine with {', '.join(ignored)}")
     tau = _type_from_args(args)
     J = _profile_from_args(tau, args)
     F = field(args.p, tau.fprime)

@@ -59,20 +59,19 @@ class RungData:
 
 
 def extension_exponents(tau: TameType, J) -> list[RungData]:
+    """The rungs at the indices of Z/f'Z, from L_i = ell'_i inside J and estep - ell'_i outside.
+
+    At a transition (r, s, delta) = (L_i, estep - L_i, 0), elsewhere (estep, 0, estep - L_i).
+    """
     J = check_profile(tau, J)
     fp, ep = tau.fprime, tau.estep
     out = []
-    for i in range(fp):
-        if i in J:
-            c, d = tau.k(i), tau.k_prime(i)
+    for i, lp in enumerate(tau.ell_prime):
+        L = lp if i in J else ep - lp
+        if is_transition(J, i, fp):
+            out.append(RungData(True, L, ep - L, 0))
         else:
-            c, d = tau.k_prime(i), tau.k(i)
-        trans = is_transition(J, i, fp)
-        if trans:
-            r, s, delta = (d - c) % ep, (c - d) % ep, 0
-        else:
-            r, s, delta = ep, 0, (c - d) % ep
-        out.append(RungData(trans, r, s, delta))
+            out.append(RungData(False, ep, 0, ep - L))
     return out
 
 

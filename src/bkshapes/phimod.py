@@ -26,10 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .charexp import solve_twist_chain
 from .gf import GF
 from .hodge import apply_operator, hodge_type_of_raw
 from .series import Mat2, PrecisionError, Series
-from .tametypes import CUSPIDAL, TameType, check_profile, enumerate_profiles, profile_data
+from .tametypes import CUSPIDAL, ProfileData, TameType, check_profile, enumerate_profiles, profile_data
 
 SHAPE_I_ETA = "I_eta"
 SHAPE_I_ETA_PRIME = "I_eta'"
@@ -83,7 +84,8 @@ def module_from_eigenbasis(tau: TameType, C_list) -> BKModule:
     if len(C_list) != tau.fprime:
         raise ValueError(f"need {tau.fprime} matrices")
     for i, M in enumerate(C_list):
-        classes = (0, 0, tau.ell_prime(i), tau.ell(i))
+        lp = tau.ell_prime[i]
+        classes = (0, 0, lp, tau.estep - lp)
         for (r, c), residue in zip(((0, 0), (1, 1), (0, 1), (1, 0)), classes):
             e = M[r, c].first_off_class(residue, tau.estep)
             if e is not None:
@@ -105,12 +107,12 @@ def eigenbasis_matrices(mod: BKModule) -> list:
 
 def remove_descent_data(tau: TameType, i: int, C: Mat2) -> Mat2:
     """Conjugate the eigenbasis matrix into plain v-scale entries."""
-    lp = tau.ell_prime(i)
+    lp = tau.ell_prime[i]
     return C.shifted(rows=(0, lp), cols=(0, -lp)).map(lambda s: s.to_v(tau.estep))
 
 
 def add_descent_data(tau: TameType, i: int, A: Mat2) -> Mat2:
-    lp = tau.ell_prime(i)
+    lp = tau.ell_prime[i]
     return A.map(lambda s: s.to_u(tau.estep)).shifted(rows=(0, -lp), cols=(0, lp))
 
 
@@ -276,24 +278,42 @@ def reorder_by_profile(M: Mat2, J, i: int, n: int) -> Mat2:
     return M.swapped(rows=i not in J, cols=(i - 1) % n not in J)
 
 
+def twist_chain(pd: ProfileData) -> tuple:
+    """The twist chain nu of the descent of (tau, J): p*nu_{i-1} - nu_i = mu_i + t_i - theta_i.
+
+    nu is indexed by Z/f'Z and theta read f-periodically.  For a cuspidal
+    type the basis-matching exponent xi_i = [k_i > k'_i] + nu_i - nu_{i+f}
+    - [i in J], i < f, with k_i and k'_i the exponents of eta and eta' at
+    embedding i, vanishes by the theory; it is asserted here.
+    """
+    tau, J = pd.tau, pd.J
+    p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
+    theta = pd.theta * (fp // f)
+    nu = solve_twist_chain([m + t - th for m, t, th in zip(tau.mu, pd.t, theta)], p, fp)
+    if tau.kind == CUSPIDAL:
+        for i in range(f):
+            k, k_prime = tau.eta * p**i % ep, tau.eta_prime * p**i % ep
+            if (k > k_prime) + nu[i] - nu[i + f] - (i in J) != 0:
+                raise AssertionError(f"cuspidal matching exponent nonzero at {i}")
+    return nu
+
+
 def descend_to_base(mod: BKModule, J) -> DescentResult:
     """Base-field invariants basis: matrices B_i*diag(v, v^{-s_i})*v^{-theta_i}.
 
-    Follows the constructive proof: conjugate by the monomial basis with
-    exponents from the derived twist chain, then reorder the pair at each
-    index by profile membership.  In the cuspidal case the matching
-    exponent is asserted to vanish and the output is the f-indexed family
-    of invariants.
+    Follows the constructive proof: conjugate by the monomial basis of the
+    twist chain, whose entry moves have closed forms (`_twist_moves`), then
+    reorder the pair at each index by profile membership; the output is the
+    f-indexed family of invariants.  The twist chain itself is solved here
+    (`twist_chain`, which asserts that a cuspidal matching exponent
+    vanishes) and reported in the result.  A module that is not a point of
+    J's component, failing the strong determinant condition or with a shape
+    outside J's, raises AssertionError at its unit parts.
     """
     tau, f = mod.tau, mod.tau.f
     J = check_profile(tau, J)
     pd = profile_data(tau, J)
-
-    if tau.kind == CUSPIDAL:
-        for i in range(f):
-            if pd.xi(i) != 0:
-                raise AssertionError(f"cuspidal matching exponent nonzero at {i}")
-
+    nu = twist_chain(pd)
     moves = _twist_moves(tau, J, pd)
     mats = [reorder_by_profile(A.shifted(*moves[i]).swapped(False, tau.kind == CUSPIDAL and i == 0),
                                J, i, f)
@@ -301,7 +321,7 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
 
     exponents = list(hodge_type_of_raw(tau, J))
     units = [_unit_part(mats[i], exponents[i], f"unit part at {i}") for i in range(f)]
-    return DescentResult(tau, J, mats, units, exponents, pd.nu)
+    return DescentResult(tau, J, mats, units, exponents, nu)
 
 
 def ascend_from_base(res: DescentResult) -> BKModule:

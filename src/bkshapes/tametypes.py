@@ -20,7 +20,6 @@ from .charexp import (
     digit_tuple,
     factor_through_norm,
     level_f_lift_residue,
-    solve_twist_chain,
 )
 
 PRINCIPAL = "principal-series"
@@ -37,9 +36,10 @@ class TameType:
 
     The derived data is set once, at construction: ``fprime`` (the level
     f'), ``estep`` (p**f' - 1), ``gamma`` (the digits of eta/eta'), ``mu``
-    (the digits of eta'), ``weights`` (the collapse weights at level f')
-    and ``cases``, the recipe's (s_i, t_i) at each index i in the four
-    cases ``cases[i][2 * (i-1 in J) + (i in J)]``.
+    (the digits of eta'), ``ell_prime`` (ell'_i = (eta' - eta)*p**i mod
+    estep, never 0, so ell_i = estep - ell'_i), ``weights`` (the collapse
+    weights at level f') and ``cases``, the recipe's (s_i, t_i) at each
+    index i in the four cases ``cases[i][2 * (i-1 in J) + (i in J)]``.
     """
 
     p: int
@@ -61,6 +61,7 @@ class TameType:
         set_(self, "estep", ep)
         set_(self, "gamma", digit_tuple((eta - eta_prime) % ep, self.p, fp))
         set_(self, "mu", digit_tuple(eta_prime, self.p, fp))
+        set_(self, "ell_prime", tuple((eta_prime - eta) * self.p**i % ep for i in range(fp)))
         set_(self, "weights", collapse_weights(self.p, fp))
         self._validate()
         set_(self, "cases", _recipe_cases(self.p, self.gamma))
@@ -72,28 +73,13 @@ class TameType:
         if self.kind == CUSPIDAL:
             if self.eta_prime != (self.eta * p**self.f) % ep:
                 raise ValueError("cuspidal pair must satisfy eta' = eta**(p^f)")
-        g = self.gamma
+        g, lp = self.gamma, self.ell_prime
         for i in range(fp):
-            lhs = p * self.ell_prime(i - 1) - self.ell_prime(i)
-            if lhs != ep * (p - 1 - g[i]):
+            if p * lp[i - 1] - lp[i] != ep * (p - 1 - g[i]):
                 raise AssertionError("exponent identity failed; inconsistent type data")
         if self.kind == CUSPIDAL:
             for i in range(self.f):
                 assert g[i] + g[i + self.f] == p - 1
-
-    # -- per-embedding exponents ---------------------------------------
-    def k(self, i: int) -> int:
-        """Exponent of eta at embedding i."""
-        return (self.eta * self.p ** (i % self.fprime)) % self.estep
-
-    def k_prime(self, i: int) -> int:
-        return (self.eta_prime * self.p ** (i % self.fprime)) % self.estep
-
-    def ell(self, i: int) -> int:
-        return (self.k(i) - self.k_prime(i)) % self.estep
-
-    def ell_prime(self, i: int) -> int:
-        return (self.k_prime(i) - self.k(i)) % self.estep
 
     def twist(self, c: int) -> "TameType":
         """Twist both characters by the level-f character with exponent c."""
@@ -192,28 +178,22 @@ def is_transition(J: frozenset, i: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class ProfileData:
-    """Everything the recipe attaches to a (type, profile) pair."""
+    """What the recipe attaches to a (type, profile) pair: s_J, t_J, Theta_J and the bad set.
+
+    The twist chain and the cuspidal matching exponent belong to the descent
+    construction (`phimod.twist_chain`), not to the recipe.
+    """
 
     tau: TameType
     J: frozenset
     s: tuple[int, ...]        # indexed by Z/f'Z, f-periodic
     t: tuple[int, ...]        # indexed by Z/f'Z
-    theta_residue: int        # exponent of Theta_J at level f
-    theta: tuple[int, ...]    # digit tuple of theta_residue, length f
-    mu: tuple[int, ...]       # digits of eta' at level f'
-    nu: tuple[int, ...]       # twist chain solving theta = mu + t + nu - p*shift(nu)
+    theta: tuple[int, ...]    # digits of the level-f exponent of Theta_J, length f
     bad_set: frozenset        # embeddings in Z/fZ with s = -1
-    in_P_tau: bool
 
-    def xi(self, i: int) -> int:
-        """Cuspidal basis-matching exponent; identically zero by the theory."""
-        tau = self.tau
-        if tau.kind != CUSPIDAL:
-            raise ValueError("xi is defined only for cuspidal types")
-        f, fp, ep = tau.f, tau.fprime, tau.estep
-        num = tau.ell_prime(i) + tau.k(i) - tau.k_prime(i)
-        assert num % ep == 0
-        return num // ep + self.nu[i % fp] - self.nu[(i + f) % fp] - (1 if i % fp in self.J else 0)
+    @property
+    def in_P_tau(self) -> bool:
+        return not self.bad_set
 
 
 def profile_data(tau: TameType, J) -> ProfileData:
@@ -256,24 +236,8 @@ def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
                 "Theta_J does not factor through the norm; recipe invariant broken"
             )
     theta = digit_tuple(theta_res, p, f)
-
-    mu = tau.mu
-    d = [m + t_i - th for m, t_i, th in zip(mu, t, theta * (fp // f))]
-    nu = solve_twist_chain(d, p, fp)
-
     bad = frozenset(i for i in range(f) if s[i] == -1)
-    return ProfileData(
-        tau=tau,
-        J=J,
-        s=tuple(s),
-        t=tuple(t),
-        theta_residue=theta_res,
-        theta=theta,
-        mu=mu,
-        nu=nu,
-        bad_set=bad,
-        in_P_tau=not bad,
-    )
+    return ProfileData(tau=tau, J=J, s=tuple(s), t=tuple(t), theta=theta, bad_set=bad)
 
 
 _profile_data_cached = lru_cache(maxsize=65536)(_profile_data)

@@ -10,6 +10,7 @@ from bkshapes.charexp import collapse_exponents
 from bkshapes.extensions import (
     ExceptionalPairError,
     ExtensionPoint,
+    RungData,
     build_extension,
     extension_exponents,
     kext_dimension,
@@ -29,6 +30,7 @@ from bkshapes.tametypes import (
     PRINCIPAL,
     enumerate_profiles,
     enumerate_types,
+    is_transition,
     make_type,
     profile_data,
     type_from_gamma,
@@ -37,6 +39,44 @@ from bkshapes.tametypes import (
 F3 = field(3)
 F9 = field(3, 2)
 F81 = field(3, 4)
+
+
+def _k(tau, i):
+    """Exponent of eta at embedding i."""
+    return tau.eta * tau.p ** (i % tau.fprime) % tau.estep
+
+
+def _k_prime(tau, i):
+    """Exponent of eta' at embedding i."""
+    return tau.eta_prime * tau.p ** (i % tau.fprime) % tau.estep
+
+
+def _reference_extension_exponents(tau, J):
+    """The rungs from the exponents of the two characters: (c, d) = (k_i, k'_i) inside J and
+    (k'_i, k_i) outside; r, s, delta = [d - c], [c - d], 0 at a transition and estep, 0,
+    [c - d] elsewhere, brackets the residue mod estep."""
+    fp, ep = tau.fprime, tau.estep
+    out = []
+    for i in range(fp):
+        c, d = (_k(tau, i), _k_prime(tau, i)) if i in J else (_k_prime(tau, i), _k(tau, i))
+        if is_transition(J, i, fp):
+            out.append(RungData(True, (d - c) % ep, (c - d) % ep, 0))
+        else:
+            out.append(RungData(False, ep, 0, (c - d) % ep))
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3),
+                                 (5, 1), (5, 2), (7, 2)])
+def test_extension_exponents_match_the_character_form(p, f):
+    """The ell' form of the rungs equals the k/k' form on every rung of every (type, profile)."""
+    rungs = 0
+    for tau in enumerate_types(p, f):
+        for J in enumerate_profiles(tau):
+            got = extension_exponents(tau, J)
+            assert got == _reference_extension_exponents(tau, J), (tau.key(), sorted(J))
+            rungs += len(got)
+    assert rungs
 
 
 def test_exponent_formulas_hand_checked():
@@ -55,7 +95,7 @@ def test_exponent_formulas_hand_checked():
     for i, d in enumerate(data2):
         assert not d.transition
         assert d.r == tau.estep and d.s == 0
-        assert d.delta == (tau.k(i) - tau.k_prime(i)) % tau.estep  # (c, d) = (k_i, k'_i) inside J
+        assert d.delta == (_k(tau, i) - _k_prime(tau, i)) % tau.estep  # (c, d) = (k_i, k'_i) inside J
 
 
 def test_cuspidal_exponents_f_periodic():
@@ -200,7 +240,7 @@ def _reference_rank1_etale_isomorphic(tau, J):
     defect s_i - r_i - p*w_{i-1} + w_i must be estep*lambda_i, and lambda collapse to 0."""
     data = extension_exponents(tau, J)
     p, fp, ep = tau.p, tau.fprime, tau.estep
-    w = [(tau.k_prime(i) - tau.k(i)) % ep if i in J else (tau.k(i) - tau.k_prime(i)) % ep
+    w = [(_k_prime(tau, i) - _k(tau, i)) % ep if i in J else (_k(tau, i) - _k_prime(tau, i)) % ep
          for i in range(fp)]
     lam = []
     for i in range(fp):
@@ -232,7 +272,7 @@ def _reference_build_extension(x):
     mats = []
     for i, rung in enumerate(x.data[: tau.f]):
         ai, bi = x.twist_at(i)
-        lp = tau.ell_prime(i)
+        lp = tau.ell_prime[i]
         rows = (0, lp) if i in x.J else (lp, 0)
         cols = (0, -lp) if (i - 1) % fp in x.J else (-lp, 0)
 

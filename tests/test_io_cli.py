@@ -471,6 +471,102 @@ def test_cli_descend_rejects_out_of_range_profile(member, tmp_path, capsys):
     assert err == f"error: --profile must be an index in [0, 2), got {member}\n"
 
 
+def _write_module(path, mats):
+    """The (3,2) principal module of gamma (1, 0) with v-scale matrices mats, as a module file."""
+    from bkshapes.phimod import BKModule, eigenbasis_matrices
+    from bkshapes.tametypes import PRINCIPAL, type_from_gamma
+
+    tau, F = type_from_gamma(3, 2, PRINCIPAL, (1, 0)), field(3, 2)
+    path.write_text(module_to_json(tau, eigenbasis_matrices(BKModule(tau, mats)), F, scale="u"))
+    return str(path)
+
+
+def _noshape_file(tmp_path):
+    """A well-formed module file whose module has no shape: no diagonal entry is divisible."""
+    import random
+
+    from bkshapes.randgen import random_noshape_matrix
+
+    rng = random.Random(0)
+    F = field(3, 2)
+    return _write_module(tmp_path / "noshape.json", [random_noshape_matrix(rng, F, 3) for _ in range(2)])
+
+
+def _diag_v_file(tmp_path):
+    """The module of diag(v, v) at each index: it has every shape, and determinant v**2."""
+    from bkshapes.series import Mat2, Series
+
+    F = field(3, 2)
+    v, zero = Series.monomial(F, "v", 1, 1), Series.zero(F, "v")
+    return _write_module(tmp_path / "diagv.json", [Mat2(v, zero, zero, v)] * 2)
+
+
+def _refused(capsys, *argv):
+    """Run the CLI; it must exit 2 with nothing on stdout and one `error:` line, returned."""
+    code, out = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2 and out == "", (argv, code, out)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_cli_shape_and_descend_refuse_a_shapeless_module(tmp_path, capsys):
+    modfile = _noshape_file(tmp_path)
+    for argv in (("shape", "--module", modfile), ("descend", "--module", modfile, "--profile", "0")):
+        err = _refused(capsys, *argv)
+        assert err == "error: module has no shape: no diagonal divisibility at index 0\n"
+
+
+def test_cli_descend_refuses_a_module_failing_the_determinant_test(tmp_path, capsys):
+    modfile = _diag_v_file(tmp_path)
+    code, out = run_cli("shape", "--module", modfile)
+    assert code == 0 and out.startswith("strong_det=0 shapes=II,II ") and out.count("profile=") == 4
+    for members in ("-", "0", "1", "0,1"):
+        err = _refused(capsys, "descend", "--module", modfile, "--profile", members)
+        assert "strong determinant condition" in err
+
+
+_BUILT = {
+    "principal": ("--gamma", "1,0", "--profile", "0", "--h", "1,1"),
+    "cuspidal": ("--kind", "cuspidal", "--eta", "1", "--profile", "2,3", "--h", "1,0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BUILT))
+def test_cli_descend_succeeds_exactly_on_the_profiles_shape_lists(kind, tmp_path, capsys):
+    """Every other profile is refused with exit 2: the principal module refuses -, 1 and 0,1."""
+    from bkshapes.tametypes import enumerate_profiles, profile_mask
+
+    modfile = str(tmp_path / "mod.json")
+    code, _ = run_cli("ext", "--p", "3", "--f", "2", *_BUILT[kind], "--build", modfile)
+    assert code == 0
+    tau, _, _, _ = module_from_json((tmp_path / "mod.json").read_text())
+    code, out = run_cli("shape", "--module", modfile)
+    assert code == 0 and out.startswith("strong_det=1 ")
+    listed = {int(tok.split("=")[1]) for tok in out.split() if tok.startswith("profile=")}
+    assert listed
+    for J in enumerate_profiles(tau):
+        members = ",".join(map(str, sorted(J))) or "-"
+        code, out = run_cli("descend", "--module", modfile, "--profile", members)
+        err = capsys.readouterr().err
+        if profile_mask(tau, J) in listed:
+            assert code == 0 and out.startswith(f"profile={profile_mask(tau, J)} ") and err == ""
+        else:
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: module is not a point of the component of profile ")
+
+
+@pytest.mark.parametrize("extra", [("--split",), ("--h", "1,1"), ("--build", "kext.json"),
+                                   ("--split", "--h", "1,1", "--build", "kext.json")])
+def test_cli_kext_refuses_the_options_it_would_ignore(extra, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    err = _refused(capsys, "ext", "--p", "3", "--f", "2", "--gamma", "1,0", "--profile", "0",
+                   "--kext", *extra)
+    assert err.startswith("error: --kext does not combine with ")
+    assert all(opt in err for opt in extra if opt.startswith("--"))
+    assert not (tmp_path / "kext.json").exists()
+
+
 def test_cli_ext_split_builds_one_solver(monkeypatch):
     from bkshapes import extensions
 

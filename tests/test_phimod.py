@@ -21,6 +21,7 @@ from bkshapes.phimod import (
     remove_descent_data,
     shape_words,
     strong_determinant_ok,
+    twist_chain,
 )
 from bkshapes.randgen import (
     random_basis_change,
@@ -56,9 +57,9 @@ def test_descent_removal_roundtrip():
     A = Mat2(v, one + v, v * (one + v), one)
     C = add_descent_data(tau, 0, A)
     # eigenbasis grading: off-diagonals carry the exponent classes
-    assert C[0, 1].first_off_class(tau.ell_prime(0), tau.estep) is None
-    assert C[1, 0].first_off_class(tau.ell(0), tau.estep) is None
-    assert C[0, 1].first_off_class(tau.ell_prime(0) + 1, tau.estep) is not None
+    assert C[0, 1].first_off_class(tau.ell_prime[0], tau.estep) is None
+    assert C[1, 0].first_off_class(tau.estep - tau.ell_prime[0], tau.estep) is None
+    assert C[0, 1].first_off_class(tau.ell_prime[0] + 1, tau.estep) is not None
     back = remove_descent_data(tau, 0, C)
     assert back == A
 
@@ -192,16 +193,18 @@ def test_change_eigenbasis_rejects_nonunit():
 
 def _ell_prime_m(tau, i):
     """The move of a change of eigenbasis as the descent data give it: (ell'_i - p*ell'_{i-1}) / estep."""
-    m, rest = divmod(tau.ell_prime(i) - tau.p * tau.ell_prime(i - 1), tau.estep)
+    m, rest = divmod(tau.ell_prime[i] - tau.p * tau.ell_prime[i - 1], tau.estep)
     assert rest == 0
     return m
 
 
 def _wchain_twist_moves(tau, J, pd):
     """The twist moves through the monomial basis diag(u**w_i, u**(w_i + estep*j_i)) of the
-    twist chain, w_i = ell'_i - k'_i + estep*(nu_i - 1), with n_i = (p*w_{i-1} - w_i) / estep."""
+    twist chain, w_i = ell'_i - k'_i + estep*(nu_i - 1), with n_i = (p*w_{i-1} - w_i) / estep;
+    k'_i = eta' * p**i mod estep is the exponent of eta' at embedding i."""
     p, fp, ep = tau.p, tau.fprime, tau.estep
-    w = [tau.ell_prime(i) - tau.k_prime(i) + ep * (pd.nu[i] - 1) for i in range(fp)]
+    nu = twist_chain(pd)
+    w = [tau.ell_prime[i] - tau.eta_prime * p**i % ep + ep * (nu[i] - 1) for i in range(fp)]
     j = [int(i not in J) for i in range(fp)]
     out = []
     for i in range(tau.f):

@@ -10,6 +10,7 @@ from bkshapes.charexp import (
     factor_through_norm,
     solve_twist_chain,
 )
+from bkshapes.phimod import twist_chain
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -106,12 +107,33 @@ def test_check_profile_matches_pairing_rule(p, f):
                     check_profile(tau, members)
 
 
+def _reference_nu(pd):
+    """The twist chain restated: p*nu_{i-1} - nu_i = mu_i + t_i - theta_i, theta f-periodic."""
+    tau = pd.tau
+    fp = tau.fprime
+    mu = digit_tuple(tau.eta_prime, tau.p, fp)
+    theta_ext = pd.theta * (fp // tau.f)
+    return solve_twist_chain([mu[i] + pd.t[i] - theta_ext[i] for i in range(fp)], tau.p, fp)
+
+
+def _reference_xi(pd, nu, i):
+    """The cuspidal basis-matching exponent (ell'_i + k_i - k'_i)/estep + nu_i - nu_{i+f} - [i in J]."""
+    tau = pd.tau
+    p, f, ep = tau.p, tau.f, tau.estep
+    k, k_prime = tau.eta * p**i % ep, tau.eta_prime * p**i % ep
+    num = (k_prime - k) % ep + k - k_prime
+    assert num % ep == 0
+    return num // ep + nu[i] - nu[i + f] - (1 if i in pd.J else 0)
+
+
 def test_cuspidal_xi_vanishes_everywhere():
     for tau in enumerate_types(3, 2, kinds=(CUSPIDAL,)):
         for J in enumerate_profiles(tau):
             pd = profile_data(tau, J)
+            nu = _reference_nu(pd)
+            assert twist_chain(pd) == nu  # asserts xi = 0 on its own
             for i in range(tau.f):
-                assert pd.xi(i) == 0
+                assert _reference_xi(pd, nu, i) == 0
 
 
 def test_serre_weight_examples():
@@ -165,7 +187,7 @@ def test_useful_identity_exhaustive_p3():
         for tau in enumerate_types(3, f):
             g = tau.gamma
             for i in range(tau.fprime):
-                lhs = 3 * tau.ell_prime(i - 1) - tau.ell_prime(i)
+                lhs = 3 * tau.ell_prime[i - 1] - tau.ell_prime[i]
                 assert lhs == tau.estep * (3 - 1 - g[i])
 
 
@@ -203,13 +225,14 @@ def test_recipe_miss_constructs_no_type(monkeypatch):
     assert tametypes._profile_data_cached.cache_info().misses == 4
 
 
-DERIVED = ("fprime", "estep", "gamma", "mu", "weights", "cases")
+DERIVED = ("fprime", "estep", "gamma", "mu", "ell_prime", "weights", "cases")
 
 
 def _derived_by_formula(tau):
     """The derived data restated from the definitions.
 
     gamma_i (mu_i) is the digit of p**((-i) mod f') in eta - eta' (in eta');
+    ell'_i is the exponent of eta'/eta at embedding i, (k'_i - k_i) mod estep;
     cases[i] lists (s_i, t_i) for (i-1 in J, i in J) = (0,0), (0,1), (1,0),
     (1,1), from the recipe's branches on gamma_i.
     """
@@ -219,11 +242,12 @@ def _derived_by_formula(tau):
     weights = tuple(p ** ((-i) % fp) for i in range(fp))
     gamma = tuple((tau.eta - tau.eta_prime) % ep // w % p for w in weights)
     mu = tuple(tau.eta_prime % ep // w % p for w in weights)
+    ell_prime = tuple((tau.eta_prime * p**i % ep - tau.eta * p**i % ep) % ep for i in range(fp))
     cases = tuple(
         tuple(_reference_case(p, g, in_prev, in_self) for in_prev in (0, 1) for in_self in (0, 1))
         for g in gamma
     )
-    return fp, ep, gamma, mu, weights, cases
+    return fp, ep, gamma, mu, ell_prime, weights, cases
 
 
 def _derived(tau):
@@ -300,11 +324,8 @@ def _reference_profile_data(tau, J):
         if theta_res is None:
             raise NormDescentError("Theta_J does not factor through the norm")
     theta = digit_tuple(theta_res, p, f)
-    mu = digit_tuple(tau.eta_prime, p, fp)
-    theta_ext = theta * (fp // f)
-    nu = solve_twist_chain([mu[i] + t[i] - theta_ext[i] for i in range(fp)], p, fp)
     bad = frozenset(i for i in range(f) if s[i] == -1)
-    return ProfileData(tau, J, tuple(s), tuple(t), theta_res, theta, mu, nu, bad, not bad)
+    return ProfileData(tau, J, tuple(s), tuple(t), theta, bad)
 
 
 @pytest.mark.parametrize("p,f", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
@@ -312,7 +333,9 @@ def test_recipe_matches_reference_on_every_pair(p, f):
     n = 0
     for tau in enumerate_types(p, f):
         for J in enumerate_profiles(tau):
-            assert tametypes._profile_data(tau, J) == _reference_profile_data(tau, J), (tau, J)
+            pd = tametypes._profile_data(tau, J)
+            assert pd == _reference_profile_data(tau, J), (tau, J)
+            assert twist_chain(pd) == _reference_nu(pd), (tau, J)
             n += 1
     q = p**f
     assert n == ((q - 1) * (q - 2) + q * q - q) * 2**f
@@ -322,7 +345,7 @@ def test_recipe_bounds_fails_on_a_type_read_backwards(monkeypatch):
     """A mutant that passes the constructor's own check makes `recipe-bounds` FAIL.
 
     The mutant reads the ratio backwards: gamma holds the digits of eta'/eta
-    and ell_prime returns ell.  The two still satisfy the exponent identity
+    and ell_prime holds ell.  The two still satisfy the exponent identity
     that `TameType._validate` evaluates with them, so every type builds;
     restated from eta and eta' by definition, the identity fails.
     """
@@ -336,6 +359,7 @@ def test_recipe_bounds_fails_on_a_type_read_backwards(monkeypatch):
     def backwards(self):  # runs in the constructor, before the recipe cases are read off gamma
         gamma = digit_tuple((self.eta_prime - self.eta) % self.estep, self.p, self.fprime)
         object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "ell_prime", tuple(self.estep - lp for lp in self.ell_prime))
         validate(self)  # the constructor's own check accepts the mutant
 
     def clear_caches():
@@ -344,7 +368,6 @@ def test_recipe_bounds_fails_on_a_type_read_backwards(monkeypatch):
 
     clear_caches()
     monkeypatch.setattr(TameType, "_validate", backwards)
-    monkeypatch.setattr(TameType, "ell_prime", TameType.ell)
     monkeypatch.setattr(verify, "CHECKS", [("recipe-bounds", verify.check_recipe_bounds)])
     try:
         out = io.StringIO()

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from bkshapes.charexp import digit_tuple, solve_twist_chain
 from bkshapes.extensions import ExceptionalPairError, ExtensionPoint, build_extension
 from bkshapes.gf import field
 from bkshapes.hodge import hodge_type_of_raw
@@ -62,12 +63,12 @@ def _check_residue(s, residue, estep, what):
 
 
 def add_descent_data(tau, i, A):
-    lp = tau.ell_prime(i)
+    lp = tau.ell_prime[i]
     return A.map(lambda s: s.to_u(tau.estep)).shifted(rows=(0, -lp), cols=(0, lp))
 
 
 def remove_descent_data(tau, i, C):
-    lp = tau.ell_prime(i)
+    lp = tau.ell_prime[i]
     return C.shifted(rows=(0, lp), cols=(0, -lp)).map(lambda s: s.to_v(tau.estep))
 
 
@@ -105,8 +106,8 @@ class UModule:
                     raise ValueError("eigenbasis matrices live in the u-scale")
             _check_residue(M[0, 0], 0, ep, f"entry (0,0) at {i}")
             _check_residue(M[1, 1], 0, ep, f"entry (1,1) at {i}")
-            _check_residue(M[0, 1], tau.ell_prime(i), ep, f"entry (0,1) at {i}")
-            _check_residue(M[1, 0], tau.ell(i), ep, f"entry (1,0) at {i}")
+            _check_residue(M[0, 1], tau.ell_prime[i], ep, f"entry (0,1) at {i}")
+            _check_residue(M[1, 0], ep - tau.ell_prime[i], ep, f"entry (1,0) at {i}")
         if tau.kind == CUSPIDAL:
             f = tau.f
             for i in range(f):
@@ -176,12 +177,37 @@ def u_change_eigenbasis(mod, I_list, terms=None):
     return UModule(tau, new)
 
 
-def _twist_exponents(tau, J, pd):
+def _k(tau, i):
+    """Exponent of eta at embedding i."""
+    return tau.eta * tau.p**i % tau.estep
+
+
+def _k_prime(tau, i):
+    """Exponent of eta' at embedding i."""
+    return tau.eta_prime * tau.p**i % tau.estep
+
+
+def _twist_chain(tau, J, pd):
+    """nu with p*nu_{i-1} - nu_i = mu_i + t_i - theta_i; a cuspidal matching exponent must vanish."""
+    p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
+    mu = digit_tuple(tau.eta_prime, p, fp)
+    theta = pd.theta * (fp // f)
+    nu = solve_twist_chain([mu[i] + pd.t[i] - theta[i] for i in range(fp)], p, fp)
+    if tau.kind == CUSPIDAL:
+        for i in range(f):
+            num = tau.ell_prime[i] + _k(tau, i) - _k_prime(tau, i)
+            assert num % ep == 0
+            if num // ep + nu[i] - nu[i + f] - (1 if i in J else 0) != 0:
+                raise AssertionError(f"cuspidal matching exponent nonzero at {i}")
+    return nu
+
+
+def _twist_exponents(tau, J, nu):
     ep = tau.estep
     out = []
     for i in range(tau.fprime):
-        base = -tau.k_prime(i) + ep * (pd.nu[i] - 1)
-        out.append((tau.ell_prime(i) + base, ep * (0 if i in J else 1) + base))
+        base = -_k_prime(tau, i) + ep * (nu[i] - 1)
+        out.append((tau.ell_prime[i] + base, ep * (0 if i in J else 1) + base))
     return out
 
 
@@ -190,11 +216,8 @@ def u_descend_to_base(mod, J):
     J = check_profile(tau, J)
     pd = profile_data(tau, J)
     p, f, fp, ep = tau.p, tau.f, tau.fprime, tau.estep
-    if tau.kind == CUSPIDAL:
-        for i in range(f):
-            if pd.xi(i) != 0:
-                raise AssertionError(f"cuspidal matching exponent nonzero at {i}")
-    texp = _twist_exponents(tau, J, pd)
+    nu = _twist_chain(tau, J, pd)
+    texp = _twist_exponents(tau, J, nu)
     G = [
         mod.mats[i].shifted(rows=[-e for e in texp[i]], cols=[p * e for e in texp[(i - 1) % fp]])
         for i in range(fp)
@@ -210,7 +233,7 @@ def u_descend_to_base(mod, J):
         mats.append(M.map(lambda s: s.to_v(ep)))
     exponents = list(hodge_type_of_raw(tau, J))
     units = [_unit_part(mats[i], exponents[i], f"unit part at {i}") for i in range(f)]
-    return DescentResult(tau, J, mats, units, exponents, pd.nu)
+    return DescentResult(tau, J, mats, units, exponents, nu)
 
 
 def u_ascend_from_base(res):
@@ -222,7 +245,7 @@ def u_ascend_from_base(res):
         G.append(M.swapped(False, tau.kind == CUSPIDAL and i == 0))
     if tau.kind == CUSPIDAL:
         G += [M.swapped(True, True) for M in G]
-    texp = _twist_exponents(tau, res.J, profile_data(tau, res.J))
+    texp = _twist_exponents(tau, res.J, _twist_chain(tau, res.J, profile_data(tau, res.J)))
     mats = [
         G[i].shifted(rows=texp[i], cols=[-p * e for e in texp[(i - 1) % fp]]) for i in range(fp)
     ]
