@@ -8,12 +8,14 @@ number of pairs is not f, an index given to `--j`, `--transition` or
 unsatisfiable transition preferences of `find-type`, a malformed integer
 list given to `--gamma`, `--profile`, `--h` or `--r`, `ext --kext` with
 `--split`, `--h` or `--build`, a coefficient field over the table limit,
-a malformed or mis-graded module file, a module file whose coefficients
-are known too coarsely to decide, a module with no shape given to
-`shape` or `descend`, and a module given to `descend` that is not a
+a malformed or mis-graded module file (a cuspidal one included whose
+lower-left entries are not divisible in the v-scale), a module file whose
+coefficients are known too coarsely to decide, a module with no shape
+given to `shape` or `descend`, a module given to `descend` that is not a
 point of the `--profile`'s component: it fails the strong determinant
-condition, or the profile is not among those `shape` lists), and 3 when
-a `verify` check crashed and none failed.
+condition, or the profile is not among those `shape` lists, and an input
+whose arrays numpy cannot allocate, such as a module file with exponents
+10**12 apart), and 3 when a `verify` check crashed and none failed.
 """
 
 from __future__ import annotations
@@ -442,7 +444,7 @@ def main(argv=None, out=None) -> int:
     except ForcedChoiceError as exc:
         print(f"error: forced to be a {exc.forced} at index {exc.index}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, NormDescentError, PrecisionError, OSError) as exc:
+    except (UsageError, ValueError, NormDescentError, PrecisionError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

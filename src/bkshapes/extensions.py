@@ -41,7 +41,7 @@ import numpy as np
 
 from .charexp import collapse_exponents
 from .gf import GF
-from .linalg import rank, rref, row_space_supported_on
+from .linalg import rref, row_space_supported_on
 from .series import Mat2, Series
 from .tametypes import CUSPIDAL, TameType, check_profile, is_transition, profile_data
 from .phimod import BKModule, module_from_partial_frobenius, reorder_by_profile
@@ -269,7 +269,7 @@ class _Solver:
         return [vals[i, m] for m, i in pinned if any(vals[i, m])]
 
     def obstruction_rows(self):
-        """Functionals of h whose common kernel is the split subspace."""
+        """Independent functionals of h, in reduced form, whose common kernel is the split subspace."""
         return rref(self.cycle_rows + self.pin_rows(), self.F)[0]
 
     def splits(self) -> bool:
@@ -326,7 +326,7 @@ def splitting_diagnostics(x: ExtensionPoint) -> dict:
 def kext_dimension(tau: TameType, J, a: int, b: int, field: GF) -> int:
     """Dimension over the coefficient field of the split-class subspace."""
     x = ExtensionPoint(tau, check_profile(tau, J), field, a, b, (0,) * tau.f)
-    return tau.f - rank(kext_obstruction_rows(x), field)
+    return tau.f - len(kext_obstruction_rows(x))
 
 
 def splits_after_inverting_u(x: ExtensionPoint) -> bool:
@@ -345,7 +345,7 @@ def kext_structure(x: ExtensionPoint):
     f = tau.f
     pd = profile_data(tau, x.J)
     rows = kext_obstruction_rows(x)
-    dim = f - rank(rows, F)
+    dim = f - len(rows)
     blocks = {}
     if len(pd.bad_set) == f:
         return dim, blocks

@@ -205,8 +205,6 @@ def _assign(p, f, s, constraint, flip_at):
             gamma[i] = p - 1 - s[i] - (0 if cur else 1)
         else:
             gamma[i] = s[i] + (1 if cur else 0)
-        if not 0 <= gamma[i] <= p - 1:
-            raise AssertionError("gamma left its range; assignment logic broken")
         mem[i] = cur
         prev = cur
     return mem, gamma

@@ -34,10 +34,6 @@ def rref(rows, F: GF):
     return rows, pivots
 
 
-def rank(rows, F: GF) -> int:
-    return len(rref(rows, F)[0])
-
-
 def kernel_basis(rows, F: GF, ncols: int):
     """Basis of the right kernel of the matrix given by ``rows``."""
     R, pivots = rref(rows, F)

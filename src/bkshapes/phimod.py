@@ -96,7 +96,7 @@ def module_from_eigenbasis(tau: TameType, C_list) -> BKModule:
     for i in range(f if tau.kind == CUSPIDAL else 0):
         if not A[i + f] == cuspidal_companion(A[i]):
             raise GradingError(f"cuspidal linkage fails at index {i}")
-    return BKModule(tau, A[:f])
+    return module_from_descent_removed(tau, A[:f])
 
 
 def eigenbasis_matrices(mod: BKModule) -> list:

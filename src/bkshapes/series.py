@@ -175,8 +175,9 @@ class Series:
 
     def has_val(self, e: int):
         """Known to be x**e times a unit (nonzero at exponent e, zero below); per member."""
-        z = _placed(self, min(self.val, e), e + 1)
-        return _decided((z[..., -1] != 0) & ~z[..., :-1].any(axis=-1))
+        c, k = self.coeffs, e - self.val
+        at_e = c[..., k] != 0 if 0 <= k < c.shape[-1] else np.zeros(c.shape[:-1], bool)
+        return _decided(at_e & ~c[..., : max(0, k)].any(axis=-1))
 
     # -- arithmetic --------------------------------------------------------
     def _check(self, other: "Series"):

@@ -14,6 +14,9 @@ counterexample.
   skipped, and the check's detail says how many were skipped.
 - The extension checks use the twists (a, b) = (1, 2); `kext-dimension`
   also tries (2, 1).
+- `recipe-bounds` is the one place that checks what the recipe computes:
+  it restates ell' from eta and eta', and s and t from gamma and J by the
+  paper's four cases, instead of reading the type's recipe table.
 - `descend-normal-form` states the diagonal exponents (1-theta_i,
   -s_i-theta_i) itself instead of calling the recipe code it checks.
 - `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape`
@@ -294,6 +297,12 @@ def check_recipe_bounds(p, f, rng, fault=None):
                 return False, f"t out of [0,p] for {tau.key()} J={sorted(J)}"
             if s[f:] + s[:f] != s:
                 return False, f"s not f-periodic for {tau.key()} J={sorted(J)}"
+            # the paper's four cases on (i-1 in J, i in J), not the type's recipe table
+            want = [(p - 1 - g[i] - (i not in J), g[i] + (i not in J)) if (i - 1) % fp in J
+                    else (g[i] - (i in J), 0) for i in range(fp)]
+            if list(zip(s, pd.t)) != want:
+                return False, (f"s, t disagree with the recipe's cases for {tau.key()} "
+                               f"J={sorted(J)}: got s={s} t={list(pd.t)}, want {want}")
             rows += 1
     return True, f"{rows} (type, profile) pairs"
 

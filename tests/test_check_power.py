@@ -53,6 +53,17 @@ def _theta_transported_as_mu(orig):
     return apply_operator_on_basis
 
 
+def _ascend_without_column_moves(orig):
+    """The ascent from the base field undoes the twist's row moves but not its column moves."""
+
+    def ascend_from_base(res):
+        moves = phimod._twist_moves(res.tau, res.J, phimod.profile_data(res.tau, res.J))
+        mats = [M.shifted(cols=cols) for M, (_, cols) in zip(orig(res).mats, moves)]
+        return phimod.BKModule(res.tau, mats)
+
+    return ascend_from_base
+
+
 # (the mutant, made from the original; the modules holding the function; its name; the checks
 # it must make FAIL)
 MUTANTS = [
@@ -63,6 +74,8 @@ MUTANTS = [
     (_divisible_reads_integrality, (phimod,), "_divisible", ["strongdet-vs-shape"]),
     (_theta_transported_as_mu, (phimod, verify), "apply_operator_on_basis",
      ["operator-basis-lifts"]),
+    (_ascend_without_column_moves, (phimod, verify), "ascend_from_base",
+     ["descend-normal-form"]),
 ]
 
 

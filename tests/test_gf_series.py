@@ -569,6 +569,46 @@ def test_stack_matches_each_member(p, m):
                     assert s.is_integral()[n] == s.member(n).is_integral()
 
 
+def _least_exponent(s):
+    """The least exponent of a nonzero coefficient of a one-member series, None for zero."""
+    nz = np.nonzero(s.coeffs)[0]
+    return s.val + int(nz[0]) if len(nz) else None
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 1)])
+def test_has_val_is_the_least_exponent_held(p, m):
+    """has_val(e) holds exactly when e is the least exponent of a nonzero coefficient, per member."""
+    F = field(p, m)
+    rng = random.Random(f"has-val-{p}-{m}")
+    for bounded in (False, True):
+        members = [_stack_member(rng, F, bounded) for _ in range(6)]
+        S = Series.stack(members)
+        for e in range(-5, 14):
+            want = [_least_exponent(s) == e for s in members]
+            assert [s.has_val(e) for s in members] == want
+            assert S.has_val(e).tolist() == want
+
+
+def test_has_val_far_from_the_held_coefficients_allocates_nothing():
+    """The answer comes from the coefficients held, never from a window down to val or up to e."""
+    import tracemalloc
+
+    F = field(3, 1)
+    low, high = Series(F, "u", -(10**12), [1]), Series(F, "u", 10**12, [1])
+    S = Series.stack([low, Series(F, "u", 2 - 10**12, [1, 1])])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        got = (low.has_val(0), low.has_val(-(10**12)), high.has_val(0), high.has_val(10**12),
+               S.has_val(2 - 10**12).tolist(), S.has_val(10**12).tolist())
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert got == (False, True, False, True, [False, True], [False, False])
+    assert peak < 1 << 20
+
+
 def test_stack_refuses_mixed_members():
     F9, F25 = field(3, 2), field(5, 2)
     one = Series.one(F9, "v")

@@ -219,6 +219,43 @@ def test_shape_rejects_an_unlinked_cuspidal_module_file(tmp_path, capsys):
     assert err == "error: cuspidal linkage fails at index 0\n"
 
 
+def _entry(val, coeffs=()):
+    return {"coeffs": list(coeffs), "prec": None, "val": val}
+
+
+def test_shape_rejects_a_cuspidal_file_whose_lower_left_entry_is_not_divisible(tmp_path, capsys):
+    """A module file is held to the lower-left gate of every in-memory cuspidal module: this
+    one is graded and linked, but its descent-removed lower-left entry at index 0 is a unit."""
+    F9 = {"degree": 2, "p": 3, "poly": [1, 0, 1]}
+    one = [[1, 0]]
+    doc = {"field": F9, "format": "bkshapes-module v1", "scale": "u",
+           "type": {"eta": 1, "eta_prime": 3, "f": 1, "kind": "cuspidal", "p": 3},
+           "matrices": [[_entry(0), _entry(2, one), _entry(-2, one), _entry(0, one)],
+                        [_entry(0, one), _entry(-2, one), _entry(2, one), _entry(0)]]}
+    err = _shape_exit(doc, tmp_path, capsys)
+    assert err == "error: lower-left entry must be divisible in the v-scale\n"
+
+
+@pytest.mark.parametrize(
+    "entries,message",
+    [
+        # the determinant's two products lie 10**12 apart: numpy cannot allocate their sum
+        ([_entry(10**12, [[1]]), _entry(1, [[1]]), _entry(1, [[1]]), _entry(0, [[2]])],
+         "error: Unable to allocate "),
+        # the determinant test is decided from the held coefficients, with no window down to
+        # exponent -10**12; the module then has no shape
+        ([_entry(-(10**12), [[1]]), _entry(0), _entry(1, [[1]]), _entry(0, [[2]])],
+         "error: module has no shape: no diagonal divisibility at index 0"),
+    ],
+    ids=["far-above", "far-below"],
+)
+def test_shape_refuses_a_module_file_with_exponents_far_apart(entries, message, tmp_path, capsys):
+    doc = {"field": {"degree": 1, "p": 3, "poly": [0, 1]}, "format": "bkshapes-module v1",
+           "scale": "u", "matrices": [entries],
+           "type": {"eta": 1, "eta_prime": 0, "f": 1, "kind": "principal-series", "p": 3}}
+    assert _shape_exit(doc, tmp_path, capsys).startswith(message)
+
+
 def test_module_file_null_prec_is_exact():
     tau, C, F = _f9_module()
     doc = json.loads(module_to_json(tau, C, F, scale="u"))

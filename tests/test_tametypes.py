@@ -283,16 +283,72 @@ def test_type_repr_eq_and_hash_use_the_five_fields():
     assert other != tau and _derived(other) != _derived(tau)
 
 
+def _verify_recipe_bounds_with(monkeypatch, recipe_cases):
+    """The exit code and output of `verify --p 3 --f 2` with `recipe-bounds` alone, every
+    type built with the case table ``recipe_cases(p, gamma)``."""
+    import io
+
+    from bkshapes import verify
+    from bkshapes.cli import main
+
+    original = tametypes._recipe_cases
+
+    def clear_caches():
+        verify._all_pairs.cache_clear()
+        tametypes._profile_data_cached.cache_clear()
+        original.cache_clear()
+
+    clear_caches()
+    monkeypatch.setattr(tametypes, "_recipe_cases", recipe_cases)
+    monkeypatch.setattr(verify, "CHECKS", [("recipe-bounds", verify.check_recipe_bounds)])
+    try:
+        out = io.StringIO()
+        code = main(["verify", "--p", "3", "--f", "2"], out=out)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize(
     "case0,message",
     [((3, 0), "s out of range at 0"), ((0, 4), "t out of range at 0"), ((1, 0), "not f-periodic")],
 )
-def test_recipe_checks_fire_on_a_corrupt_table(case0, message):
-    """Every other index reads (0, 0), index 0 reads case0 whatever J is."""
-    tau = type_from_gamma(3, 2, CUSPIDAL, (1, 2))
-    object.__setattr__(tau, "cases", ((case0,) * 4,) + (((0, 0),) * 4,) * 3)
-    with pytest.raises(AssertionError, match=message):
-        tametypes._profile_data(tau, enumerate_profiles(tau)[0])
+def test_recipe_checks_fire_on_a_corrupt_table(monkeypatch, case0, message):
+    """Index 0 reads case0 whatever J is, every other index (0, 0), for every type.
+
+    The recipe computes what its table says; `recipe-bounds` is the one place
+    that checks it.  Principal types come first and their Theta_J needs no
+    norm descent, so the check FAILs before a cuspidal pair could crash.
+    """
+
+    def corrupt(p, gamma):
+        return ((case0,) * 4,) + (((0, 0),) * 4,) * (len(gamma) - 1)
+
+    code, out = _verify_recipe_bounds_with(monkeypatch, corrupt)
+    assert code == 1, message
+    assert "FAIL recipe-bounds: " in out, message
+    assert "ERROR" not in out
+
+
+def _s_below_range_entering_J(p, gamma):
+    """In the case (i-1 not in J, i in J), s reads gamma_i - 2: one below the range at gamma_i = 0."""
+    return tuple(((g, 0), (g - 2, 0), (p - 2 - g, g + 1), (p - 1 - g, g)) for g in gamma)
+
+
+def _t_swapped_after_J(p, gamma):
+    """t is swapped between the two cases with i-1 in J; every value stays in range."""
+    return tuple(((g, 0), (g - 1, 0), (p - 2 - g, g), (p - 1 - g, g + 1)) for g in gamma)
+
+
+@pytest.mark.parametrize("mutant", [_s_below_range_entering_J, _t_swapped_after_J],
+                         ids=lambda m: m.__name__)
+def test_recipe_bounds_fails_on_a_wrong_recipe_table(monkeypatch, mutant):
+    """A wrong case table, in range or not, is a counterexample to `recipe-bounds`, not a crash."""
+    code, out = _verify_recipe_bounds_with(monkeypatch, mutant)
+    assert code == 1
+    assert "FAIL recipe-bounds: " in out
+    assert "ERROR" not in out
 
 
 # -- the recipe against its branch-by-branch statement --------------------------
