@@ -47,7 +47,7 @@ def digit_tuple(residue: int, p: int, m: int) -> tuple[int, ...]:
     """
     r = residue % (p**m - 1)
     # index i carries weight w = p**((-i) % m): its digit is that of w in r
-    return tuple(r // w % p for w in collapse_weights(p, m))
+    return tuple([r // w % p for w in collapse_weights(p, m)])
 
 
 def factor_through_norm(residue: int, p: int, f: int) -> int | None:

@@ -31,7 +31,7 @@ class ForcedChoiceError(ValueError):
 
 
 def as_hodge(pairs) -> HodgePairs:
-    out = tuple((int(a), int(b)) for a, b in pairs)
+    out = tuple([(int(a), int(b)) for a, b in pairs])
     for a, b in out:
         if a < b:
             raise ValueError(f"pair ({a},{b}) is not weakly decreasing")
@@ -76,13 +76,16 @@ def canonical_hodge(r: HodgePairs, p: int) -> HodgePairs:
     """
     f = len(r)
     low = digit_tuple(collapse_exponents([b for _, b in r], p, f), p, f)
-    return tuple((lo + a - b, lo) for lo, (a, b) in zip(low, r))
+    return tuple([(lo + a - b, lo) for lo, (a, b) in zip(low, r)])
 
 
 def hodge_type_of_raw(tau: TameType, J) -> HodgePairs:
-    """The pairs (1-theta_i, -s_i-theta_i) the recipe attaches to (tau, J)."""
+    """The pairs (1-theta_i, -s_i-theta_i) the recipe attaches to (tau, J).
+
+    They are weakly decreasing because s_i >= -1, which `recipe-bounds` checks.
+    """
     pd = profile_data(tau, J)
-    return as_hodge((1 - th, -s - th) for th, s in zip(pd.theta, pd.s))
+    return tuple([(1 - th, -s - th) for th, s in zip(pd.theta, pd.s)])
 
 
 def hodge_type_of(tau: TameType, J) -> HodgePairs:

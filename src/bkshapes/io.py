@@ -15,6 +15,7 @@ inputs give identical bytes.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 
 from .gf import GF, MAX_TABLE_Q, field, is_prime, least_irreducible
 from .series import DEFAULT_PRECISION, Mat2, Series
@@ -114,20 +115,21 @@ def module_from_json(text: str):
 # -- sweep tables --------------------------------------------------------------
 
 def _fmt_ints(xs) -> str:
-    return ",".join(str(int(x)) for x in xs) if xs else "-"
+    """Comma list of the integers, one %d each (it truncates as int() does); '-' for none."""
+    return ",".join(["%d"] * len(xs)) % tuple(xs) if xs else "-"
 
 
 def _parse_ints(s: str):
     """Comma list of integers; '-' or '' is the empty tuple."""
-    return () if s in ("-", "") else tuple(int(x) for x in s.split(","))
+    return () if s in ("-", "") else tuple(map(int, s.split(",")))
 
 
 def _fmt_pairs(pairs) -> str:
-    return ";".join(f"{a},{b}" for a, b in pairs)
+    return ";".join([f"{a},{b}" for a, b in pairs])
 
 
 def _parse_pairs(s: str):
-    return tuple(tuple(int(x) for x in part.split(",")) for part in s.split(";"))
+    return tuple([tuple(map(int, part.split(","))) for part in s.split(";")])
 
 
 def sweep_header(p: int, f: int) -> str:
@@ -151,26 +153,16 @@ def sweep_rows(p: int, f: int):
 
     rows = []
     for tau in enumerate_types(p, f):
+        kind, eta, eta_prime = "PS" if tau.kind == PRINCIPAL else "C", tau.eta, tau.eta_prime
         for J in enumerate_profiles(tau):
             pd = profile_data(tau, J)
-            r = hodge_type_of(tau, J)
-            rows.append(
-                {
-                    "p": p,
-                    "f": f,
-                    "kind": "PS" if tau.kind == PRINCIPAL else "C",
-                    "eta": tau.eta,
-                    "eta_prime": tau.eta_prime,
-                    "profile": profile_mask(tau, J),
-                    "s": pd.s,
-                    "t": pd.t,
-                    "theta": pd.theta,
-                    "bad": tuple(sorted(pd.bad_set)),
-                    "P_tau": int(pd.in_P_tau),
-                    "hodge": r,
-                }
-            )
-    rows.sort(key=lambda r: (r["kind"], r["eta"], r["eta_prime"], r["profile"]))
+            rows.append({
+                "p": p, "f": f, "kind": kind, "eta": eta, "eta_prime": eta_prime,
+                "profile": profile_mask(tau, J), "s": pd.s, "t": pd.t, "theta": pd.theta,
+                "bad": tuple(sorted(pd.bad_set)), "P_tau": int(pd.in_P_tau),
+                "hodge": hodge_type_of(tau, J),
+            })
+    rows.sort(key=itemgetter("kind", "eta", "eta_prime", "profile"))
     return rows
 
 
@@ -184,7 +176,7 @@ def format_row(row) -> str:
 
 
 def parse_row(line: str):
-    kv = dict(part.split("=", 1) for part in line.split())
+    kv = dict([part.split("=", 1) for part in line.split()])
     return {
         "p": int(kv["p"]),
         "f": int(kv["f"]),

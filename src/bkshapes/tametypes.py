@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .charexp import (
     NormDescentError,
@@ -51,20 +52,22 @@ class TameType:
     def __post_init__(self):
         if self.kind not in (PRINCIPAL, CUSPIDAL):
             raise ValueError(f"unknown kind {self.kind!r}")
-        fp = self.f if self.kind == PRINCIPAL else 2 * self.f
-        ep = self.p**fp - 1
+        p, f, kind = self.p, self.f, self.kind
+        fp = f if kind == PRINCIPAL else 2 * f
+        ep = p**fp - 1
         eta, eta_prime = self.eta % ep, self.eta_prime % ep
-        set_ = object.__setattr__
-        set_(self, "eta", eta)
-        set_(self, "eta_prime", eta_prime)
-        set_(self, "fprime", fp)
-        set_(self, "estep", ep)
-        set_(self, "gamma", digit_tuple((eta - eta_prime) % ep, self.p, fp))
-        set_(self, "mu", digit_tuple(eta_prime, self.p, fp))
-        set_(self, "ell_prime", tuple((eta_prime - eta) * self.p**i % ep for i in range(fp)))
-        set_(self, "weights", collapse_weights(self.p, fp))
+        d = eta_prime - eta
+        # the class is frozen: one update sets the reduced fields, the hash and the derived data
+        vars(self).update(
+            eta=eta, eta_prime=eta_prime, _hash=hash((p, f, kind, eta, eta_prime)),
+            fprime=fp, estep=ep, gamma=digit_tuple(-d, p, fp), mu=digit_tuple(eta_prime, p, fp),
+            ell_prime=tuple([d * p**i % ep for i in range(fp)]), weights=collapse_weights(p, fp),
+        )
         self._validate()
-        set_(self, "cases", _recipe_cases(self.p, self.gamma))
+        vars(self)["cases"] = _recipe_cases(p, self.gamma)
+
+    def __hash__(self):
+        return self._hash
 
     def _validate(self):
         if self.eta == self.eta_prime:
@@ -137,27 +140,27 @@ def enumerate_types(p: int, f: int, kinds=(PRINCIPAL, CUSPIDAL)):
 
 def check_profile(tau: TameType, members) -> frozenset:
     """The members reduced into Z/f'Z; a cuspidal profile holds exactly one of i, i+f."""
-    J = frozenset(i % tau.fprime for i in members)
-    if tau.kind == CUSPIDAL and any((i in J) == (i + tau.f in J) for i in range(tau.f)):
+    fp, f = tau.fprime, tau.f
+    J = frozenset([i % fp for i in members])
+    # f members with f distinct residues mod f hold exactly one of each i, i+f
+    if tau.kind == CUSPIDAL and (len(J) != f or len({i % f for i in J}) != f):
         raise ValueError(f"{sorted(J)} is not a valid profile for a {tau.kind} type")
     return J
 
 
 def enumerate_profiles(tau: TameType) -> list[frozenset]:
     """All 2^f profiles: subsets for principal series, pairings for cuspidal."""
-    f = tau.f
+    f, fp = tau.f, tau.fprime
     out = []
     for mask in range(2**f):
-        half = {i for i in range(f) if mask >> i & 1}
-        if tau.kind == PRINCIPAL:
-            out.append(frozenset(half))
-        else:
-            out.append(frozenset(half | {i + f for i in range(f) if i not in half}))
+        if tau.kind == CUSPIDAL:
+            mask |= (2**f - 1 ^ mask) << f  # i + f lies in J exactly when i does not
+        out.append(frozenset([i for i in range(fp) if mask >> i & 1]))
     return out
 
 
 def profile_mask(tau: TameType, J: frozenset) -> int:
-    return sum(1 << i for i in J)
+    return sum([1 << i for i in J])
 
 
 def is_transition(J: frozenset, i: int, n: int) -> bool:
@@ -167,12 +170,12 @@ def is_transition(J: frozenset, i: int, n: int) -> bool:
 
 # -- the recipe ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileData:
+class ProfileData(NamedTuple):
     """What the recipe attaches to a (type, profile) pair: s_J, t_J, Theta_J and the bad set.
 
     The twist chain and the cuspidal matching exponent belong to the descent
-    construction (`phimod.twist_chain`), not to the recipe.
+    construction (`phimod.twist_chain`), not to the recipe.  A named tuple,
+    since one is built on every miss of the recipe cache.
     """
 
     tau: TameType
@@ -201,7 +204,8 @@ def _recipe_cases(p: int, gamma: tuple[int, ...]) -> tuple:
 def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
     """The recipe read off the type's case table; `verify`'s recipe-bounds checks what it gives."""
     p, f, fp = tau.p, tau.f, tau.fprime
-    s, t = zip(*(cases[2 * ((i - 1) % fp in J) + (i in J)] for i, cases in enumerate(tau.cases)))
+    in_J = [i in J for i in range(fp)]
+    s, t = zip(*[cases[2 * in_J[i - 1] + in_J[i]] for i, cases in enumerate(tau.cases)])
 
     # Theta_J at level f' is eta' times the collapse of t; it must descend
     # through the norm in the cuspidal case.
@@ -214,11 +218,11 @@ def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
             raise NormDescentError(
                 "Theta_J does not factor through the norm; recipe invariant broken"
             )
-    theta = digit_tuple(theta_res, p, f)
-    bad = frozenset(i for i in range(f) if s[i] == -1)
-    return ProfileData(tau=tau, J=J, s=s, t=t, theta=theta, bad_set=bad)
+    bad = frozenset([i for i in range(f) if s[i] == -1]) if -1 in s else _NO_BAD
+    return ProfileData(tau, J, s, t, digit_tuple(theta_res, p, f), bad)
 
 
+_NO_BAD = frozenset()  # most pairs have no bad embedding; they share one empty set
 _profile_data_cached = lru_cache(maxsize=65536)(_profile_data)
 
 

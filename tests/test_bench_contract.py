@@ -11,6 +11,7 @@ import ast
 import importlib
 import pathlib
 import random
+import sys
 import time
 import types
 from io import StringIO
@@ -81,3 +82,38 @@ def test_round_pieces_exist(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["sweep", "--p", "3", "--f", "1", "--out", "s.txt"], out=StringIO()) == 0
     assert len(spans) == 4  # the header, the rows and the read-back
+
+
+def test_sweep_fields_required_spans_are_called(monkeypatch, tmp_path):
+    """Every boundary `REQUIRED["sweep-fields"]` names, resolved through SPANS and wrapped
+    (names imported by value rebound too, as `Tracer.install` does), records a call on
+    `sweep --out`.  A traced round in which one of them stays idle is refused."""
+    from bkshapes import cli, gf
+
+    required = spans.REQUIRED["sweep-fields"]
+    calls = dict.fromkeys(required, 0)
+    wrapped = set()
+    for module, path, name, _ in spans.SPANS:
+        if name not in calls:
+            continue
+        wrapped.add(name)
+        owner, attr = spans._resolve(importlib.import_module(f"bkshapes.{module}"), path)
+        orig = getattr(owner, attr)
+
+        def wrapper(*args, _fn=orig, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("bkshapes") and mod is not None:
+                for held, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, held, wrapper)
+    gf.field.cache_clear()  # a round starts in a fresh interpreter, with no field built
+    monkeypatch.chdir(tmp_path)
+    out = StringIO()
+    assert cli.main(["sweep", "--p", "3", "--f", "1", "--out", "s.txt"], out=out) == 0
+    assert out.getvalue() == "rows=16 wrote=s.txt\n"
+    assert wrapped == set(required)
+    assert all(calls.values()), calls

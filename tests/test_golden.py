@@ -116,3 +116,13 @@ def test_golden_cuspidal_module_pipeline(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = pipeline_outputs(("--kind", "cuspidal", "--eta", "1"), profile="2,3", h="1,0")
     assert {k: _sha(v) for k, v in got.items()} == GOLDEN_CUSPIDAL_PIPELINE
+
+
+def test_golden_sweep_out_file(tmp_path):
+    """`sweep --out` (the call the benchmark's sweep-fields times) writes the golden table and
+    prints one line, the row count read back from that table and the path."""
+    path = tmp_path / "t.txt"
+    code, out = _stdout("sweep", "--p", "3", "--f", "2", "--out", str(path))
+    assert code == 0
+    assert out.splitlines() == [f"rows=512 wrote={path}"] and out.endswith("\n")
+    assert _sha(path.read_text()) == GOLDEN_STDOUT[("sweep", "--p", "3", "--f", "2")]
