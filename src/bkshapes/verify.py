@@ -407,7 +407,7 @@ def check_operator_chain(p, f, rng, fault=None):
 
 
 def check_shape_invariance(p, f, rng, fault=None, trials=200):
-    tau = _all_pairs(p, f)[0][0]
+    tau = enumerate_types(p, f)[0]
     F = field(p, tau.fprime)
 
     def draw(rng):
@@ -426,7 +426,7 @@ def check_shape_invariance(p, f, rng, fault=None, trials=200):
 
 
 def check_strongdet_shape(p, f, rng, fault=None, trials=200):
-    tau = _all_pairs(p, f)[0][0]
+    tau = enumerate_types(p, f)[0]
     F = field(p, tau.fprime)
 
     def draw(rng):
