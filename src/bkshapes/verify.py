@@ -20,9 +20,10 @@ counterexample.
 - `descend-normal-form` states the diagonal exponents (1-theta_i,
   -s_i-theta_i) itself instead of calling the recipe code it checks.
 - `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape`
-  draw their random trials in the order a trial-by-trial loop would and
-  push at most STACK of them through the series engine as one stack
-  (`_index_stacks`, `_first_failure`).
+  draw their random trials as field codes (`randgen.draw_*`), in the
+  order a trial-by-trial loop would, and push at most STACK of them
+  through the series engine as one stack per index, built once from the
+  draws (`randgen.matrices`, `_first_failure`).
 
 The fault switch corrupts the data under test inside the harness so the
 reporting path itself can be exercised.
@@ -87,13 +88,13 @@ from .phimod import (
     strong_determinant_ok,
 )
 from .randgen import (
-    random_basis_change,
+    draw_basis_change,
+    draw_noshape_matrix,
+    draw_shaped_matrix,
+    draw_unit_matrix,
+    matrices,
     random_component_module,
-    random_noshape_matrix,
-    random_shaped_matrix,
-    random_unit_matrix,
 )
-from .series import Mat2
 
 SHAPES = (SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II)
 
@@ -156,16 +157,6 @@ def _extension_point(tau, J, F, h):
 STACK = 50
 """Most trials one engine pass decides: stacks of 200 raised the peak RSS of a whole
 `verify --p 3 --f 2` from 35 MB to 48 MB, stacks of 50 leave it as it was."""
-
-
-def _index_stacks(trials):
-    """Per index, the drawn trials' matrices as one Mat2 stack (one trial's as they are).
-
-    trials[t][i] is the matrix trial t drew for index i.
-    """
-    if len(trials) == 1:
-        return list(trials[0])
-    return [Mat2.stack([mats[i] for mats in trials]) for i in range(len(trials[0]))]
 
 
 def _verdicts(stages):
@@ -412,12 +403,13 @@ def check_shape_invariance(p, f, rng, fault=None, trials=200):
 
     def draw(rng):
         shapes = [rng.choice(SHAPES) for _ in range(f)]
-        A = [random_shaped_matrix(rng, F, s, 6) for s in shapes]
-        return A, [random_basis_change(rng, F, 5) for _ in range(f)]
+        A = [draw_shaped_matrix(rng, F, s, 6) for s in shapes]
+        return A, [draw_basis_change(rng, F, 5) for _ in range(f)]
 
     def stages(drawn):
-        mod = module_from_descent_removed(tau, _index_stacks([A for A, _ in drawn]))
-        mod2 = change_eigenbasis(mod, _index_stacks([I for _, I in drawn]), terms=1)
+        A, I = zip(*drawn)
+        mod = module_from_descent_removed(tau, [matrices(F, Ai) for Ai in zip(*A)])
+        mod2 = change_eigenbasis(mod, [matrices(F, Ii) for Ii in zip(*I)], terms=1)
         yield [w2 != w and "shape changed under unit conjugation"
                for w2, w in zip(shape_words(mod2), shape_words(mod))]
 
@@ -431,16 +423,17 @@ def check_strongdet_shape(p, f, rng, fault=None, trials=200):
 
     def draw(rng):
         shapes = tuple(rng.choice(SHAPES) for _ in range(f))
-        A = [random_shaped_matrix(rng, F, s, 6) for s in shapes]
-        return shapes, A, [random_noshape_matrix(rng, F, 6) for _ in range(f)]
+        A = [draw_shaped_matrix(rng, F, s, 6) for s in shapes]
+        return shapes, A, [draw_noshape_matrix(rng, F, 6) for _ in range(f)]
 
     def stages(drawn):
-        mod = module_from_descent_removed(tau, _index_stacks([A for _, A, _ in drawn]))
+        _, A, N = zip(*drawn)
+        mod = module_from_descent_removed(tau, [matrices(F, Ai) for Ai in zip(*A)])
         yield [not ok and "shaped sample fails the determinant condition"
                for ok in np.ravel(strong_determinant_ok(mod))]
         yield [got != shapes + got[f:] and "classified shape disagrees with construction"
                for (shapes, _, _), got in zip(drawn, shape_words(mod))]
-        bad = module_from_descent_removed(tau, _index_stacks([N for _, _, N in drawn]))
+        bad = module_from_descent_removed(tau, [matrices(F, Ni) for Ni in zip(*N)])
         yield [ok and "shapeless module passed the determinant condition"
                for ok in np.ravel(strong_determinant_ok(bad))]
         yield [None not in w and "shapeless module classified"
@@ -477,8 +470,8 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
         for j, kind in operator_moves(r, p):
             target = apply_operator(kind, j, r, p)
             # all trials of the case in draw order, transported as one stack per index
-            draws = [[random_unit_matrix(rng, F, 4) for _ in range(f)] for _ in range(trials)]
-            mats = [M.shifted(cols=r[i]) for i, M in enumerate(_index_stacks(draws))]
+            draws = [[draw_unit_matrix(rng, F, 4) for _ in range(f)] for _ in range(trials)]
+            mats = [matrices(F, Bi).shifted(cols=r[i]) for i, Bi in enumerate(zip(*draws))]
             _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=2)
             for i in range(f):
                 if tuple(sorted(exps[i], reverse=True)) != target[i]:

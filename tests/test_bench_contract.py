@@ -84,13 +84,13 @@ def test_round_pieces_exist(monkeypatch, tmp_path):
     assert len(spans) == 4  # the header, the rows and the read-back
 
 
-def test_sweep_fields_required_spans_are_called(monkeypatch, tmp_path):
-    """Every boundary `REQUIRED["sweep-fields"]` names, resolved through SPANS and wrapped
-    (names imported by value rebound too, as `Tracer.install` does), records a call on
-    `sweep --out`.  A traced round in which one of them stays idle is refused."""
-    from bkshapes import cli, gf
+def _count_required_calls(monkeypatch, workload):
+    """Calls per boundary `REQUIRED[workload]` names, each resolved through SPANS and wrapped
+    (names imported by value rebound too, as `Tracer.install` does), and the fields cleared:
+    a round starts in a fresh interpreter, with no field built."""
+    from bkshapes import gf
 
-    required = spans.REQUIRED["sweep-fields"]
+    required = spans.REQUIRED[workload]
     calls = dict.fromkeys(required, 0)
     wrapped = set()
     for module, path, name, _ in spans.SPANS:
@@ -110,10 +110,31 @@ def test_sweep_fields_required_spans_are_called(monkeypatch, tmp_path):
                 for held, val in list(vars(mod).items()):
                     if val is orig:
                         monkeypatch.setattr(mod, held, wrapper)
-    gf.field.cache_clear()  # a round starts in a fresh interpreter, with no field built
+    assert wrapped == set(required)
+    gf.field.cache_clear()
+    return calls
+
+
+def test_sweep_fields_required_spans_are_called(monkeypatch, tmp_path):
+    """Every boundary `REQUIRED["sweep-fields"]` names records a call on `sweep --out`.
+    A traced round in which one of them stays idle is refused."""
+    from bkshapes import cli
+
+    calls = _count_required_calls(monkeypatch, "sweep-fields")
     monkeypatch.chdir(tmp_path)
     out = StringIO()
     assert cli.main(["sweep", "--p", "3", "--f", "1", "--out", "s.txt"], out=out) == 0
     assert out.getvalue() == "rows=16 wrote=s.txt\n"
-    assert wrapped == set(required)
+    assert all(calls.values()), calls
+
+
+def test_verify_required_spans_are_called(monkeypatch):
+    """Every boundary `REQUIRED["verify-p3f2"]` names records a call on `verify --p 3 --f 2`,
+    the workload's round: among them the series product and the samplers."""
+    from bkshapes import cli
+
+    calls = _count_required_calls(monkeypatch, "verify-p3f2")
+    out = StringIO()
+    assert cli.main(["verify", "--p", "3", "--f", "2"], out=out) == 0
+    assert out.getvalue().splitlines()[-1] == "verify p=3 f=2 seed=0 failures=0"
     assert all(calls.values()), calls

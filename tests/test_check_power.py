@@ -13,26 +13,26 @@ import pytest
 
 from bkshapes import phimod, randgen, verify
 from bkshapes.cli import main
-from bkshapes.series import Mat2, Series
 
 
 def _basis_change_columns_swapped(orig):
-    """The sampler lays a unit change of basis out as ((y, x), (w, v z)), not ((x, y), (v z, w))."""
+    """The draw lays a unit change of basis out as ((y, x), (w, v z)), not ((x, y), (v z, w))."""
 
-    def random_basis_change(rng, F, degree):
-        return orig(rng, F, degree).swapped(False, True)
+    def draw_basis_change(rng, F, degree):
+        x, y, z, w = orig(rng, F, degree)
+        return y, x, w, z
 
-    return random_basis_change
+    return draw_basis_change
 
 
 def _noshape_with_divisible_corner(orig):
-    """The shapeless sampler multiplies its (0,0) entry by v, so the matrix has a shape."""
+    """The shapeless draw records its (0,0) entry with one more power of v, so it has a shape."""
 
-    def random_noshape_matrix(rng, F, degree):
-        a, b, c, d = orig(rng, F, degree).e
-        return Mat2(Series.monomial(F, "v", 1, 1) * a, b, c, d)
+    def draw_noshape_matrix(rng, F, degree):
+        (k, a), b, c, d = orig(rng, F, degree)
+        return (k + 1, a), b, c, d
 
-    return random_noshape_matrix
+    return draw_noshape_matrix
 
 
 def _divisible_reads_integrality(orig):
@@ -67,9 +67,9 @@ def _ascend_without_column_moves(orig):
 # (the mutant, made from the original; the modules holding the function; its name; the checks
 # it must make FAIL)
 MUTANTS = [
-    (_basis_change_columns_swapped, (randgen, verify), "random_basis_change",
+    (_basis_change_columns_swapped, (randgen, verify), "draw_basis_change",
      ["shape-invariance"]),
-    (_noshape_with_divisible_corner, (randgen, verify), "random_noshape_matrix",
+    (_noshape_with_divisible_corner, (randgen, verify), "draw_noshape_matrix",
      ["strongdet-vs-shape"]),
     (_divisible_reads_integrality, (phimod,), "_divisible", ["strongdet-vs-shape"]),
     (_theta_transported_as_mu, (phimod, verify), "apply_operator_on_basis",

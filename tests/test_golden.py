@@ -5,7 +5,8 @@ The digests pin the exact bytes of `verify`, `sweep`, `ext`, `shape` and
 byte-identical is checked by the suite rather than by a one-off diff.
 The operator checks of `verify` only run at f >= 2, hence (3, 2); (5, 2)
 runs the series engine over F_25 and F_625 as well, (7, 2) over F_2401,
-and (3, 3) carries three matrices per operator trial.  The sweeps at (5, 2)
+and (3, 3) carries three matrices per operator trial.  Seeds 1 to 3 are
+pinned too, since the benchmark runs `verify` at seeds other than 0.  The sweeps at (5, 2)
 and (3, 3) are the ones the benchmark's `sweep-fields` workload runs.  Module
 files are written under relative names inside a temporary directory, so
 the `wrote=` lines do not carry a machine path.
@@ -40,6 +41,17 @@ GOLDEN_STDOUT = {
         "8e73afb182a4c284ae08e2e0e908b0039f0bffaba5cf8332500cebcb3d567d36",
     ("verify", "--p", "3", "--f", "3", "--seed", "0"):
         "7500609263a8f9281ebd90156f33cca51730e6ad1e88103fde53c0927e22ddd5",
+    # the benchmark's verify workload runs seeds other than 0
+    ("verify", "--p", "3", "--f", "2", "--seed", "1"):
+        "acf335ca4f0f47aa6c3c7ff619d6e49eb57d543ea190a43ea7af78d0d1a38a5a",
+    ("verify", "--p", "3", "--f", "2", "--seed", "2"):
+        "5c86ce12833fd48c5a276cf76ffa74374b5eb8cb1ea51b27d4f93ba30f4a0c9e",
+    ("verify", "--p", "3", "--f", "2", "--seed", "3"):
+        "4bbdc50586dc97e040734825c0b2866931626a303d3ab3a469096406a0b5ef03",
+    ("verify", "--p", "5", "--f", "2", "--seed", "1"):
+        "9553a701b524355688a61328b50676e171896443a3a8511052012c81a4c3673b",
+    ("verify", "--p", "3", "--f", "3", "--seed", "1"):
+        "cb5db0ec95116e384da51fd45b4cce9af2a0b342cad6270ec5c90d02c4e648cf",
     ("sweep", "--p", "3", "--f", "2"):
         "62b85aa4be9f6a88eefe25100b3404082250481329c45791ef63320d870fcda4",
     ("sweep", "--p", "5", "--f", "2"):

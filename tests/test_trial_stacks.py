@@ -16,7 +16,6 @@ import pytest
 from bkshapes import randgen, verify
 from bkshapes.gf import field
 from bkshapes.phimod import NoShapeError, change_eigenbasis, classify_shape, strong_determinant_ok
-from bkshapes.series import Mat2, Series
 
 
 def reference_shape_invariance(p, f, rng, fault=None, trials=200):
@@ -86,14 +85,16 @@ def test_stacked_check_matches_the_trial_loop(name, p, f, seed):
     assert results[0][0][0]
 
 
-def _on_trial(monkeypatch, sampler, per_trial, changes):
-    """Replace the sampler, in randgen and in verify, by one that changes the draws of some trials.
+def _on_trial(monkeypatch, draw, per_trial, changes):
+    """Replace the draw, in randgen and in verify, by one that changes the draws of some trials.
 
-    The sampler is called per_trial times per trial; changes maps a trial
-    number to a function of (drawn value, rng).  Each call of the returned
-    reset starts the trial count again.
+    The stacked checks call the draw directly and the loops through the
+    per-trial sampler that builds it, so both see the same changed draws.
+    The draw is called per_trial times per trial; changes maps a trial
+    number to a function of (draw, rng).  Each call of the returned reset
+    starts the trial count again.
     """
-    orig = getattr(randgen, sampler)
+    orig = getattr(randgen, draw)
     calls = itertools.count()
 
     def mutant(rng, *args, **kwargs):
@@ -106,61 +107,64 @@ def _on_trial(monkeypatch, sampler, per_trial, changes):
         calls = itertools.count()
 
     for module in (randgen, verify):
-        monkeypatch.setattr(module, sampler, mutant)
+        monkeypatch.setattr(module, draw, mutant)
     return reset
 
 
-def _v(M):
-    return Series.monomial(M[0, 0].field, "v", 1, 1)
+# A draw is four entries (k, codes), v**k times the polynomial with those codes.
+ONE, V = (0, [1]), (1, [1])
 
 
-def _shaped(M, rng):
+def _shaped(D, rng):
     """((v a, b), (v c, d)) from a shapeless ((a, b), (v c, d)): a divisible entry at (0,0)."""
-    return Mat2(_v(M) * M[0, 0], M[0, 1], M[1, 0], M[1, 1])
+    (k, a), b, c, d = D
+    return (k + 1, a), b, c, d
 
 
-def _shapeless(M, rng):
+def _shapeless(D, rng):
     """((1, b), (v c, 1)) from ((a, b), (v c, d)): no diagonal entry divisible."""
-    one = Series.one(M[0, 0].field, "v")
-    return Mat2(one, M[0, 1], M[1, 0], one)
+    _, b, c, _ = D
+    return ONE, b, c, ONE
 
 
-def _cols_swapped(M, rng):
+def _cols_swapped(D, rng):
     """((y, x), (w, v z)) from ((x, y), (v z, w)): a unit, but one that moves shapes."""
-    return M.swapped(False, True)
+    x, y, z, w = D
+    return y, x, w, z
 
 
-def _non_unit(M, rng):
-    return Mat2(_v(M), M[0, 1], M[1, 0], _v(M))
+def _non_unit(D, rng):
+    _, b, c, _ = D
+    return V, b, c, V
 
 
-def _raises(M, rng):
+def _raises(D, rng):
     raise RuntimeError("sampler broke")
 
 
-# (check, sampler, {trial: change of its draws}, status, the trial a FAIL names)
+# (check, draw, {trial: change of its draws}, status, the trial a FAIL names)
 FIRST_FAILURES = [
-    ("strongdet-vs-shape", "random_noshape_matrix", {7: _shaped}, "FAIL", 7),
-    ("strongdet-vs-shape", "random_noshape_matrix", {60: _shaped}, "FAIL", 60),
-    ("shape-invariance", "random_basis_change", {7: _cols_swapped}, "FAIL", 7),
-    ("shape-invariance", "random_basis_change", {60: _cols_swapped}, "FAIL", 60),
+    ("strongdet-vs-shape", "draw_noshape_matrix", {7: _shaped}, "FAIL", 7),
+    ("strongdet-vs-shape", "draw_noshape_matrix", {60: _shaped}, "FAIL", 60),
+    ("shape-invariance", "draw_basis_change", {7: _cols_swapped}, "FAIL", 7),
+    ("shape-invariance", "draw_basis_change", {60: _cols_swapped}, "FAIL", 60),
     # a crash in the same stack after the first failure, and before it (at seed 0 the
     # swap moves a shape in every trial named here, but not in trial 55)
-    ("shape-invariance", "random_basis_change", {56: _cols_swapped, 60: _non_unit}, "FAIL", 56),
-    ("shape-invariance", "random_basis_change", {56: _non_unit, 60: _cols_swapped}, "ERROR", 56),
+    ("shape-invariance", "draw_basis_change", {56: _cols_swapped, 60: _non_unit}, "FAIL", 56),
+    ("shape-invariance", "draw_basis_change", {56: _non_unit, 60: _cols_swapped}, "ERROR", 56),
     # a failed trial whose later stage would raise: a lone trial stops at its first failure
-    ("strongdet-vs-shape", "random_shaped_matrix", {60: _shapeless}, "FAIL", 60),
+    ("strongdet-vs-shape", "draw_shaped_matrix", {60: _shapeless}, "FAIL", 60),
     # a draw that raises after the first failure in its stack, and one that raises alone
-    ("strongdet-vs-shape", "random_noshape_matrix", {4: _shaped, 9: _raises}, "FAIL", 4),
-    ("strongdet-vs-shape", "random_noshape_matrix", {9: _raises}, "ERROR", None),
+    ("strongdet-vs-shape", "draw_noshape_matrix", {4: _shaped, 9: _raises}, "FAIL", 4),
+    ("strongdet-vs-shape", "draw_noshape_matrix", {9: _raises}, "ERROR", None),
 ]
 
 
-@pytest.mark.parametrize("name,sampler,changes,status,trial", FIRST_FAILURES)
+@pytest.mark.parametrize("name,draw,changes,status,trial", FIRST_FAILURES)
 def test_first_failing_trial_is_reported_as_the_loop_reports_it(
-    monkeypatch, name, sampler, changes, status, trial
+    monkeypatch, name, draw, changes, status, trial
 ):
-    reset = _on_trial(monkeypatch, sampler, 2, changes)
+    reset = _on_trial(monkeypatch, draw, 2, changes)
     stacked = _report(name, CHECKS[name][0])
     reset()
     alone = _report(name, CHECKS[name][1])
