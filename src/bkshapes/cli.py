@@ -316,11 +316,7 @@ def cmd_ext(args, out):
     )
     if args.split:
         diag = splitting_diagnostics(x)
-        line += (
-            f" splits={int(diag['splits'])}"
-            f" val_bound={diag['valuation_bound']} scan_floor={diag['scan_floor']}"
-            f" window_top={diag['window_top']} free_cycles={diag['free_cycles']}"
-        )
+        line += f" splits={int(diag['splits'])} free_cycles={diag['free_cycles']}"
     print(line, file=out)
     if args.build:
         with open(args.build, "w") as fh:
@@ -409,7 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, default=1)
     sp.add_argument("--b", type=int, default=2)
     sp.add_argument("--h", help="comma list of field codes")
-    sp.add_argument("--split", action="store_true")
+    sp.add_argument("--split", action="store_true",
+                    help="decide whether h splits after inverting u; print splits= and"
+                    " free_cycles= (1 when every index links and the loop's gain is 1)")
     sp.add_argument("--kext", action="store_true")
     sp.add_argument("--build", help="write the eigenbasis module to this file")
     sp.set_defaults(fn=cmd_ext)

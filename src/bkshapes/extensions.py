@@ -1,43 +1,74 @@
 """Rank-1 extension families and the split-after-inverting-u oracle.
 
 An extension of the two standard rank-1 modules attached to (tau, J) is
-cut out by unramified twist parameters a, b and a class vector h.  The
-partial Frobenius acts on the generator pair (m, n) by
+cut out by unramified twist parameters a, b and a class vector h.  In the
+eigenbasis the partial Frobenius acts on the generator pair (m, n) by
 
     m_{i-1} |-> a_i u^{r_i} m_i + h_i u^{delta_i} n_i
     n_{i-1} |-> b_i u^{s_i} n_i
 
-with exponents r, s, delta driven by the transition pattern of J; they
-serve the solver, while the module is built from J (`build_extension`).
-Splitting after inverting u asks for a Laurent solution g of
+with (r_i, s_i, delta_i) = (L_i, estep - L_i, 0) at a transition of J and
+(estep, 0, estep - L_i) elsewhere, where L_i = ell'_i inside J and
+estep - ell'_i outside; the module is built from J alone
+(`build_extension`).  Splitting after inverting u asks for a Laurent
+solution g of
 
     a_i u^{r_i} g_i = h_i u^{delta_i} + b_i u^{s_i} phi(g_{i-1}),
 
-a linear problem in the coefficients of g.  In the graph of node (i, m),
-the coefficient of u^m in g_i, three facts make the solver one pass:
+with phi(u) = u^p.  Three facts reduce it to one walk along Z/f'.
 
-- a node at or above the valuation bound LB has one child
-  (i+1, p*m - r_{i+1} + s_{i+1}), and no node has two parents;
-- the only possible cycle is the fixed point at index 0 of the
-  contracting f'-fold parent map, m* = sum_{k<f'} p^k (r_{-k} - s_{-k})
-  / (p^f' - 1), present when m* is an integer and its steps close up;
-- past ep/(p-1) a child chain only rises.
+Grading.  The coefficient of u^m in g_i meets only that of u^{m'} in
+g_{i-1} with p*m' = m + r_i - s_i, and h_i sits at m = delta_i - r_i = -L_i.
+So the system is the direct sum of its parts on the residue classes
+(c_i mod estep) with c_i = p*c_{i-1} - r_i + s_i: these are the characters
+of u -> zeta*u, zeta in mu_estep (Serre, Local Fields, ch. IV, the Kummer
+extension u^estep = v; estep is prime to p).  The class of the sources,
+c_i = -L_i, is one of them, since p*L_{i-1} + L_i at a transition and
+p*L_{i-1} - L_i elsewhere are congruent mod estep to
++-(p*ell'_{i-1} - ell'_i) = +-estep*(p-1-gamma_i) (the exponent identity).
+Projecting a section onto that class gives a section, and the other
+classes carry no source, so x.h splits exactly when the source class has
+a section.
 
-So the solver takes the cycle in closed form and pushes each h-source
-(i, delta_i - r_i) off it down its child chain, to the first node below
-LB, whose value must vanish (a pin row), or to a top it never falls back
-from.  The pin rows assemble the obstruction matrix whose nullity is the
-split subspace dimension.  Every node value is linear in h.  When the
-cycle's gain is 1 its value at m* is free and the loop closes only where
-its h part vanishes (a cycle row); as no chain leaves the cycle, no pin
-row sees the free value, and the section takes it to be 0.
+The exponent e_i.  Write g_i = u^{estep - L_i} G_i(v) with G_i in F_q((v)).
+Divided by u^{r_i + estep - L_i}, the equation is
+
+    a_i G_i = h_i v^{-1} + b_i v^{e_i} phi(G_{i-1}),   phi(v) = v^p,
+
+e_i = p - (p*L_{i-1} + L_i)/estep at a transition and
+p - 2 - (p*L_{i-1} - L_i)/estep elsewhere.  By the exponent identity, for
+(i-1 in J, i in J) = (0,0), (0,1), (1,0), (1,1) this is p-2-gamma_i,
+p-1-gamma_i, gamma_i, gamma_i-1: e_i = p - 2 - s_i for the recipe's s_i
+(`profile_data`), so e_i lies in [-1, p-1], and e_i = p - 1 exactly where
+s_i = -1, at a transition with p*L_{i-1} + L_i = estep.  There i-1 links
+to i.
+
+A Laurent section vanishes below v^-1.  In node terms the coefficient of
+v^k in G_i is a_i^-1 (b_i * [the coefficient of v^{(k - e_i)/p} in
+G_{i-1}] + [k = -1] h_i), so node (i-1, k) has the one child
+(i, p*k + e_i).  As e_i <= p-1, a child of k <= -1 lies at or below -1,
+at -1 only from k = -1 across a link, and the child of k <= -2 lies
+strictly below k.  Below v^-1 there is no source, so a nonzero value there
+recurs, times b/a, down a strictly falling chain, which no Laurent series
+has.  Above, nodes k >= 0 have parents at k' >= 0 in a bounded range, so a
+node there whose ancestors end has value 0, and one on a cycle feeds only
+the cycle: nothing from k >= 0 reaches v^-1.
+
+So, with x_i the coefficient of v^-1 in G_i, a linear vector in h,
+
+    x_i = [i-1 links to i] (b_i/a_i) x_{i-1} + a_i^-1 e_(i mod f),
+
+and wherever i+1 does not link the child of (i, -1) lies below v^-1, so
+x_i must vanish: one obstruction row.  When every index links the walk is
+a loop x = G*x + B of gain G = prod b_i/a_i; for G != 1 it has one
+solution and no row, for G = 1 it closes exactly where B vanishes (a cycle
+row), and the section takes the free value 0.  The rows assemble the
+obstruction matrix whose nullity is the split subspace dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .charexp import collapse_exponents
 from .gf import GF
@@ -48,31 +79,18 @@ from .phimod import BKModule, module_from_partial_frobenius, reorder_by_profile
 from .intervals import extended, interval_decomposition
 
 
-@dataclass(frozen=True)
-class RungData:
-    """Per-index exponents of the extensions' partial Frobenius, read by the solver."""
+def walk_exponents(tau: TameType, J) -> list[int]:
+    """The walk's exponents e_i at the indices of Z/f', read from the characters.
 
-    transition: bool
-    r: int
-    s: int
-    delta: int
-
-
-def extension_exponents(tau: TameType, J) -> list[RungData]:
-    """The rungs at the indices of Z/f'Z, from L_i = ell'_i inside J and estep - ell'_i outside.
-
-    At a transition (r, s, delta) = (L_i, estep - L_i, 0), elsewhere (estep, 0, estep - L_i).
+    With L_i = ell'_i inside J and estep - ell'_i outside, e_i is
+    p - (p*L_{i-1} + L_i)/estep at a transition and p - 2 - (p*L_{i-1} - L_i)/estep
+    elsewhere (module docstring); i-1 links to i where e_i = p - 1.
     """
     J = check_profile(tau, J)
-    fp, ep = tau.fprime, tau.estep
-    out = []
-    for i, lp in enumerate(tau.ell_prime):
-        L = lp if i in J else ep - lp
-        if is_transition(J, i, fp):
-            out.append(RungData(True, L, ep - L, 0))
-        else:
-            out.append(RungData(False, ep, 0, ep - L))
-    return out
+    p, fp, ep = tau.p, tau.fprime, tau.estep
+    L = [lp if i in J else ep - lp for i, lp in enumerate(tau.ell_prime)]
+    return [p - (p * L[i - 1] + L[i]) // ep if is_transition(J, i, fp)
+            else p - 2 - (p * L[i - 1] - L[i]) // ep for i in range(fp)]
 
 
 def rank1_etale_isomorphic(tau: TameType, J) -> bool:
@@ -123,10 +141,6 @@ class ExtensionPoint:
                 "the rank-1 modules agree after inverting u; equal twists rejected"
             )
 
-    @property
-    def data(self) -> list[RungData]:
-        return extension_exponents(self.tau, self.J)
-
     def twist_at(self, i: int) -> tuple[int, int]:
         if i % self.tau.f == 0:
             return self.a, self.b
@@ -156,10 +170,9 @@ def build_extension(x: ExtensionPoint) -> BKModule:
 # -- the splitting solver ------------------------------------------------------
 
 class _Solver:
-    """The closed-form cycle and one forward pass of the coefficient recursion.
+    """The walk of x_i along Z/f' (module docstring).
 
-    Node values are linear in the class vector h: each is a vector of f
-    coefficients over [h_0..h_{f-1}].
+    Each x_i is a vector of f coefficients over [h_0..h_{f-1}].
     """
 
     def __init__(self, x: ExtensionPoint):
@@ -169,104 +182,56 @@ class _Solver:
         self.p = tau.p
         self.fp = tau.fprime
         self.f = tau.f
-        ep = tau.estep
-        data = x.data
-        self.r = [d.r for d in data]
-        self.s = [d.s for d in data]
-        self.delta = [d.delta for d in data]
+        self.e = walk_exponents(tau, x.J)
+        self.link = [e == self.p - 1 for e in self.e]
         self.a = [x.twist_at(i)[0] for i in range(self.fp)]
         self.b = [x.twist_at(i)[1] for i in range(self.fp)]
         self.ratio = [F.div(b, a) for a, b in zip(self.a, self.b)]
         self.ainv = [F.inv(a) for a in self.a]
-        self.LB = -(ep // (self.p - 1)) - 2
-        self.W = ep // (self.p - 1) + 3
-        self.M_lo = self.p * self.LB - ep  # every pinned node lies in [M_lo, LB)
-        self._find_cycle()
-        self._cache: dict = {}  # node values of the last forward pass
+        self.free_cycles = 0
+        self.cycle_value: dict = {}  # x_i around the loop, when every index links
+        self.cycle_rows: list = []
+        self._cache: dict = {}  # x_i along the walk, when some index does not link
+        if all(self.link):
+            self._close_loop()
 
-    # node (i, m): coefficient of u^m in g_i
-    def _parent(self, i: int, m: int):
-        mm = m + self.r[i] - self.s[i]
-        if mm % self.p:
-            return None
-        q = mm // self.p
-        if q < self.LB:
-            return None
-        return ((i - 1) % self.fp, q)
-
-    def _step(self, node, pv):
-        """Value at node from its parent's value pv (None when it has no parent).
-
-        The coefficient of u^(m + r_i) in the recursion reads
-        g_i[m] = (b_i/a_i) g_{i-1}[parent] + [m + r_i == delta_i] h_i/a_i.
-        """
-        i, m = node
+    def _step(self, i: int, prev):
+        """x_i from x_{i-1} (prev None when i-1 does not link to i)."""
         F = self.F
-        val = [0] * self.f if pv is None else [F.mul(self.ratio[i], c) for c in pv]
-        if m == self.delta[i] - self.r[i]:
-            val[i % self.f] = F.add(val[i % self.f], self.ainv[i])
+        val = [0] * self.f if prev is None else [F.mul(self.ratio[i], c) for c in prev]
+        val[i % self.f] = F.add(val[i % self.f], self.ainv[i])
         return val
 
-    def _find_cycle(self):
-        """The cycle through m* at index 0, if any, and its values (module docstring)."""
-        p, fp = self.p, self.fp
-        m, rest = divmod(sum(p**k * (self.r[-k] - self.s[-k]) for k in range(fp)), p**fp - 1)
-        walk, node = [], None if rest else (0, m)
-        while node is not None and len(walk) < fp:
-            walk.append(node)
-            node = self._parent(*node)
+    def _close_loop(self):
+        """The loop's values: x_0 = G*x_0 + B, solved, or 0 with a cycle row when G = 1."""
         F = self.F
-        self.nsyms = 0
-        self.cycle_value: dict = {}
-        self.cycle_rows: list = []
-        if node is None:
-            return
-        # walk[k+1] is the parent of walk[k]; the loop maps x at walk[0] to A*x + B
-        A = 1
-        for i, _m in walk:
-            A = F.mul(A, self.ratio[i])
-        self.nsyms = int(A == 1)
-        B = [0] * self.f
-        for node in reversed(walk):
-            B = self._step(node, B)
-        if A == 1:
+        gain, B = 1, None
+        for i in [*range(1, self.fp), 0]:
+            gain = F.mul(gain, self.ratio[i])
+            B = self._step(i, B)
+        if gain == 1:
+            self.free_cycles = 1
             self.cycle_rows.append(B)
-        base = [0] * self.f if A == 1 else [F.div(c, F.sub(1, A)) for c in B]
-        self.cycle_value[walk[0]] = val = base
-        for node in reversed(walk[1:]):
-            val = self._step(node, val)
-            self.cycle_value[node] = val
-
-    def _forward(self, top: int) -> dict:
-        """Values of the off-cycle nodes below top >= W, which are sums over the h-sources.
-
-        A source adds a_i^-1 e_(i mod f), times the ratio at each step, to
-        every node of its child chain, up to its first node below LB.
-        """
-        F, p = self.F, self.p
-        vals: dict = {}
-        for i in range(self.fp):
-            node = (i, self.delta[i] - self.r[i])
-            if node in self.cycle_value:
-                continue
-            v = self._step(node, None)
-            while node[1] < top:
-                old = vals.get(node)
-                vals[node] = v if old is None else [F.add(c, d) for c, d in zip(old, v)]
-                j, m = node
-                if m < self.LB:
-                    break
-                j = (j + 1) % self.fp
-                node = (j, p * m - self.r[j] + self.s[j])
-                v = [F.mul(self.ratio[j], c) for c in v]
-        self._cache = vals
-        return vals
+            val = [0] * self.f
+        else:
+            val = [F.div(c, F.sub(1, gain)) for c in B]
+        self.cycle_value[0] = val
+        for i in range(1, self.fp):
+            val = self._step(i, val)
+            self.cycle_value[i] = val
 
     def pin_rows(self):
-        """Constraints from nodes below the valuation bound, whose values vanish."""
-        vals = self._forward(self.W)
-        pinned = sorted((m, i) for i, m in vals if m < self.LB)
-        return [vals[i, m] for m, i in pinned if any(vals[i, m])]
+        """x_i wherever i+1 does not link, since a section vanishes below v^-1."""
+        if all(self.link):
+            return []
+        start = self.link.index(False)
+        val = None
+        for k in range(start, start + self.fp):
+            i = k % self.fp
+            val = self._step(i, val if self.link[i] else None)
+            self._cache[i] = val
+        return [self._cache[i] for i in range(self.fp)
+                if not self.link[(i + 1) % self.fp] and any(self._cache[i])]
 
     def obstruction_rows(self):
         """Independent functionals of h, in reduced form, whose common kernel is the split subspace."""
@@ -276,25 +241,19 @@ class _Solver:
         """Decide splitting of the class x.h by constructing a section and checking it.
 
         The class splits when every obstruction row vanishes on x.h; then
-        the node values at x.h are the Laurent coefficients of a section,
-        which are substituted into the defining recursion as series, and
-        the residual is asserted to vanish on the known range.
+        G_i = x_i(h) v^-1 is a section, which is substituted into
+        a_i G_i = h_i v^-1 + b_i v^{e_i} phi(G_{i-1}) as series, and the
+        residual is asserted to vanish.
         """
         x, F = self.x, self.F
         if any(F.dot(row, x.h) for row in self.obstruction_rows()):
             return False
-
-        prec = 4 * x.tau.estep + 64
-        coeffs = np.zeros((self.fp, prec - self.LB), dtype=F.dtype)
-        for (i, m), vec in {**self._forward(prec), **self.cycle_value}.items():
-            if m >= self.LB:
-                coeffs[i, m - self.LB] = F.dot(vec, x.h)
-        g = [Series(F, "u", self.LB, arr, prec) for arr in coeffs]
+        vals = {**self._cache, **self.cycle_value}
+        G = [Series.monomial(F, "v", F.dot(vals[i], x.h), -1) for i in range(self.fp)]
         for i in range(self.fp):
-            hi = x.h_at(i)
-            lhs = g[i].scalar_mul(self.a[i]).shift(self.r[i])
-            rhs = Series.monomial(F, "u", hi, self.delta[i]) if hi else Series.zero(F, "u")
-            rhs = rhs + g[(i - 1) % self.fp].frobenius().scalar_mul(self.b[i]).shift(self.s[i])
+            lhs = G[i].scalar_mul(self.a[i])
+            rhs = Series.monomial(F, "v", x.h_at(i), -1)
+            rhs = rhs + G[i - 1].frobenius().scalar_mul(self.b[i]).shift(self.e[i])
             if not (lhs - rhs).is_zero():
                 raise AssertionError("constructed section fails the recursion")
         return True
@@ -305,22 +264,9 @@ def kext_obstruction_rows(x: ExtensionPoint):
 
 
 def splitting_diagnostics(x: ExtensionPoint) -> dict:
-    """Splitting verdict of x with the completeness envelope of its solver.
-
-    Reports whether x.h splits after inverting u, the proven lower
-    valuation bound for any section, the constraint scan floor, the core
-    window, and the cycle census.
-    """
+    """Splitting verdict of x, and whether its walk closes a loop of gain 1 (a free value)."""
     sol = _Solver(x)
-    return {
-        "splits": sol.splits(),
-        "valuation_bound": sol.LB,
-        "scan_floor": sol.M_lo,
-        "window_top": sol.W,
-        "free_cycles": sol.nsyms,
-        "cycle_nodes": len(sol.cycle_value),
-        "pin_rows": len(sol.pin_rows()),
-    }
+    return {"splits": sol.splits(), "free_cycles": sol.free_cycles}
 
 
 def kext_dimension(tau: TameType, J, a: int, b: int, field: GF) -> int:

@@ -54,10 +54,6 @@ def irregular_set(r: HodgePairs) -> frozenset:
     return frozenset(i for i, d in enumerate(diffs(r)) if d == 0)
 
 
-def translate(r: HodgePairs, lam) -> HodgePairs:
-    return tuple((a + x, b + x) for (a, b), x in zip(r, lam))
-
-
 def hodge_equiv(r: HodgePairs, rp: HodgePairs, p: int) -> bool:
     """Whether the difference is a constant-per-embedding trivial twist."""
     if len(r) != len(rp):

@@ -30,7 +30,15 @@ from .charexp import solve_twist_chain
 from .gf import GF
 from .hodge import apply_operator, hodge_type_of_raw
 from .series import Mat2, PrecisionError, Series
-from .tametypes import CUSPIDAL, ProfileData, TameType, check_profile, enumerate_profiles, profile_data
+from .tametypes import (
+    CUSPIDAL,
+    ProfileData,
+    TameType,
+    check_profile,
+    enumerate_profiles,
+    profile_data,
+    profile_mask,
+)
 
 SHAPE_I_ETA = "I_eta"
 SHAPE_I_ETA_PRIME = "I_eta'"
@@ -172,7 +180,7 @@ def shape_words(mod: BKModule, partial: bool = False) -> list:
 
 
 def classify_shape(mod: BKModule):
-    """Per-index shapes and the profiles whose component contains the module.
+    """Per-index shapes and the profiles whose component contains the module, in mask order.
 
     The one-member case of `shape_words`.
     """
@@ -180,7 +188,7 @@ def classify_shape(mod: BKModule):
     profiles = [J for J in enumerate_profiles(mod.tau) if all(
         s in ((SHAPE_I_ETA, SHAPE_II) if i in J else (SHAPE_I_ETA_PRIME, SHAPE_II))
         for i, s in enumerate(shapes))]
-    return shapes, sorted(profiles, key=sorted)
+    return shapes, sorted(profiles, key=lambda J: profile_mask(mod.tau, J))
 
 
 def strong_determinant_ok(mod: BKModule):

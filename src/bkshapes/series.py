@@ -7,9 +7,9 @@ coefficients are genuinely zero); exact values arise from the monomial
 matrices of the theory and keep most computations truncation-free.
 
 The variable carries a scale tag, 'u' or 'v', with v = u**estep for the
-ramification step estep = p**f' - 1.  The module engine computes in v; u
-appears only in module files (`to_u`, `to_v` convert, checking the support)
-and in the splitting solver's self-check.  Mixing scales is a hard error.
+ramification step estep = p**f' - 1.  The module engine and the splitting
+solver compute in v; u appears only in module files (`to_u`, `to_v` convert,
+checking the support).  Mixing scales is a hard error.
 The Frobenius multiplies exponents by p and fixes coefficients.
 
 A Series may also be a stack of N series, one per row of coeffs of shape
@@ -360,12 +360,6 @@ class Mat2:
 
     def __init__(self, e00: Series, e01: Series, e10: Series, e11: Series):
         self.e = (e00, e01, e10, e11)
-
-    @staticmethod
-    def identity(field: GF, scale: str) -> "Mat2":
-        one = Series.one(field, scale)
-        zero = Series.zero(field, scale)
-        return Mat2(one, zero, zero, one)
 
     @staticmethod
     def stack(mats) -> "Mat2":

@@ -18,7 +18,6 @@ from bkshapes.extensions import (
     ExceptionalPairError,
     ExtensionPoint,
     build_extension,
-    extension_exponents,
     kext_dimension,
     kext_structure,
 )
@@ -299,7 +298,6 @@ def test_criterion_08_kext_oracle():
     for kind, F in ((PRINCIPAL, F_ps), (CUSPIDAL, F_c)):
         for tau in enumerate_types(p, f, kinds=(kind,)):
             for J in enumerate_profiles(tau):
-                data = extension_exponents(tau, J)
                 for h in itertools.product((0, 1), repeat=f):
                     try:
                         x = ExtensionPoint(tau, J, F, 1, 2, h)
@@ -308,7 +306,7 @@ def test_criterion_08_kext_oracle():
                     shapes, _ = classify_shape(build_extension(x))
                     for i in range(tau.fprime):
                         assert (shapes[i] == "II") == (
-                            data[i].transition and h[i % f] == 0
+                            is_transition(J, i, tau.fprime) and h[i % f] == 0
                         )
     report(8, f"kext oracle: {checked} dimensions, {structured} hyperplane kernels", t0, budget=600)
 

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,15 +10,14 @@ from bkshapes.charexp import collapse_exponents
 from bkshapes.extensions import (
     ExceptionalPairError,
     ExtensionPoint,
-    RungData,
     build_extension,
-    extension_exponents,
     kext_dimension,
     kext_obstruction_rows,
     kext_structure,
     rank1_etale_isomorphic,
     splits_after_inverting_u,
     splitting_diagnostics,
+    walk_exponents,
 )
 from bkshapes.gf import field
 from bkshapes.intervals import extended
@@ -28,6 +27,8 @@ from bkshapes.series import Mat2, Series
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
+    TameType,
+    check_profile,
     enumerate_profiles,
     enumerate_types,
     is_transition,
@@ -39,6 +40,199 @@ from bkshapes.tametypes import (
 F3 = field(3)
 F9 = field(3, 2)
 F81 = field(3, 4)
+
+
+# -- the u-scale reference ---------------------------------------------------------
+#
+# The splitting solver as it was before it walked the v-scale, kept as the
+# reference.  It solves a_i u^{r_i} g_i = h_i u^{delta_i} + b_i u^{s_i} phi(g_{i-1})
+# in the coefficient graph of nodes (i, m), the coefficient of u^m in g_i,
+# from three facts:
+#
+# - a node at or above the valuation bound LB has one child
+#   (i+1, p*m - r_{i+1} + s_{i+1}), and no node has two parents;
+# - the only possible cycle is the fixed point at index 0 of the
+#   contracting f'-fold parent map, m* = sum_{k<f'} p^k (r_{-k} - s_{-k})
+#   / (p^f' - 1), present when m* is an integer and its steps close up;
+# - past ep/(p-1) a child chain only rises.
+#
+# So it takes the cycle in closed form and pushes each h-source
+# (i, delta_i - r_i) off it down its child chain, to the first node below
+# LB, whose value must vanish (a pin row), or to a top it never falls back
+# from.  When the cycle's gain is 1 its value at m* is free, the loop closes
+# only where its h part vanishes (a cycle row), and the section takes it to be 0.
+
+
+@dataclass(frozen=True)
+class RungData:
+    """Per-index exponents of the extensions' partial Frobenius, read by the solver."""
+
+    transition: bool
+    r: int
+    s: int
+    delta: int
+
+
+def extension_exponents(tau: TameType, J) -> list[RungData]:
+    """The rungs at the indices of Z/f'Z, from L_i = ell'_i inside J and estep - ell'_i outside.
+
+    At a transition (r, s, delta) = (L_i, estep - L_i, 0), elsewhere (estep, 0, estep - L_i).
+    """
+    J = check_profile(tau, J)
+    fp, ep = tau.fprime, tau.estep
+    out = []
+    for i, lp in enumerate(tau.ell_prime):
+        L = lp if i in J else ep - lp
+        if is_transition(J, i, fp):
+            out.append(RungData(True, L, ep - L, 0))
+        else:
+            out.append(RungData(False, ep, 0, ep - L))
+    return out
+
+
+class _USolver:
+    """The u-scale solver: the closed-form cycle and one forward pass of the coefficient recursion.
+
+    Node values are linear in the class vector h: each is a vector of f
+    coefficients over [h_0..h_{f-1}].
+    """
+
+    def __init__(self, x: ExtensionPoint):
+        self.x = x
+        tau, F = x.tau, x.field
+        self.F = F
+        self.p = tau.p
+        self.fp = tau.fprime
+        self.f = tau.f
+        ep = tau.estep
+        data = extension_exponents(tau, x.J)
+        self.r = [d.r for d in data]
+        self.s = [d.s for d in data]
+        self.delta = [d.delta for d in data]
+        self.a = [x.twist_at(i)[0] for i in range(self.fp)]
+        self.b = [x.twist_at(i)[1] for i in range(self.fp)]
+        self.ratio = [F.div(b, a) for a, b in zip(self.a, self.b)]
+        self.ainv = [F.inv(a) for a in self.a]
+        self.LB = -(ep // (self.p - 1)) - 2
+        self.W = ep // (self.p - 1) + 3
+        self.M_lo = self.p * self.LB - ep  # every pinned node lies in [M_lo, LB)
+        self._find_cycle()
+        self._cache: dict = {}  # node values of the last forward pass
+
+    # node (i, m): coefficient of u^m in g_i
+    def _parent(self, i: int, m: int):
+        mm = m + self.r[i] - self.s[i]
+        if mm % self.p:
+            return None
+        q = mm // self.p
+        if q < self.LB:
+            return None
+        return ((i - 1) % self.fp, q)
+
+    def _step(self, node, pv):
+        """Value at node from its parent's value pv (None when it has no parent).
+
+        The coefficient of u^(m + r_i) in the recursion reads
+        g_i[m] = (b_i/a_i) g_{i-1}[parent] + [m + r_i == delta_i] h_i/a_i.
+        """
+        i, m = node
+        F = self.F
+        val = [0] * self.f if pv is None else [F.mul(self.ratio[i], c) for c in pv]
+        if m == self.delta[i] - self.r[i]:
+            val[i % self.f] = F.add(val[i % self.f], self.ainv[i])
+        return val
+
+    def _find_cycle(self):
+        """The cycle through m* at index 0, if any, and its values (the facts above)."""
+        p, fp = self.p, self.fp
+        m, rest = divmod(sum(p**k * (self.r[-k] - self.s[-k]) for k in range(fp)), p**fp - 1)
+        walk, node = [], None if rest else (0, m)
+        while node is not None and len(walk) < fp:
+            walk.append(node)
+            node = self._parent(*node)
+        F = self.F
+        self.nsyms = 0
+        self.cycle_value: dict = {}
+        self.cycle_rows: list = []
+        if node is None:
+            return
+        # walk[k+1] is the parent of walk[k]; the loop maps x at walk[0] to A*x + B
+        A = 1
+        for i, _m in walk:
+            A = F.mul(A, self.ratio[i])
+        self.nsyms = int(A == 1)
+        B = [0] * self.f
+        for node in reversed(walk):
+            B = self._step(node, B)
+        if A == 1:
+            self.cycle_rows.append(B)
+        base = [0] * self.f if A == 1 else [F.div(c, F.sub(1, A)) for c in B]
+        self.cycle_value[walk[0]] = val = base
+        for node in reversed(walk[1:]):
+            val = self._step(node, val)
+            self.cycle_value[node] = val
+
+    def _forward(self, top: int) -> dict:
+        """Values of the off-cycle nodes below top >= W, which are sums over the h-sources.
+
+        A source adds a_i^-1 e_(i mod f), times the ratio at each step, to
+        every node of its child chain, up to its first node below LB.
+        """
+        F, p = self.F, self.p
+        vals: dict = {}
+        for i in range(self.fp):
+            node = (i, self.delta[i] - self.r[i])
+            if node in self.cycle_value:
+                continue
+            v = self._step(node, None)
+            while node[1] < top:
+                old = vals.get(node)
+                vals[node] = v if old is None else [F.add(c, d) for c, d in zip(old, v)]
+                j, m = node
+                if m < self.LB:
+                    break
+                j = (j + 1) % self.fp
+                node = (j, p * m - self.r[j] + self.s[j])
+                v = [F.mul(self.ratio[j], c) for c in v]
+        self._cache = vals
+        return vals
+
+    def pin_rows(self):
+        """Constraints from nodes below the valuation bound, whose values vanish."""
+        vals = self._forward(self.W)
+        pinned = sorted((m, i) for i, m in vals if m < self.LB)
+        return [vals[i, m] for m, i in pinned if any(vals[i, m])]
+
+    def obstruction_rows(self):
+        """Independent functionals of h, in reduced form, whose common kernel is the split subspace."""
+        return rref(self.cycle_rows + self.pin_rows(), self.F)[0]
+
+    def splits(self) -> bool:
+        """Decide splitting of the class x.h by constructing a section and checking it.
+
+        The class splits when every obstruction row vanishes on x.h; then
+        the node values at x.h are the Laurent coefficients of a section,
+        which are substituted into the defining recursion as series, and
+        the residual is asserted to vanish on the known range.
+        """
+        x, F = self.x, self.F
+        if any(F.dot(row, x.h) for row in self.obstruction_rows()):
+            return False
+
+        prec = 4 * x.tau.estep + 64
+        coeffs = np.zeros((self.fp, prec - self.LB), dtype=F.dtype)
+        for (i, m), vec in {**self._forward(prec), **self.cycle_value}.items():
+            if m >= self.LB:
+                coeffs[i, m - self.LB] = F.dot(vec, x.h)
+        g = [Series(F, "u", self.LB, arr, prec) for arr in coeffs]
+        for i in range(self.fp):
+            hi = x.h_at(i)
+            lhs = g[i].scalar_mul(self.a[i]).shift(self.r[i])
+            rhs = Series.monomial(F, "u", hi, self.delta[i]) if hi else Series.zero(F, "u")
+            rhs = rhs + g[(i - 1) % self.fp].frobenius().scalar_mul(self.b[i]).shift(self.s[i])
+            if not (lhs - rhs).is_zero():
+                raise AssertionError("constructed section fails the recursion")
+        return True
 
 
 def _k(tau, i):
@@ -124,12 +318,11 @@ def test_extension_strong_det_and_component():
 def test_shape_two_law():
     tau = make_type(3, 2, PRINCIPAL, 5, 2)
     for J in enumerate_profiles(tau):
-        data = extension_exponents(tau, J)
         for h in itertools.product((0, 1), repeat=2):
             mod = build_extension(ExtensionPoint(tau, J, F9, 1, 2, h))
             shapes, _ = classify_shape(mod)
             for i in range(tau.fprime):
-                assert (shapes[i] == "II") == (data[i].transition and h[i % 2] == 0)
+                assert (shapes[i] == "II") == (is_transition(J, i, tau.fprime) and h[i % 2] == 0)
 
 
 def test_zero_class_always_splits():
@@ -270,7 +463,7 @@ def _reference_build_extension(x):
     tau, F = x.tau, x.field
     fp, ep = tau.fprime, tau.estep
     mats = []
-    for i, rung in enumerate(x.data[: tau.f]):
+    for i, rung in enumerate(extension_exponents(tau, x.J)[: tau.f]):
         ai, bi = x.twist_at(i)
         lp = tau.ell_prime[i]
         rows = (0, lp) if i in x.J else (lp, 0)
@@ -379,8 +572,8 @@ def test_cuspidal_class_vector_periodicity():
         ExtensionPoint(tau, J, F9, 1, 2, (5, 3))
 
 
-class _ScanSolver(extensions._Solver):
-    """The former scan solver, kept as the oracle of the forward pass.
+class _ScanSolver(_USolver):
+    """The former scan solver, kept as the oracle of the u-scale forward pass.
 
     It finds cycles by walking f' parents from every node of the window
     [LB, W), reads a node's value by walking up its parents, and pins every
@@ -517,18 +710,28 @@ class _ScanSolver(extensions._Solver):
         return True
 
 
-def _solver_points(p, f, sample=None):
-    """(type, profile, (1,2)/(2,1)) extension points at (p, f), or a seeded sample of them."""
+def _twists(F):
+    """The twist pairs (1,2), (2,1), (1,1) and (1,-1) that are field codes, each once."""
+    return list(dict.fromkeys(ab for ab in ((1, 2), (2, 1), (1, 1), (1, F.neg(1)))
+                              if max(ab) < F.q))
+
+
+def _solver_points(p, f, sample=None, twists=lambda F: ((1, 2), (2, 1))):
+    """Extension points at (p, f) with zero class and the twists `twists(F)` of their field,
+    or a seeded sample of them; equal twists at an exceptional pair are refused and skipped."""
     points = [
         (tau, J, ab)
         for tau in enumerate_types(p, f)
         for J in enumerate_profiles(tau)
-        for ab in ((1, 2), (2, 1))
+        for ab in twists(field(p, tau.fprime))
     ]
     if sample is not None:
         points = random.Random(f"solver-{p}-{f}").sample(points, sample)
     for tau, J, (a, b) in points:
-        yield ExtensionPoint(tau, J, field(p, tau.fprime), a, b, (0,) * f)
+        try:
+            yield ExtensionPoint(tau, J, field(p, tau.fprime), a, b, (0,) * f)
+        except ExceptionalPairError:
+            continue
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -558,10 +761,10 @@ def _over(monkeypatch, solver, fn, x):
     "p,f,sample", [(3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None), (5, 2, 60), (3, 3, 24)]
 )
 def test_forward_pass_matches_scan_solver(p, f, sample, monkeypatch):
-    """Closed-form cycle and forward pass against the scan solver, point by point."""
+    """The u-scale reference's closed-form cycle and forward pass against its scan solver."""
     rng = random.Random(f"classes-{p}-{f}")
     for x in _solver_points(p, f, sample):
-        new, old = extensions._Solver(x), _ScanSolver(x)
+        new, old = _USolver(x), _ScanSolver(x)
         where = (x.tau.key(), sorted(x.J), x.a, x.b)
         assert len(old.cycles) <= 1, where
         assert new.nsyms == old.nsyms, where
@@ -572,7 +775,125 @@ def test_forward_pass_matches_scan_solver(p, f, sample, monkeypatch):
         assert new.pin_rows() == [r[:f] for r in old.pin_rows()], where
         rows = new.obstruction_rows()
         assert rows == old.obstruction_rows(), where
-        for fn in (kext_structure, splitting_diagnostics):
-            assert fn(x) == _over(monkeypatch, old, fn, x), where
+        assert _over(monkeypatch, new, kext_structure, x) == _over(monkeypatch, old, kext_structure, x), where
         for h in _classes(x, rows, rng):
-            assert splits_after_inverting_u(replace(x, h=h)) == old.splits(h), (where, h)
+            assert _USolver(replace(x, h=h)).splits() == old.splits(h), (where, h)
+
+
+def _source_nodes(x):
+    """The u-scale node (i, -L_i) of each index: where h_i sits, the v^-1 of the walk."""
+    tau = x.tau
+    return [(i, -(lp if i in x.J else tau.estep - lp)) for i, lp in enumerate(tau.ell_prime)]
+
+
+@pytest.mark.parametrize("p,f,sample", [
+    (2, 1, None), (3, 1, None), (5, 1, None), (7, 1, None), (3, 2, None),
+    (5, 2, 400), (7, 2, 300), (3, 3, 200),
+])
+def test_vscale_walk_matches_uscale_reference(p, f, sample, monkeypatch):
+    """The walk against the u-scale solver, point by point, at every allowed twist.
+
+    The walk's x_i is the reference's value at the source node (i, -L_i); `free_cycles`
+    is 1 exactly when the reference has a cycle of gain 1 through the source nodes; the
+    reduced obstruction rows, `kext_structure` and the verdicts on a random class and a
+    random split class agree.
+    """
+    rng = random.Random(f"vscale-{p}-{f}")
+    points = 0
+    for x in _solver_points(p, f, sample, twists=_twists):
+        new, old = extensions._Solver(x), _USolver(x)
+        where = (x.tau.key(), sorted(x.J), x.a, x.b)
+        rows = new.obstruction_rows()
+        assert rows == old.obstruction_rows(), where
+        ref = {**old._cache, **old.cycle_value}
+        walk = {**new._cache, **new.cycle_value}
+        assert [walk[i] for i in range(x.tau.fprime)] == [ref[n] for n in _source_nodes(x)], where
+        assert bool(new.cycle_value) == all(new.link), where
+        on_sources = set(old.cycle_value) == set(_source_nodes(x))
+        assert splitting_diagnostics(x) == {"splits": True, "free_cycles": int(old.nsyms == 1 and on_sources)}, where
+        assert kext_structure(x) == _over(monkeypatch, old, kext_structure, x), where
+        for h in _classes(x, rows, rng):
+            y = replace(x, h=h)
+            assert splits_after_inverting_u(y) == _USolver(y).splits(), (where, h)
+        points += 1
+    assert points
+
+
+def test_every_class_at_3_1_matches_the_reference():
+    """Every class h in F_q^f at (3,1), every (type, profile) and allowed twist: same verdict."""
+    classes = 0
+    for x in _solver_points(3, 1, twists=_twists):
+        for h in itertools.product(range(x.field.q), repeat=x.tau.f):
+            y = replace(x, h=h)
+            assert splits_after_inverting_u(y) == _USolver(y).splits(), (x.tau.key(), sorted(x.J), h)
+            classes += 1
+    assert classes
+
+
+class _TwistedEverywhere(ExtensionPoint):
+    """A point twisted by (a, b) at every index, not only at i = 0 mod f."""
+
+    def twist_at(self, i):
+        return self.a, self.b
+
+
+def test_cycle_rows_match_the_reference_when_twisted_everywhere():
+    """A loop of gain 1 has h part 0 at every extension point: it occurs only for a cuspidal type
+    with b = -a, where the two sources of each h_j cancel.  Twisted at every index, a
+    principal loop of gain 1 has a nonzero h part, so the cycle row is held to the reference."""
+    rng = random.Random("twisted-everywhere")
+    rows = 0
+    for p, f in ((3, 2), (5, 2), (3, 3)):
+        for tau in enumerate_types(p, f):
+            F = field(p, tau.fprime)
+            for J in enumerate_profiles(tau):
+                if not all(e == p - 1 for e in walk_exponents(tau, J)):
+                    continue
+                for a, b in _twists(F):
+                    try:
+                        x = _TwistedEverywhere(tau, J, F, a, b, (0,) * f)
+                    except ExceptionalPairError:
+                        continue
+                    new = extensions._Solver(x)
+                    obstruction = new.obstruction_rows()
+                    assert obstruction == _USolver(x).obstruction_rows(), (tau.key(), sorted(J))
+                    rows += len(new.cycle_rows) and any(new.cycle_rows[0])
+                    for h in _classes(x, obstruction, rng):
+                        y = replace(x, h=h)
+                        assert extensions._Solver(y).splits() == _USolver(y).splits(), (tau.key(), sorted(J), h)
+    assert rows
+
+
+def _link_by_the_characters(tau, J, i):
+    """i-1 links to i: a transition with p*L_{i-1} + L_i = estep, L from ell'."""
+    ep = tau.estep
+    L = [lp if j in J else ep - lp for j, lp in enumerate(tau.ell_prime)]
+    return is_transition(J, i, tau.fprime) and tau.p * L[i - 1] + L[i] == ep
+
+
+def _all_or_sampled_pairs(p, f, sample):
+    types = enumerate_types(p, f)
+    if sample is None:
+        return [(tau, J) for tau in types for J in enumerate_profiles(tau)]
+    rng = random.Random(f"links-{p}-{f}")
+    return [(tau, rng.choice(enumerate_profiles(tau))) for tau in rng.choices(types, k=sample)]
+
+
+@pytest.mark.parametrize("p,f,sample", [
+    (2, 1, None), (2, 2, None), (2, 3, None), (3, 1, None), (3, 2, None), (5, 1, None),
+    (5, 2, None), (7, 1, None), (7, 2, None), (3, 3, None), (3, 4, 2000), (5, 3, 2000),
+])
+def test_links_are_where_s_is_minus_one(p, f, sample):
+    """The link rule read from the characters holds exactly where the recipe's s_i = -1,
+    and the walk's exponents are e_i = p - 2 - s_i."""
+    links = checks = 0
+    for tau, J in _all_or_sampled_pairs(p, f, sample):
+        s = profile_data(tau, J).s
+        e = walk_exponents(tau, J)
+        assert e == [p - 2 - si for si in s], (tau.key(), sorted(J))
+        for i in range(tau.fprime):
+            link = _link_by_the_characters(tau, J, i)
+            assert link == (s[i] == -1) == (e[i] == p - 1), (tau.key(), sorted(J), i)
+            links += link
+            checks += 1
+    assert 0 < links < checks

@@ -60,21 +60,21 @@ GOLDEN_STDOUT = {
         "cfa449f4f45a7498465b6c495e5c9569ac426c1a760731e77c8a5668805a320f",
     ("ext", "--p", "3", "--f", "3", "--gamma", "1,0,2", "--profile", "0,2", "--kext"):
         "c95dee1c65562bd96f97ed9b89f1ab0c05b7224a444908bd294c8e7e97514077",
-    # free_cycles=1: the h-source on the cycle (splits=1), off it (splits=0), and f = 2
+    # a loop of gain 1 (free_cycles=1, splits=1), and two walks that do not close (splits=0)
     ("ext", "--p", "3", "--f", "1", "--kind", "cuspidal", "--eta", "1", "--profile", "0",
      "--h", "1", "--split"):
-        "52bf34382ecda34b55da3eb9e87153c05966a4365c3da7f50fecd165294bf8de",
+        "1e514d1d4f0565dd798199afabc7b22ee248f329de3de6dcf9bcd36853b91686",
     ("ext", "--p", "3", "--f", "1", "--kind", "cuspidal", "--eta", "1", "--profile", "1",
      "--h", "1", "--split"):
-        "f5b5e0b5fa94cfa7976cd7bda1ccf5a4776fde961bcb983e0e9c57a30e5e59e2",
+        "01fbb794024fe33544bf0fff98cb4cc26af31d9523c9a5095c78590924ee06cc",
     ("ext", "--p", "3", "--f", "2", "--kind", "cuspidal", "--eta", "1", "--profile", "2,3",
      "--h", "1,0", "--split"):
-        "37fd05d3be03e016130e15fb98344eb24c34d4303eaceae8590ac04d8cedae4e",
+        "8b3cbe899cfe131513d701f69d872b94c66a22f5e3a948903ada08b6bdf1d5b5",
 }
 
 # ext --build writes mod.json; shape reads it; descend --out writes desc.json
 GOLDEN_PIPELINE = {
-    "ext": "8fef8795e59dd5e17442423e01bb86b1562a27b11af140ce14ae749ad826b38f",
+    "ext": "8abe46e8dfc74beb74f311ef1584dfbaf17e27288bbd61a9255bbafd81242686",
     "mod.json": "8818ba3f0a7dc358629ee232064795c9fa794f1235aacbd9916b83eda4361a4f",
     "shape": "84bf7ced30c9fbba09c071068d9d337b17ed9eb6d6e1f5bc9ff001950deae3a5",
     "descend": "10031404b58423ddb5f01eb0b3c788d9e9a1c24d0fa78c6afd9ec1c2581b6b4f",
@@ -83,7 +83,7 @@ GOLDEN_PIPELINE = {
 
 # the same pipeline on a cuspidal type, whose module file holds f' = 2f matrices
 GOLDEN_CUSPIDAL_PIPELINE = {
-    "ext": "8f37f401a1532eff31a8f97e7771f5849e8f594952f53f5f1bc69281419b2095",
+    "ext": "49ebf4f015a443c106ab28112a3c7f06951fcaa3640a4e09c0cf328f430bd345",
     "mod.json": "cf4240934bf1e046b00aa39bb20b10275c279b7e58aabe361b3d2ce9af3b6120",
     "shape": "3ced40a1abde6cdd995b1465603338e269d829f6ce0c86c889bb7e5849ba5544",
     "descend": "6a6fd833c29b23ddb8c6db146863cbb116421ea503fb772185d573218acb4745",

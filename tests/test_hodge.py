@@ -16,7 +16,6 @@ from bkshapes.hodge import (
     is_p_bounded,
     operator_moves,
     predicted_inclusions,
-    translate,
 )
 from bkshapes.tametypes import enumerate_profiles, enumerate_types, profile_data, type_from_gamma
 
@@ -43,8 +42,8 @@ def test_gap_identity_and_regularity():
 def test_hodge_equiv_examples():
     r = as_hodge(((2, 0), (1, 0)))
     assert hodge_equiv(r, r, 3)
-    assert hodge_equiv(r, translate(r, (8, 0)), 3)
-    assert not hodge_equiv(r, translate(r, (1, 0)), 3)
+    assert hodge_equiv(r, ((10, 8), (1, 0)), 3)  # r translated by (8, 0)
+    assert not hodge_equiv(r, ((3, 1), (1, 0)), 3)  # by (1, 0)
     assert not hodge_equiv(r, as_hodge(((3, 0), (1, 0))), 3)  # gaps differ
 
 
@@ -75,7 +74,7 @@ def test_canonical_hodge_is_a_normal_form():
             None,
         )
         if lam is not None:
-            assert canonical_hodge(translate(r, lam), p) == c1
+            assert canonical_hodge(tuple((a + x, b + x) for (a, b), x in zip(r, lam)), p) == c1
 
 
 def test_apply_operator_examples():

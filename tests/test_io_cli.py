@@ -554,6 +554,26 @@ def test_cli_shape_and_descend_refuse_a_shapeless_module(tmp_path, capsys):
         assert err == "error: module has no shape: no diagonal divisibility at index 0\n"
 
 
+def test_cli_shape_lists_profiles_in_mask_order(tmp_path):
+    """`shape` orders the profiles as `profiles`, `weights` and `sweep` do, by mask."""
+    code, out = run_cli("shape", "--module", _diag_v_file(tmp_path))
+    assert code == 0
+    assert out == "strong_det=0 shapes=II,II profile=0 profile=1 profile=2 profile=3\n"
+
+
+def test_classify_shape_orders_cuspidal_profiles_by_mask():
+    """For a cuspidal type i+f lies in J exactly when i does not, so mask order is not member order."""
+    from bkshapes.phimod import BKModule, classify_shape
+    from bkshapes.series import Mat2, Series
+    from bkshapes.tametypes import make_type, profile_mask
+
+    tau = make_type(3, 2, "cuspidal", 1, 9)
+    F = field(3, 4)
+    v, zero = Series.monomial(F, "v", 1, 1), Series.zero(F, "v")
+    _, profiles = classify_shape(BKModule(tau, [Mat2(v, zero, zero, v)] * 2))
+    assert [profile_mask(tau, J) for J in profiles] == [3, 6, 9, 12]
+
+
 def test_cli_descend_refuses_a_module_failing_the_determinant_test(tmp_path, capsys):
     modfile = _diag_v_file(tmp_path)
     code, out = run_cli("shape", "--module", modfile)

@@ -63,7 +63,7 @@ def normal_form(B, pair):
 
 def test_identity_family_examples():
     r = ((3, 3), (4, 2))
-    I = Mat2.identity(F25, "v")
+    I = Mat2(Series.one(F25, "v"), Series.zero(F25, "v"), Series.zero(F25, "v"), Series.one(F25, "v"))
     mats = [normal_form(I, r[i]) for i in range(2)]
     _, exps = apply_operator_on_basis(mats, r, "nu", 0, 5, terms=40)
     assert [tuple(sorted(e, reverse=True)) for e in exps] == [(3, 2), (7, 4)]
@@ -104,7 +104,7 @@ def test_exhaustive_p3_f2_with_random_units():
 
 def test_precondition_errors():
     r = ((3, 3), (4, 2))
-    I = Mat2.identity(F25, "v")
+    I = Mat2(Series.one(F25, "v"), Series.zero(F25, "v"), Series.zero(F25, "v"), Series.one(F25, "v"))
     mats = [normal_form(I, r[i]) for i in range(2)]
     with pytest.raises(ValueError):
         apply_operator_on_basis(mats, r, "nu", 1, 5, terms=20)  # regular at 1

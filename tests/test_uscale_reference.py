@@ -51,7 +51,16 @@ from bkshapes.randgen import (
     random_shaped_matrix,
 )
 from bkshapes.series import Mat2, PrecisionError, Series
-from bkshapes.tametypes import CUSPIDAL, PRINCIPAL, check_profile, enumerate_profiles, enumerate_types, profile_data
+from bkshapes.tametypes import (
+    CUSPIDAL,
+    PRINCIPAL,
+    check_profile,
+    enumerate_profiles,
+    enumerate_types,
+    profile_data,
+    profile_mask,
+)
+from test_extensions import extension_exponents  # the u-scale rungs, kept with the u-scale solver
 
 # -- the u-scale reference -------------------------------------------------------
 
@@ -255,7 +264,7 @@ def u_ascend_from_base(res):
 def u_build_extension(x):
     tau, F = x.tau, x.field
     fp = tau.fprime
-    data = x.data
+    data = extension_exponents(tau, x.J)
     mats = []
     for i in range(fp):
         ai, bi = x.twist_at(i)
@@ -509,5 +518,5 @@ def test_classify_shape_matches_the_reference_profiles():
         assert profiles == sorted(
             (J for J in enumerate_profiles(tau)
              if all(s in (("I_eta", "II") if i in J else ("I_eta'", "II")) for i, s in enumerate(want))),
-            key=sorted,
+            key=lambda J: profile_mask(tau, J),
         )
