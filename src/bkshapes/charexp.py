@@ -76,9 +76,9 @@ def lambda_membership(entries, p: int, f: int) -> bool:
 def solve_twist_chain(d, p: int, m: int) -> tuple[int, ...]:
     """Solve nu[i] = p*nu[i-1] - d[i] around Z/mZ; unique when solvable.
 
-    Solvable exactly when collapse_exponents(d) == 0, in which case the
-    solution is the integer tuple with
-    ``d[i] == mu-part`` absorbed as ``nu[i] - p*nu[i-1] == -d[i]``.
+    Going once around the chain gives (p**m - 1) * nu[0] = sum_i d[i] * p**((-i) % m),
+    so it is solvable exactly when collapse_exponents(d) == 0, and then nu[0] is
+    that sum divided by p**m - 1 and the recurrence gives the other entries.
     """
     if len(d) != m:
         raise ValueError(f"expected {m} entries")

@@ -5,17 +5,20 @@ Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 to any command that takes one, an f below 1, a `find-type` Hodge type whose
 number of pairs is not f, an index given to `--j`, `--transition` or
 `--no-transition` outside [0, f), a `--profile` member outside [0, f'), the
-unsatisfiable transition preferences of `find-type`, a malformed integer
-list given to `--gamma`, `--profile`, `--h` or `--r`, `ext --kext` with
-`--split`, `--h` or `--build`, a coefficient field over the table limit,
-a malformed or mis-graded module file (a cuspidal one included whose
-lower-left entries are not divisible in the v-scale), a module file whose
-coefficients are known too coarsely to decide, a module with no shape
-given to `shape` or `descend`, a module given to `descend` that is not a
-point of the `--profile`'s component: it fails the strong determinant
-condition, or the profile is not among those `shape` lists, and an input
-whose arrays numpy cannot allocate, such as a module file with exponents
-10**12 apart), and 3 when a `verify` check crashed and none failed.
+unsatisfiable transition preferences of `find-type`, a malformed integer list
+given to `--gamma`, `--profile`, `--h` or `--r`, `ext --kext` with `--split`,
+`--h` or `--build`, an `ext` `--a` or `--b` that is not a nonzero field code,
+an `ext` `--h` of the wrong length or with entries outside the field, `ext`
+equal twists at an exceptional pair (where the rank-1 modules agree after
+inverting u), a coefficient field over the table limit, a malformed or
+mis-graded module file (a cuspidal one included whose lower-left entries are
+not divisible in the v-scale), a module file whose coefficients are known too
+coarsely to decide, a module with no shape given to `shape` or `descend`, a
+module given to `descend` that is not a point of the `--profile`'s component:
+it fails the strong determinant condition, or the profile is not among those
+`shape` lists, and an input whose arrays numpy cannot allocate, such as a
+module file with exponents 10**12 apart), and 3 when a `verify` check crashed
+and none failed.
 """
 
 from __future__ import annotations

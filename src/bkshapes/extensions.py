@@ -271,7 +271,7 @@ def splitting_diagnostics(x: ExtensionPoint) -> dict:
 
 def kext_dimension(tau: TameType, J, a: int, b: int, field: GF) -> int:
     """Dimension over the coefficient field of the split-class subspace."""
-    x = ExtensionPoint(tau, check_profile(tau, J), field, a, b, (0,) * tau.f)
+    x = ExtensionPoint(tau, J, field, a, b, (0,) * tau.f)
     return tau.f - len(kext_obstruction_rows(x))
 
 

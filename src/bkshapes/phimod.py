@@ -11,7 +11,9 @@ files hold the f' eigenbasis matrices C_i = diag(1, u**-ell'_i) * A_i *
 diag(1, u**ell'_i) over the u-scale series (u**estep = v), whose entries
 carry the grading forced by the two characters: `module_from_eigenbasis`
 checks it and the cuspidal linkage on reading.  The engine reads its
-exponents from J and the recipe's gamma, t and theta alone.
+exponents from J and the recipe's gamma, t and theta alone.  `BKModule`
+refuses a cuspidal family whose lower-left entry is not divisible by v, so
+every companion is integral.
 
 Monomial diagonal factors diag(x**a, x**b) and the swap permutation are
 applied as entry moves (`Mat2.shifted`, `Mat2.swapped`), never as matrix
@@ -58,27 +60,26 @@ def cuspidal_companion(A: Mat2) -> Mat2:
     return A.swapped(True, True).shifted(rows=(0, 1), cols=(0, -1))
 
 
-def _family(tau: TameType, A_list) -> list:
-    """The f v-scale matrices of a family; a cuspidal one has integral companions."""
-    if len(A_list) != tau.f:
-        raise ValueError(f"need {tau.f} matrices")
-    if tau.kind == CUSPIDAL and any(not A[1, 0].is_zero() and A[1, 0].val < 1 for A in A_list):
-        raise GradingError("lower-left entry must be divisible in the v-scale")
-    return list(A_list)
-
-
 @dataclass
 class BKModule:
-    """Descent-removed presentation: the partial Frobenius matrices at indices 0..f-1."""
+    """Descent-removed presentation: the partial Frobenius matrices at indices 0..f-1.
+
+    The one gate of a family: f v-scale matrices and, for a cuspidal type, no
+    lower-left entry with a known term below v**1 (integral companions).
+    """
 
     tau: TameType
     mats: list  # v-scale Mat2 A_0 .. A_{f-1}; a cuspidal A_{i+f} is cuspidal_companion(A_i), derived
 
     def __post_init__(self):
+        self.mats = list(self.mats)
         if len(self.mats) != self.tau.f:
             raise ValueError(f"need {self.tau.f} matrices")
         if any(s.scale != "v" for M in self.mats for s in M.e):
             raise ValueError("descent-removed matrices live in the v-scale")
+        if self.tau.kind == CUSPIDAL and any(not A[1, 0].is_zero() and A[1, 0].val < 1
+                                             for A in self.mats):
+            raise GradingError("lower-left entry must be divisible in the v-scale")
 
     @property
     def field(self) -> GF:
@@ -104,7 +105,7 @@ def module_from_eigenbasis(tau: TameType, C_list) -> BKModule:
     for i in range(f if tau.kind == CUSPIDAL else 0):
         if not A[i + f] == cuspidal_companion(A[i]):
             raise GradingError(f"cuspidal linkage fails at index {i}")
-    return module_from_descent_removed(tau, A[:f])
+    return BKModule(tau, A[:f])
 
 
 def eigenbasis_matrices(mod: BKModule) -> list:
@@ -124,17 +125,12 @@ def add_descent_data(tau: TameType, i: int, A: Mat2) -> Mat2:
     return A.map(lambda s: s.to_u(tau.estep)).shifted(rows=(0, -lp), cols=(0, lp))
 
 
-def module_from_descent_removed(tau: TameType, A_list) -> BKModule:
-    """Build from v-scale matrices at indices 0..f-1."""
-    return BKModule(tau, _family(tau, A_list))
-
-
 def module_from_partial_frobenius(tau: TameType, J, B_list) -> BKModule:
     """The component normal form: B*diag(v,1) inside J, diag(1,v)*B outside."""
     J = check_profile(tau, J)
     A_list = [B.shifted(cols=(1, 0)) if i in J else B.shifted(rows=(0, 1))
               for i, B in enumerate(B_list)]
-    return module_from_descent_removed(tau, A_list)
+    return BKModule(tau, A_list)
 
 
 # -- shapes -------------------------------------------------------------------
@@ -220,7 +216,7 @@ def change_eigenbasis(mod: BKModule, I_list, terms: int | None = None) -> BKModu
     must have unit determinant.
     """
     tau = mod.tau
-    I_list = _family(tau, I_list)
+    I_list = BKModule(tau, I_list).mats
     for i, I in enumerate(I_list):
         if not np.all(I.has_unit_det()):
             raise ValueError(f"change of basis at {i} must have unit determinant")

@@ -24,8 +24,7 @@ from .gf import GF
 from .series import Mat2, Series
 from .tametypes import TameType, check_profile
 from .phimod import (
-    SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II, BKModule, module_from_descent_removed,
-    module_from_partial_frobenius,
+    SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II, BKModule, module_from_partial_frobenius,
 )
 
 
@@ -160,7 +159,7 @@ def random_noshape_matrix(rng: random.Random, F: GF, degree: int) -> Mat2:
 def random_module(rng: random.Random, tau: TameType, F: GF, shapes, degree: int = 8) -> BKModule:
     """Module with prescribed shape word at indices 0..f-1."""
     A_list = [random_shaped_matrix(rng, F, s, degree) for s in shapes]
-    return module_from_descent_removed(tau, A_list)
+    return BKModule(tau, A_list)
 
 
 def random_component_module(

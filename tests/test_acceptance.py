@@ -34,13 +34,13 @@ from bkshapes.hodge import (
 )
 from bkshapes.intervals import extended, shapeshift_targets
 from bkshapes.phimod import (
+    BKModule,
     NoShapeError,
     apply_operator_on_basis,
     ascend_from_base,
     change_eigenbasis,
     classify_shape,
     descend_to_base,
-    module_from_descent_removed,
     strong_determinant_ok,
     twist_chain,
 )
@@ -183,7 +183,7 @@ def test_criterion_05_shape_engine(p, f):
         comp = random_component_module(rng, tau, frozenset(J), F, degree=6)
         assert frozenset(J) in classify_shape(comp)[1]
         # a module with no shape must fail the determinant condition
-        bad = module_from_descent_removed(
+        bad = BKModule(
             tau, [random_noshape_matrix(rng, F, 6) for _ in range(f)]
         )
         assert not strong_determinant_ok(bad)

@@ -414,6 +414,23 @@ def test_hyperplane_structure():
     assert seen
 
 
+@pytest.mark.parametrize("p,top", [(2, 5), (3, 4), (5, 3), (7, 2)])
+def test_check_twists_are_never_an_exceptional_pair(p, top):
+    """In every coefficient field the pair-driven checks build, their twist pairs are distinct
+    nonzero codes, so `ExtensionPoint` never refuses them (no type at p = 2 has f' = 1)."""
+    from bkshapes.gf import MAX_TABLE_Q
+    from bkshapes.verify import _twist_pairs
+
+    levels = {tau.fprime for f in range(1, top + 1) for tau in enumerate_types(p, f)}
+    if p == 2:
+        assert 1 not in levels  # so no field has q = 2, where 2 mod q would be 0
+    for m in sorted(levels):
+        if p**m <= MAX_TABLE_Q:
+            F = field(p, m)
+            for a, b in _twist_pairs(F):
+                assert a != b and 0 < a < F.q and 0 < b < F.q
+
+
 def test_exceptional_pair_refused():
     hits = 0
     for tau in enumerate_types(3, 1) + enumerate_types(3, 2):

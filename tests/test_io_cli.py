@@ -624,6 +624,19 @@ def test_cli_kext_refuses_the_options_it_would_ignore(extra, tmp_path, capsys, m
     assert not (tmp_path / "kext.json").exists()
 
 
+@pytest.mark.parametrize("extra,message", [
+    (("--a", "2", "--b", "2"), "the rank-1 modules agree after inverting u; equal twists rejected"),
+    (("--a", "0"), "twist parameters must be nonzero field elements"),
+    (("--b", "3"), "twist parameters must be nonzero field elements"),
+    (("--h", "1,1"), "class vector must have length 1"),
+    (("--h", "3"), "class vector entries must be field codes"),
+])
+def test_cli_ext_refusals(extra, message, capsys):
+    """At (3,1), gamma 1, profile {0} (an exceptional pair over F_3), each refusal of `ext`."""
+    err = _refused(capsys, "ext", "--p", "3", "--f", "1", "--gamma", "1", "--profile", "0", *extra)
+    assert err == f"error: {message}\n"
+
+
 def test_cli_ext_split_builds_one_solver(monkeypatch):
     from bkshapes import extensions
 

@@ -16,7 +16,6 @@ from bkshapes.phimod import (
     cuspidal_companion,
     descend_to_base,
     eigenbasis_matrices,
-    module_from_descent_removed,
     module_from_eigenbasis,
     remove_descent_data,
     shape_words,
@@ -100,6 +99,22 @@ def test_cuspidal_linkage_rejected():
         module_from_eigenbasis(tau, [C[0], C[1].shifted(rows=(8, 8))])
 
 
+def test_cuspidal_lower_left_unit_rejected():
+    """BKModule is the one gate of the lower-left rule: a family, a stack, a change of basis."""
+    tau = type_from_gamma(3, 1, CUSPIDAL, (1,))
+    v, one, zero = Series.monomial(F9, "v", 1, 1), Series.one(F9, "v"), Series.zero(F9, "v")
+    unit_ll = Mat2(one, zero, one, one)
+    msg = r"^lower-left entry must be divisible in the v-scale$"
+    with pytest.raises(GradingError, match=msg):
+        BKModule(tau, [unit_ll])
+    with pytest.raises(GradingError, match=msg):
+        BKModule(tau, [Mat2.stack([Mat2(v, zero, v, one), unit_ll])])
+    mod = BKModule(tau, [Mat2(v, zero, zero, one)])
+    with pytest.raises(GradingError, match=msg):
+        change_eigenbasis(mod, [unit_ll])
+    BKModule(make_type(3, 1, PRINCIPAL, 1, 0), [Mat2(*(Series.one(F3, "v"),) * 4)])
+
+
 def test_grading_rejected():
     tau = make_type(3, 2, PRINCIPAL, 5, 2)
     one_u = Series.one(F9, "u")
@@ -124,9 +139,9 @@ def test_strong_det_examples():
     v = Series.monomial(F3, "v", 1, 1)
     one = Series.one(F3, "v")
     zero = Series.zero(F3, "v")
-    assert strong_determinant_ok(module_from_descent_removed(tau, [Mat2(v, zero, zero, one)]))
-    assert not strong_determinant_ok(module_from_descent_removed(tau, [Mat2(one, zero, zero, one)]))
-    assert not strong_determinant_ok(module_from_descent_removed(tau, [Mat2(v, zero, zero, v)]))
+    assert strong_determinant_ok(BKModule(tau, [Mat2(v, zero, zero, one)]))
+    assert not strong_determinant_ok(BKModule(tau, [Mat2(one, zero, zero, one)]))
+    assert not strong_determinant_ok(BKModule(tau, [Mat2(v, zero, zero, v)]))
 
 
 @pytest.mark.parametrize("kind", [PRINCIPAL, CUSPIDAL])
@@ -135,7 +150,7 @@ def test_strong_det_decides_through_precision_bounded_zeros(kind):
     tau = next(t for t in enumerate_types(3, 1) if t.kind == kind)
     F = field(3, tau.fprime)
     v, one, fuzzy = Series.monomial(F, "v", 1, 1), Series.one(F, "v"), Series.zero(F, "v", prec=1)
-    mod = module_from_descent_removed(tau, [Mat2(v, fuzzy, fuzzy, one)])
+    mod = BKModule(tau, [Mat2(v, fuzzy, fuzzy, one)])
     assert strong_determinant_ok(mod) is True
     assert shape_words(mod) == [("I_eta",) if kind == PRINCIPAL else ("I_eta", "I_eta'")]
 
@@ -145,12 +160,12 @@ def test_shape_examples():
     v = Series.monomial(F3, "v", 1, 1)
     one = Series.one(F3, "v")
     zero = Series.zero(F3, "v")
-    m = module_from_descent_removed(tau, [Mat2(v, zero, zero, one)])
+    m = BKModule(tau, [Mat2(v, zero, zero, one)])
     assert shape_words(m) == [("I_eta",)]
-    m2 = module_from_descent_removed(tau, [Mat2(v, zero, zero, v)])
+    m2 = BKModule(tau, [Mat2(v, zero, zero, v)])
     shapes, profs = classify_shape(m2)
     assert shapes == ("II",) and sorted(map(sorted, profs)) == [[], [0]]
-    m3 = module_from_descent_removed(tau, [Mat2(one, zero, zero, one)])
+    m3 = BKModule(tau, [Mat2(one, zero, zero, one)])
     with pytest.raises(NoShapeError):
         classify_shape(m3)
 
@@ -269,13 +284,13 @@ def test_strong_det_inconclusive_at_low_precision():
     one = Series.one(F3, "v")
     zero = Series.zero(F3, "v")
     fuzzy = Series(F3, "v", 0, [], prec=1)  # zero up to v^1; e' = 2
-    mod = module_from_descent_removed(tau, [Mat2(fuzzy, zero, zero, one)])
+    mod = BKModule(tau, [Mat2(fuzzy, zero, zero, one)])
     with pytest.raises(PrecisionError):
         strong_determinant_ok(mod)
     # divisibility of the (0,0) entry is still decidable (constant term known
     # zero); with no known coefficient at all it is not
     blind = Series(F3, "v", 0, [], prec=0)
-    mod2 = module_from_descent_removed(tau, [Mat2(blind, zero, zero, one)])
+    mod2 = BKModule(tau, [Mat2(blind, zero, zero, one)])
     with pytest.raises(PrecisionError):
         classify_shape(mod2)
 
@@ -312,9 +327,9 @@ def test_descend_then_transport_pipeline():
 
 def _stacked_module(tau, per_trial):
     """The module of each trial's v-scale matrices, and the stack of all of them."""
-    mods = [module_from_descent_removed(tau, A) for A in per_trial]
+    mods = [BKModule(tau, A) for A in per_trial]
     stacks = [Mat2.stack([A[i] for A in per_trial]) for i in range(tau.f)]
-    return mods, module_from_descent_removed(tau, stacks)
+    return mods, BKModule(tau, stacks)
 
 
 @pytest.mark.parametrize("kind", [PRINCIPAL, CUSPIDAL])

@@ -44,7 +44,7 @@ def reference_strongdet_shape(p, f, rng, fault=None, trials=200):
         got, _ = classify_shape(mod)
         if got != tuple(shapes[:f]) + tuple(got[f:]):
             return False, f"classified shape disagrees with construction (trial {t})"
-        bad = verify.module_from_descent_removed(
+        bad = verify.BKModule(
             tau, [randgen.random_noshape_matrix(rng, F, 6) for _ in range(f)]
         )
         if strong_determinant_ok(bad):

@@ -28,6 +28,7 @@ from bkshapes.extensions import ExceptionalPairError, ExtensionPoint, build_exte
 from bkshapes.gf import field
 from bkshapes.hodge import hodge_type_of_raw
 from bkshapes.phimod import (
+    BKModule,
     DescentResult,
     GradingError,
     NoShapeError,
@@ -38,7 +39,6 @@ from bkshapes.phimod import (
     cuspidal_companion,
     descend_to_base,
     eigenbasis_matrices,
-    module_from_descent_removed,
     module_from_eigenbasis,
     reorder_by_profile,
     shape_words,
@@ -383,7 +383,7 @@ def test_modules_and_verdicts_match_the_reference(p, f, kind):
     rng = random.Random(f"verdicts-{p}-{f}-{kind}")
     trials = _draw_trials(rng, tau, F, deg, 6)
     for A_list in trials + [_stacked(tau, trials)]:
-        vmod, umod = module_from_descent_removed(tau, A_list), u_module(tau, A_list)
+        vmod, umod = BKModule(tau, A_list), u_module(tau, A_list)
         assert_same_module(vmod, umod)
         assert module_from_eigenbasis(tau, umod.mats).mats == vmod.mats
         assert_same_verdicts(vmod, umod)
@@ -405,7 +405,7 @@ def test_precision_errors_match_the_reference(p, f, kind):
                 entries[k] = Series(F, "v", s.val, s.coeffs, rng.randrange(0, 3))
             cut.append(Mat2(*entries))
         try:
-            vmod, umod = module_from_descent_removed(tau, cut), u_module(tau, cut)
+            vmod, umod = BKModule(tau, cut), u_module(tau, cut)
         except GradingError as exc:  # a lower-left entry of val 0 has no companion
             with pytest.raises(GradingError, match=str(exc)):
                 u_module(tau, cut)
@@ -425,7 +425,7 @@ def test_change_eigenbasis_matches_the_reference(p, f, kind):
     I = [[random_basis_change(rng, F, deg) for _ in range(f)] for _ in trials]
     cases = list(zip(trials, I)) + [(_stacked(tau, trials), _stacked(tau, I))]
     for A_list, I_list in cases:
-        vmod, umod = module_from_descent_removed(tau, A_list), u_module(tau, A_list)
+        vmod, umod = BKModule(tau, A_list), u_module(tau, A_list)
         # the same precision: 2 v-coefficients are estep + 1 u-coefficients
         moved = change_eigenbasis(vmod, I_list, terms=2)
         umoved = u_change_eigenbasis(umod, I_list, terms=ep + 1)
@@ -438,7 +438,7 @@ def test_change_eigenbasis_matches_the_reference(p, f, kind):
             assert_same_verdicts(moved, umoved)
     v, zero = Series.monomial(F, "v", 1, 1), Series.zero(F, "v")
     nonunit = I[0][:-1] + [Mat2(v, zero, zero, v)]
-    vmod, umod = module_from_descent_removed(tau, trials[0]), u_module(tau, trials[0])
+    vmod, umod = BKModule(tau, trials[0]), u_module(tau, trials[0])
     want = (ValueError, f"change of basis at {f - 1} must have unit determinant")
     assert _outcome(change_eigenbasis, vmod, nonunit, 2) == _outcome(u_change_eigenbasis, umod, nonunit, 2) == want
 
@@ -508,7 +508,7 @@ def test_classify_shape_matches_the_reference_profiles():
     tau, F, deg = _setup(3, 2, PRINCIPAL)
     rng = random.Random("classify")
     for A_list in _draw_trials(rng, tau, F, deg, 12):
-        vmod, umod = module_from_descent_removed(tau, A_list), u_module(tau, A_list)
+        vmod, umod = BKModule(tau, A_list), u_module(tau, A_list)
         try:
             shapes, profiles = classify_shape(vmod)
         except NoShapeError:
