@@ -150,19 +150,24 @@ class ExtensionPoint:
         return self.h[i % self.tau.f]
 
 
-def build_extension(x: ExtensionPoint) -> BKModule:
+def build_extension(*points: ExtensionPoint) -> BKModule:
     """The point of J's component with unit matrices B_i = ((a_i, 0), (h_i, b_i)) reordered.
 
     Removing the descent data from the eigenbasis matrix ((a u^r, 0), (h u^delta, b u^s))
     moves its entry at (row, col) by (row - col)*ell'_i; in all four cases (i in J or not,
     i-1 in J or not) that leaves exponents 0 or 1 in v, which put the v exactly as
-    B_i*diag(v, 1) inside J and diag(1, v)*B_i outside it.
+    B_i*diag(v, 1) inside J and diag(1, v)*B_i outside it.  Several points sharing tau, J,
+    the field, a and b build, in order, into one stack, each entry built once from their codes.
     """
+    x = points[0]
+    if any((y.tau, y.J, y.field, y.a, y.b) != (x.tau, x.J, x.field, x.a, x.b) for y in points):
+        raise ValueError("stacked extensions must share tau, J, the field, a and b")
     tau, F = x.tau, x.field
     B = []
     for i in range(tau.f):
         a, b = x.twist_at(i)
-        M = Mat2(*(Series.monomial(F, "v", c, 0) for c in (a, 0, x.h_at(i), b)))
+        cols = zip(*[(a, 0, y.h_at(i), b) for y in points])
+        M = Mat2(*(Series(F, "v", 0, [[c] for c in col] if len(points) > 1 else col) for col in cols))
         B.append(reorder_by_profile(M, x.J, i, tau.fprime))
     return module_from_partial_frobenius(tau, x.J, B)
 

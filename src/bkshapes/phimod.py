@@ -178,13 +178,14 @@ def shape_words(mod: BKModule, partial: bool = False) -> list:
 def classify_shape(mod: BKModule):
     """Per-index shapes and the profiles whose component contains the module, in mask order.
 
-    The one-member case of `shape_words`.
+    One `shape_words` pass decides every member: a stack gets one (shapes, profiles) per
+    member, a lone module its own pair.
     """
-    (shapes,) = shape_words(mod)
-    profiles = [J for J in enumerate_profiles(mod.tau) if all(
+    profiles = sorted(enumerate_profiles(mod.tau), key=lambda J: profile_mask(mod.tau, J))
+    pairs = [(w, [J for J in profiles if all(
         s in ((SHAPE_I_ETA, SHAPE_II) if i in J else (SHAPE_I_ETA_PRIME, SHAPE_II))
-        for i, s in enumerate(shapes))]
-    return shapes, sorted(profiles, key=lambda J: profile_mask(mod.tau, J))
+        for i, s in enumerate(w))]) for w in shape_words(mod)]
+    return pairs if mod.mats[0][0, 0].coeffs.ndim == 2 else pairs[0]
 
 
 def strong_determinant_ok(mod: BKModule):

@@ -19,11 +19,11 @@ counterexample.
   paper's four cases, instead of reading the type's recipe table.
 - `descend-normal-form` checks that ascending undoes descent; the
   diagonal exponents are asserted by descent itself (`phimod._unit_part`).
-- `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape`
-  draw their random trials as field codes (`randgen.draw_*`), in the
-  order a trial-by-trial loop would, and push at most STACK of them
-  through the series engine as one stack per index, built once from the
-  draws (`randgen.matrices`, `_first_failure`).
+- `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape` draw their
+  trials as field codes (`randgen.draw_*`) in a trial loop's order and push at most
+  STACK of them through the engine as one stack per index (`randgen.matrices`).
+  `extension-shape-law` and `shapeshift-targets` stack each pair's extensions
+  (`build_extension`); all report the first failure as a one-at-a-time loop would.
 
 The fault switch corrupts the data under test inside the harness so the
 reporting path itself can be exercised.
@@ -159,29 +159,38 @@ STACK = 50
 `verify --p 3 --f 2` from 35 MB to 48 MB, stacks of 50 leave it as it was."""
 
 
-def _verdicts(stages):
-    """Per trial, the text of its first failing stage, or a false value.
+def _first_failing(items, stages):
+    """(index, text) of the first failing item, or None; at most STACK items per engine pass.
 
-    The stages stop once every trial has failed, so a lone trial runs
-    exactly the stages a trial-by-trial loop would run.
+    stages(chunk) yields, stage by stage, one failure text or false value per item of the
+    chunk; they stop once every item has failed, so a lone item runs exactly the stages an
+    item-by-item loop would.  When a pass raises, its items are decided again one at a
+    time, so the first item that fails or raises does so as it would in such a loop.
     """
-    verdicts = None
-    for got in stages:
-        verdicts = got if verdicts is None else [v or g for v, g in zip(verdicts, got)]
-        if all(verdicts):
-            break
-    return verdicts
+
+    def verdicts(chunk):
+        for out in itertools.accumulate(stages(chunk), lambda v, g: [a or b for a, b in zip(v, g)]):
+            if all(out):
+                break
+        return out
+
+    for start in range(0, len(items), STACK):
+        chunk = items[start : start + STACK]
+        try:
+            found = verdicts(chunk)
+        except Exception:  # whatever an item raises, a loop would report it as that item's crash
+            found = (verdicts([item])[0] for item in chunk)
+        for t, text in enumerate(found, start):
+            if text:
+                return t, text
+    return None
 
 
 def _first_failure(rng, trials, draw, stages):
-    """'<text> (trial t)' for the first failing trial, or None; at most STACK trials per pass.
+    """'<text> (trial t)' for the first failing trial of `_first_failing`, or None.
 
     draw(rng) draws one trial's values in the order a trial-by-trial loop
-    draws them.  stages(drawn) decides a list of drawn trials together:
-    it yields, stage by stage, one failure text or false value per trial.
-    When a pass raises, its trials are decided again one at a time, so the
-    first trial that fails or raises does so as it would in such a loop;
-    a draw that raises does so after the trials drawn before it are decided.
+    draws them; a draw that raises does so after the trials drawn before it are decided.
     """
     for start in range(0, trials, STACK):
         drawn, error = [], None
@@ -190,13 +199,8 @@ def _first_failure(rng, trials, draw, stages):
                 drawn.append(draw(rng))
         except Exception as exc:
             error = exc
-        try:
-            verdicts = _verdicts(stages(drawn)) if drawn else []
-        except Exception:  # whatever a trial raises, a loop would report it as that trial's crash
-            verdicts = (_verdicts(stages([trial]))[0] for trial in drawn)
-        for t, text in enumerate(verdicts, start):
-            if text:
-                return f"{text} (trial {t})"
+        if failed := _first_failing(drawn, stages):
+            return f"{failed[1]} (trial {start + failed[0]})"
         if error is not None:
             raise error
     return None
@@ -476,22 +480,26 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
 
 
 def check_extension_shape_law(p, f, rng, fault=None, cap=200):
-    n = 0
     pairs, note = _field_pairs(p, f, rng, cap)
+    classes = list(itertools.product((0, 1), repeat=f))
     for tau, J, F in pairs:
-        for h in itertools.product((0, 1), repeat=f):
-            mod = build_extension(_extension_point(tau, J, F, h))
-            if not strong_determinant_ok(mod):
-                return False, f"extension fails determinant at {tau.key()} J={sorted(J)}"
-            shapes, profs = classify_shape(mod)
-            for i in range(tau.fprime):
-                want = is_transition(J, i, tau.fprime) and h[i % f] == 0
-                if (shapes[i] == SHAPE_II) != want:
-                    return False, f"shape law broken at {tau.key()} J={sorted(J)} h={h} i={i}"
-            if frozenset(J) not in profs:
-                return False, f"extension escaped its component at {tau.key()} J={sorted(J)}"
-            n += 1
-    return True, f"{n} extensions{note}"
+        where, fp = f"{tau.key()} J={sorted(J)}", tau.fprime
+        law = [is_transition(J, i, fp) for i in range(fp)]  # II exactly at these, where h_i = 0
+
+        def stages(hs):
+            mod = build_extension(*(_extension_point(tau, J, F, h) for h in hs))
+            yield [not ok and f"extension fails determinant at {where}"
+                   for ok in np.ravel(strong_determinant_ok(mod))]
+            got = classify_shape(mod) if len(hs) > 1 else [classify_shape(mod)]
+            yield [next((f"shape law broken at {where} h={h} i={i}" for i in range(fp)
+                         if (shapes[i] == SHAPE_II) != (law[i] and h[i % f] == 0)), None)
+                   for h, (shapes, _) in zip(hs, got)]
+            yield [J not in profs and f"extension escaped its component at {where}"
+                   for _, profs in got]
+
+        if failed := _first_failing(classes, stages):
+            return False, failed[1]
+    return True, f"{len(pairs) * len(classes)} extensions{note}"
 
 
 def check_kext_dimension(p, f, rng, fault=None, cap=400):
@@ -552,13 +560,19 @@ def check_shapeshift(p, f, rng, fault=None, cap=200):
     n = 0
     pairs, note = _field_pairs(p, f, rng, cap)
     for tau, J, F in pairs:
-        for Jp in shapeshift_targets(tau, J):
-            D = frozenset(i % f for i in (frozenset(J) ^ Jp))
-            h = tuple(0 if i in D else 1 for i in range(f))
-            _, profs = classify_shape(build_extension(_extension_point(tau, J, F, h)))
-            if Jp not in profs:
-                return False, f"target not classified at {tau.key()} J={sorted(J)} J'={sorted(Jp)}"
-            n += 1
+        where = f"{tau.key()} J={sorted(J)}"
+
+        def stages(targets):
+            points = [_extension_point(tau, J, F, tuple(0 if i in D else 1 for i in range(f)))
+                      for D in ({i % f for i in J ^ Jp} for Jp in targets)]
+            got = classify_shape(build_extension(*points))
+            yield [Jp not in profs and f"target not classified at {where} J'={sorted(Jp)}"
+                   for Jp, (_, profs) in zip(targets, got if len(targets) > 1 else [got])]
+
+        targets = shapeshift_targets(tau, J)
+        if failed := _first_failing(targets, stages):
+            return False, failed[1]
+        n += len(targets)
     return True, f"{n} shifted targets{note}"
 
 

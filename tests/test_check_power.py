@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from bkshapes import phimod, randgen, verify
+from bkshapes import extensions, phimod, randgen, verify
 from bkshapes.cli import main
 
 
@@ -64,6 +64,15 @@ def _ascend_without_column_moves(orig):
     return ascend_from_base
 
 
+def _reorder_reads_own_index(orig):
+    """The profile reorder swaps the columns when i is outside J, not when i-1 is."""
+
+    def reorder_by_profile(M, J, i, n):
+        return M.swapped(rows=i not in J, cols=i not in J)
+
+    return reorder_by_profile
+
+
 # (the mutant, made from the original; the modules holding the function; its name; the checks
 # it must make FAIL)
 MUTANTS = [
@@ -76,6 +85,8 @@ MUTANTS = [
      ["operator-basis-lifts"]),
     (_ascend_without_column_moves, (phimod, verify), "ascend_from_base",
      ["descend-normal-form"]),
+    (_reorder_reads_own_index, (phimod, extensions), "reorder_by_profile",
+     ["extension-shape-law", "shapeshift-targets"]),
 ]
 
 

@@ -519,6 +519,43 @@ def test_build_extension_is_the_point_of_the_exponent_moves(p, f):
     assert built
 
 
+def _entries(mod):
+    """Every entry of every matrix of a module as (val, prec, coefficients)."""
+    return [(s.val, s.prec, s.coeffs.tolist()) for A in mod.mats for s in A.e]
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2)])
+@pytest.mark.parametrize("kind", [PRINCIPAL, CUSPIDAL])
+def test_stacked_build_is_the_stack_of_the_lone_builds(p, f, kind):
+    """build_extension(*points) is Mat2.stack of the one-point builds, entry and member."""
+    rng = random.Random(f"stacked-build-{p}-{f}-{kind}")
+    for tau in enumerate_types(p, f, kinds=(kind,)):
+        F = field(p, tau.fprime)
+        for J in enumerate_profiles(tau):
+            classes = list(itertools.product((0, 1), repeat=f))
+            classes += [tuple(rng.randrange(F.q) for _ in range(f)) for _ in range(3)]
+            points = [ExtensionPoint(tau, J, F, 1, 2, h) for h in classes]
+            alone = [build_extension(x) for x in points]
+            stack = build_extension(*points)
+            want = BKModule(tau, [Mat2.stack([m.mats[i] for m in alone]) for i in range(f)])
+            assert _entries(stack) == _entries(want)
+            for n, mod in enumerate(alone):
+                assert _entries(BKModule(tau, [A.member(n) for A in stack.mats])) == _entries(mod)
+
+
+def test_stacked_build_refuses_mismatched_points():
+    tau = next(t for t in enumerate_types(3, 2) if t.kind == PRINCIPAL)
+    J, J2 = list(enumerate_profiles(tau))[:2]
+    x = ExtensionPoint(tau, J, F9, 1, 2, (0, 1))
+    other_type = next(t for t in enumerate_types(3, 2) if t.kind == PRINCIPAL and t != tau)
+    for y in (replace(x, J=J2), replace(x, a=2), replace(x, b=3), replace(x, field=F81),
+              ExtensionPoint(other_type, J, F9, 1, 2, (1, 1))):
+        with pytest.raises(ValueError, match="stacked extensions"):
+            build_extension(x, y)
+    assert build_extension(x).mats[0][0, 0].coeffs.ndim == 1
+    assert build_extension(x, replace(x, h=(1, 1))).mats[0][0, 0].coeffs.ndim == 2
+
+
 def test_split_counts_are_field_powers():
     """|{h : splits}| equals q^{|bad set|}, counted by the constructive oracle."""
     counted = 0

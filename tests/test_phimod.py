@@ -366,6 +366,23 @@ def test_stacked_shapes_and_determinants_match_each_member(kind):
     assert shape_words(moved) == shape_words(stack) == [classify_shape(m)[0] for m in mods]
 
 
+@pytest.mark.parametrize("p,f", [(3, 1), (3, 2)])
+@pytest.mark.parametrize("kind", [PRINCIPAL, CUSPIDAL])
+def test_classify_shape_on_a_stack_answers_per_member(p, f, kind):
+    """One (shapes, profiles) per member, as the lone calls give them; words repeat in the stack."""
+    rng = random.Random(f"classify-stack-{p}-{f}-{kind}")
+    tau = next(t for t in enumerate_types(p, f) if t.kind == kind)
+    F = field(p, tau.fprime)
+    shapes = [[rng.choice(["I_eta", "I_eta'", "II"]) for _ in range(f)] for _ in range(6)]
+    per_trial = [[random_shaped_matrix(rng, F, s, 4) for s in word] for word in shapes * 2]
+    mods, stack = _stacked_module(tau, per_trial)
+    assert classify_shape(stack) == [classify_shape(m) for m in mods]
+    assert isinstance(classify_shape(mods[0]), tuple)
+    shapeless = [per_trial[0], [random_noshape_matrix(rng, F, 4) for _ in range(f)]]
+    with pytest.raises(NoShapeError):
+        classify_shape(_stacked_module(tau, shapeless)[1])
+
+
 def test_stacked_unit_determinant_test_names_the_index():
     """One non-unit change of basis in a stack fails the stack with the lone member's message."""
     rng = random.Random(5)

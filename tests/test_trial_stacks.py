@@ -6,6 +6,12 @@ engine pass.  The verdict and its detail must be the loop's, and so must
 the state of the rng after a passing run.  When a trial fails or crashes,
 the first such trial must be reported as the loop reports it: the same
 FAIL text with the same trial number, or the same crash.
+
+`extension-shape-law` and `shapeshift-targets` decide the extensions of
+each (type, profile) pair as one stack: its 2^f classes, or its shifted
+targets.  The per-class loops they replaced are kept here too; the
+verdict and detail must be theirs, and a failing or crashing class must
+be reported as the loop reports the first one.
 """
 
 import itertools
@@ -13,7 +19,12 @@ import random
 
 import pytest
 
-from bkshapes import randgen, verify
+from bkshapes import extensions, phimod, randgen, verify
+from bkshapes.extensions import build_extension
+from bkshapes.intervals import shapeshift_targets
+from bkshapes.series import Mat2
+from bkshapes.tametypes import is_transition
+from test_check_power import _reorder_reads_own_index  # the mutant that kills both pair checks
 from bkshapes.gf import field
 from bkshapes.phimod import NoShapeError, change_eigenbasis, classify_shape, strong_determinant_ok
 
@@ -175,3 +186,120 @@ def test_first_failing_trial_is_reported_as_the_loop_reports_it(
     if status == "ERROR":
         want = "RuntimeError('sampler broke')" if trial is None else "ValueError('change of basis"
         assert stacked.detail.startswith(f"crashed: {want}")
+
+
+# -- the pair stacks -------------------------------------------------------------------
+
+
+def reference_extension_shape_law(p, f, rng, fault=None, cap=200):
+    n = 0
+    pairs, note = verify._field_pairs(p, f, rng, cap)
+    for tau, J, F in pairs:
+        for h in itertools.product((0, 1), repeat=f):
+            mod = build_extension(verify._extension_point(tau, J, F, h))
+            if not strong_determinant_ok(mod):
+                return False, f"extension fails determinant at {tau.key()} J={sorted(J)}"
+            shapes, profs = classify_shape(mod)
+            for i in range(tau.fprime):
+                want = is_transition(J, i, tau.fprime) and h[i % f] == 0
+                if (shapes[i] == verify.SHAPE_II) != want:
+                    return False, f"shape law broken at {tau.key()} J={sorted(J)} h={h} i={i}"
+            if frozenset(J) not in profs:
+                return False, f"extension escaped its component at {tau.key()} J={sorted(J)}"
+            n += 1
+    return True, f"{n} extensions{note}"
+
+
+def reference_shapeshift(p, f, rng, fault=None, cap=200):
+    n = 0
+    pairs, note = verify._field_pairs(p, f, rng, cap)
+    for tau, J, F in pairs:
+        for Jp in shapeshift_targets(tau, J):
+            D = frozenset(i % f for i in (frozenset(J) ^ Jp))
+            h = tuple(0 if i in D else 1 for i in range(f))
+            _, profs = classify_shape(build_extension(verify._extension_point(tau, J, F, h)))
+            if Jp not in profs:
+                return False, f"target not classified at {tau.key()} J={sorted(J)} J'={sorted(Jp)}"
+            n += 1
+    return True, f"{n} shifted targets{note}"
+
+
+PAIR_CHECKS = {
+    "extension-shape-law": (verify.check_extension_shape_law, reference_extension_shape_law),
+    "shapeshift-targets": (verify.check_shapeshift, reference_shapeshift),
+}
+
+
+def _pair_reports(name, p, f, seed=0, cap=200):
+    """The stacked check's report and the loop's, each from its own rng."""
+    return [_report(name, lambda p, f, rng: check(p, f, rng, cap=cap), p, f, seed)
+            for check in PAIR_CHECKS[name]]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CHECKS))
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2)])
+def test_pair_stacks_match_the_class_loop_on_every_pair(name, p, f):
+    stacked, alone = _pair_reports(name, p, f, cap=len(verify._all_pairs(p, f)))
+    assert stacked == alone
+    assert stacked.passed and not stacked.detail.endswith("skipped: field over the table limit)")
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_CHECKS))
+@pytest.mark.parametrize("p,f,seed", [(5, 2, 0), (5, 2, 1), (3, 3, 0), (3, 3, 2)])
+def test_pair_stacks_match_the_class_loop_on_a_sample(name, p, f, seed):
+    stacked, alone = _pair_reports(name, p, f, seed)
+    assert stacked == alone
+    assert stacked.passed
+
+
+def _class_upper_right(orig):
+    """The build writing the class h_i to the upper-right entry of B_i, not the lower-left."""
+
+    def reorder_by_profile(M, J, i, n):
+        return orig(Mat2(M[0, 0], M[1, 0], M[0, 1], M[1, 1]), J, i, n)
+
+    return reorder_by_profile
+
+
+def _raising_at(orig, fails, raises):
+    """Points whose class is `fails` built with the class (1, ..., 1); `raises` refused."""
+
+    def extension_point(tau, J, F, h):
+        if h == raises:
+            raise RuntimeError("point refused")
+        return orig(tau, J, F, (1,) * len(h) if h == fails else h)
+
+    return extension_point
+
+
+REORDER = {(phimod, extensions): ("reorder_by_profile", _reorder_reads_own_index(None))}
+
+# (the check, the faults to install, the report at (3, 2) and seed 0)
+FAULTS = [
+    ("extension-shape-law", REORDER,
+     "FAIL shape law broken at (3, 2, 'cuspidal', 77, 53) J=[0, 1] h=(0, 0) i=0"),
+    ("shapeshift-targets", REORDER,
+     "FAIL target not classified at (3, 2, 'cuspidal', 49, 41) J=[1, 2] J'=[2, 3]"),
+    # first seen at a later class of its pair
+    ("extension-shape-law",
+     {(extensions,): ("reorder_by_profile", _class_upper_right(phimod.reorder_by_profile))},
+     "FAIL shape law broken at (3, 2, 'cuspidal', 77, 53) J=[0, 1] h=(1, 0) i=0"),
+    # a crash in a later member of the stack after an earlier member's failure, and alone
+    ("extension-shape-law",
+     {(verify,): ("_extension_point", _raising_at(verify._extension_point, (0, 0), (0, 1)))},
+     "FAIL shape law broken at (3, 2, 'cuspidal', 77, 53) J=[0, 1] h=(0, 0) i=0"),
+    ("extension-shape-law",
+     {(verify,): ("_extension_point", _raising_at(verify._extension_point, None, (0, 1)))},
+     "ERROR crashed: RuntimeError('point refused')"),
+]
+
+
+@pytest.mark.parametrize("name,faults,want", FAULTS)
+def test_first_failing_class_is_reported_as_the_loop_reports_it(monkeypatch, name, faults, want):
+    for modules, (attr, fault) in faults.items():
+        for module in modules:
+            monkeypatch.setattr(module, attr, fault)
+    stacked, alone = _pair_reports(name, 3, 2)
+    assert stacked == alone
+    status = "ERROR" if stacked.crashed else "FAIL" if not stacked.passed else "PASS"
+    assert f"{status} {stacked.detail}" == want
