@@ -155,8 +155,8 @@ def _extension_point(tau, J, F, h):
 
 
 STACK = 50
-"""Most trials one engine pass decides: stacks of 200 raised the peak RSS of a whole
-`verify --p 3 --f 2` from 35 MB to 48 MB, stacks of 50 leave it as it was."""
+"""Most trials one engine pass decides: stacks of 200 raise the peak RSS of a whole
+`verify --p 3 --f 2` only from 31 MB to 33 MB, and save little time."""
 
 
 def _first_failing(items, stages):

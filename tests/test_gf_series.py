@@ -275,6 +275,89 @@ def test_convolve_long_product_is_exact(p, m):
     assert np.array_equal(got[0], sub(conv(a, d), conv(b, c)))
     assert np.array_equal(got[1], sub(zero, conv(b, c)))
     assert np.array_equal(got[2], sub(conv(b, c), conv(a, d, 7)))
+    # the first entry on a stack of two, and m + 1 rows against one coefficient,
+    # whose m live digits are fewer calls than the rows
+    stacked = _kernels.sum_products([np.stack([x, x]) for x in (a, b, c, d)], entries[:1], F.MUL)
+    assert np.array_equal(stacked[0], np.stack([got[0], got[0]]))
+    edge, wide = np.full((m + 1, 1), F.q - 1, dtype=F.dtype), np.tile(top, (m + 1, 1))
+    got = _kernels.sum_products([edge, wide], [[(1, 0, 1, 0), (-1, 1, 0, 3)]], F.MUL)[0]
+    assert np.array_equal(got, np.tile(sub(conv(edge[0], top), conv(top, edge[0], 3)), (m + 1, 1)))
+
+
+def _per_row_sum_products(codes, entries, mul):
+    """`_kernels.sum_products` by one np.convolve per stack row and term: the reference for stacks.
+
+    It shares only the plan's digit table and folding matrix with the kernel.
+    """
+    from bkshapes import _kernels
+
+    plan = _kernels._plan(mul)
+    w = plan.width
+    rows = [np.atleast_2d(c) for c in codes]
+    spelled = [plan.digits[c].reshape(len(c), -1) for c in rows]
+    sizes = [max([off + codes[i].shape[-1] + codes[k].shape[-1] - 1 for _, i, k, off in terms],
+                 default=0) for terms in entries]
+    slots, pos = np.zeros((len(rows[0]), (sum(sizes) + 1) * w)), 0
+    for terms, size in zip(entries, sizes):
+        for sign, i, k, off in terms:
+            at = (pos + off) * w
+            for row, u, v in zip(slots, spelled[i], spelled[k]):
+                prod = np.convolve(u, v)
+                row[at : at + len(prod)] += sign * prod
+        pos += size
+    folded = slots[:, : sum(sizes) * w].reshape(-1, w) @ plan.fold
+    out = (folded.astype(np.int64) % plan.p @ plan.powers).astype(codes[0].dtype)
+    out = out.reshape(len(slots), sum(sizes))
+    return [out[:, end - size : end].reshape(codes[0].shape[:-1] + (size,))
+            for size, end in zip(sizes, itertools.accumulate(sizes))]
+
+
+@pytest.mark.parametrize("p,m", ORACLE_FIELDS)
+def test_stacked_sum_products_match_the_per_row_reference(p, m, monkeypatch):
+    """Stacks of N members, the shorter operand on either side, signed terms with offsets.
+
+    Each term is formed by one np.convolve per row or one multiply-add
+    per live digit of its shorter operand, whichever makes fewer calls;
+    both ways are exercised on stacks, and a 1-D product is one row.
+    """
+    from bkshapes import _kernels
+
+    F = field(p, m)
+    rng = np.random.default_rng(100 * p + m)
+    convolve, calls, used = np.convolve, [], set()
+    monkeypatch.setattr(np, "convolve", lambda *args: calls.append(1) or convolve(*args))
+    for N in (1, 2, 4, 50):
+        for la, lb in [(la, 14 - la) for la in range(1, 14)] + [(45, 70)]:
+            a, d = rng.integers(0, F.q, size=(2, N, la)).astype(F.dtype)
+            b, c = rng.integers(0, F.q, size=(2, N, lb)).astype(F.dtype)
+            off = int(rng.integers(0, 5))
+            entries = [[(1, 0, 1, 0), (-1, 2, 3, off)], [], [(-1, 1, 0, off)], [(1, 3, 3, 2)]]
+            for codes in ([a, b, c, d], [a[0], b[0], c[0], d[0]]):
+                del calls[:]
+                got = _kernels.sum_products(codes, entries, F.MUL)
+                used.add((codes[0].ndim, len(calls) > 0))
+                want = _per_row_sum_products(codes, entries, F.MUL)
+                assert len(got) == len(want)
+                for g, r in zip(got, want):
+                    assert g.dtype == r.dtype and g.shape == r.shape and np.array_equal(g, r)
+    assert used == {(1, True), (2, True), (2, False)}
+
+
+def test_stacked_mat2_product_makes_no_per_row_call(monkeypatch):
+    """A 50-member Mat2 product at (3,2), drawn as verify draws it, makes no per-row call."""
+    from bkshapes.randgen import draw_unit_matrix, matrices
+
+    F = field(3, 2)
+    rng = random.Random("no-per-row-call")
+    A, B = (matrices(F, [draw_unit_matrix(rng, F, 4) for _ in range(50)]) for _ in range(2))
+    convolve, calls = np.convolve, []
+    monkeypatch.setattr(np, "convolve", lambda *args: calls.append(1) or convolve(*args))
+    prod = A * B
+    assert calls == []
+    monkeypatch.undo()
+    for n in range(50):
+        for got, want in zip(prod.e, (A.member(n) * B.member(n)).e):
+            _assert_member(got, n, want)
 
 
 def _inverse_by_division(s, n):
