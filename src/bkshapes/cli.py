@@ -269,6 +269,8 @@ def cmd_descend(args, out):
     if J not in profiles:
         raise UsageError(f"module is not a point of the component of profile {profile_mask(tau, J)}")
     res = descend_to_base(mod, J)
+    if not all(res.ok):  # the descent of a point of J's component has unit parts
+        raise AssertionError(f"unit part at {res.ok.index(False)} is not a unit")
     print(
         f"profile={profile_mask(tau, J)} exponents={_fmt_pairs(res.exponents)}"
         f" nu={_fmt_ints(res.nu)}",

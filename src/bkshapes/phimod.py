@@ -10,10 +10,10 @@ whose exponents are the Hodge data of the pair (tau, J).  Only module
 files hold the f' eigenbasis matrices C_i = diag(1, u**-ell'_i) * A_i *
 diag(1, u**ell'_i) over the u-scale series (u**estep = v), whose entries
 carry the grading forced by the two characters: `module_from_eigenbasis`
-checks it and the cuspidal linkage on reading.  The engine reads its
-exponents from J and the recipe's gamma, t and theta alone.  `BKModule`
-refuses a cuspidal family whose lower-left entry is not divisible by v, so
-every companion is integral.
+checks it and the cuspidal linkage on reading.  The engine reads its moves
+from J and the recipe's gamma, t and theta, and the exponents of its output
+off the matrices (`read_unit_part`).  `BKModule` refuses a cuspidal family
+whose lower-left entry is not divisible by v, so every companion is integral.
 
 Monomial diagonal factors diag(x**a, x**b) and the swap permutation are
 applied as entry moves (`Mat2.shifted`, `Mat2.swapped`), never as matrix
@@ -30,7 +30,7 @@ import numpy as np
 
 from .charexp import solve_twist_chain
 from .gf import GF
-from .hodge import apply_operator, hodge_type_of_raw
+from .hodge import apply_operator
 from .series import Mat2, PrecisionError, Series
 from .tametypes import (
     CUSPIDAL,
@@ -238,24 +238,22 @@ class DescentResult:
     J: frozenset
     mats: list          # v-scale Mat2, indices 0..f-1
     units: list         # B_i with mats[i] == B_i * diag(v^{r1}, v^{r2})
-    exponents: list     # (r1, r2) per index: hodge_type_of_raw(tau, J)
+    exponents: list     # (r1, r2) per index, read off mats[i]
     nu: tuple
+    ok: list            # per index (per member on a stack): B_i is a unit
 
 
-def _unit_part(M: Mat2, r, what: str) -> Mat2:
-    """The B with M == B * diag(x**r[0], x**r[1]); asserts B is integral with unit determinant.
+def read_unit_part(M: Mat2, r=None):
+    """(r, B, ok): M == B * diag(x**r[0], x**r[1]), and per member whether B is a unit.
 
-    On a stack every member is decided, and the first failing member names
-    the failure, in the words of its own (one-member) call.
+    r defaults to the least val of each column's nonzero entries, so B is
+    integral by construction; on a stack val is the stack's, so a member
+    whose column starts above the stack's is flagged too.
     """
+    if r is None:  # the columns (a, c) and (b, d)
+        r = tuple(min([s.val for s in M.e[k::2] if not s.is_zero()], default=0) for k in (0, 1))
     B = M.shifted(cols=(-r[0], -r[1]))
-    integral = np.logical_and.reduce([s.is_integral() for s in B.e])
-    bad = np.flatnonzero(~(integral & B.has_unit_det()))
-    if len(bad):
-        if not np.ravel(integral)[bad[0]]:
-            raise AssertionError(f"{what} is not integral")
-        raise AssertionError(f"{what} has non-unit determinant")
-    return B
+    return r, B, np.logical_and.reduce([s.is_integral() for s in B.e]) & B.has_unit_det()
 
 
 def _twist_moves(tau: TameType, J, pd) -> list:
@@ -311,9 +309,9 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
     reorder the pair at each index by profile membership; the output is the
     f-indexed family of invariants.  The twist chain itself is solved here
     (`twist_chain`, which asserts that a cuspidal matching exponent
-    vanishes) and reported in the result.  A module that is not a point of
-    J's component, failing the strong determinant condition or with a shape
-    outside J's, raises AssertionError at its unit parts.
+    vanishes) and reported in the result.  Exponents, unit parts and
+    verdicts are read off the output (`read_unit_part`); `verify`'s
+    `descend-normal-form` holds them to `hodge_type_of_raw`.
     """
     tau, f = mod.tau, mod.tau.f
     J = check_profile(tau, J)
@@ -323,10 +321,8 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
     mats = [reorder_by_profile(A.shifted(*moves[i]).swapped(False, tau.kind == CUSPIDAL and i == 0),
                                J, i, f)
             for i, A in enumerate(mod.mats)]
-
-    exponents = list(hodge_type_of_raw(tau, J))
-    units = [_unit_part(mats[i], exponents[i], f"unit part at {i}") for i in range(f)]
-    return DescentResult(tau, J, mats, units, exponents, nu)
+    exponents, units, ok = map(list, zip(*map(read_unit_part, mats)))
+    return DescentResult(tau, J, mats, units, exponents, nu, ok)
 
 
 def ascend_from_base(res: DescentResult) -> BKModule:
@@ -341,40 +337,33 @@ def ascend_from_base(res: DescentResult) -> BKModule:
 
 # -- weight operators on bases -------------------------------------------------
 
+# theta_j and mu_j transport by S_{j-1} = B_{j-1} * diag(v**c0, v**c1), entry moves (c0, c1)
+_PREV_COLS = {"theta": (0, 1), "mu": (1, 0)}
+
+
 def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | None = None):
     """Transform a diagonal normal form along a weight operator.
 
-    ``mats[i]`` must equal B_i * diag(v**r[i][0], v**r[i][1]) with unit B_i;
-    the matrices may be stacks of one size, transported member by member.
-    An operator undefined on r raises ValueError.  Returns (new_mats,
-    new_exponents) where new_exponents[i] is the actual diagonal pair of the
-    output at index i; that their sorted pairs are the Hodge-level
-    operator's is what `verify`'s `operator-basis-lifts` checks.
+    ``mats[i]`` must equal B_i * diag(v**r[i][0], v**r[i][1]) with unit B_i
+    (else AssertionError, in the words of the first failing member's own
+    call); an operator undefined on r raises ValueError.  The matrices may
+    be stacks of one size, transported member by member.  Returns
+    (new_mats, exponents, ok) read off the output (`read_unit_part`);
+    `verify`'s `operator-basis-lifts` holds them to the Hodge-level operator.
     """
     apply_operator(kind, j, tuple(tuple(x) for x in r), p)
     f = len(mats)
     j %= f
-
-    def unit_part(i):
-        return _unit_part(mats[i], r[i], f"operator input at {i}")
-
     prev, nxt = (j - 1) % f, (j + 1) % f
-    expected = {i: tuple(r[i]) for i in range(f)}
-    if kind == "nu":
-        S_prev_inv = unit_part(j)  # B_j, so S_prev = B_j^{-1}
-        S_prev = S_prev_inv.inverse(terms)
-        expected[j] = (r[j][0], r[j][1] - 1)
-        expected[nxt] = (r[nxt][0], r[nxt][1] + p)
-    elif kind == "theta":
-        S_prev = unit_part(prev).shifted(cols=(0, 1))
-        S_prev_inv = S_prev.inverse(terms)
-        expected[prev] = (r[prev][0], r[prev][1] - 1)
-        expected[j] = (r[j][0], r[j][1] + p)
-    else:
-        S_prev = unit_part(prev).shifted(cols=(1, 0))
-        S_prev_inv = S_prev.inverse(terms)
-        expected[prev] = (r[prev][0] - 1, r[prev][1])
-        expected[j] = (r[j][0] + p, r[j][1])
+    i = j if kind == "nu" else prev
+    _, B, ok = read_unit_part(mats[i], r[i])
+    if not np.all(ok):
+        bad = np.flatnonzero(~np.ravel(ok))[0]
+        integral = all(np.ravel(s.is_integral())[bad] for s in B.e)
+        why = "has non-unit determinant" if integral else "is not integral"
+        raise AssertionError(f"operator input at {i} {why}")
+    S_prev = B.inverse(terms) if kind == "nu" else B.shifted(cols=_PREV_COLS[kind])  # nu: B_j^-1
+    S_prev_inv = B if kind == "nu" else S_prev.inverse(terms)
 
     # new_i = S_i^{-1} * mats[i] * frobenius(S_{i-1}), with S_{j-1} = S_prev and,
     # for nu, S_j = diag(1, v) applied as entry moves
@@ -384,8 +373,5 @@ def apply_operator_on_basis(mats, r, kind: str, j: int, p: int, terms: int | Non
         new[nxt] = new[nxt].shifted(cols=(0, p))
         new[j] = new[j].shifted(rows=(0, -1))
     new[prev] = S_prev_inv * new[prev]
-
-    exps = [expected[i] for i in range(f)]
-    for i in range(f):
-        _unit_part(new[i], exps[i], f"operator image at {i}")
-    return new, exps
+    exps, _, ok = zip(*map(read_unit_part, new))
+    return new, list(exps), np.logical_and.reduce(ok)

@@ -17,8 +17,9 @@ counterexample.
 - `recipe-bounds` is the one place that checks what the recipe computes:
   it restates ell' from eta and eta', and s and t from gamma and J by the
   paper's four cases, instead of reading the type's recipe table.
-- `descend-normal-form` checks that ascending undoes descent; the
-  diagonal exponents are asserted by descent itself (`phimod._unit_part`).
+- `descend-normal-form` and `operator-basis-lifts` hold the exponents and unit-part
+  verdicts read off the engine's output to `hodge_type_of_raw` and `apply_operator`;
+  the first also checks that ascending undoes descent.
 - `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape` draw their
   trials as field codes (`randgen.draw_*`) in a trial loop's order and push at most
   STACK of them through the engine as one stack per index (`randgen.matrices`).
@@ -49,6 +50,7 @@ from .hodge import (
     find_type_profile,
     hodge_equiv,
     hodge_type_of,
+    hodge_type_of_raw,
     irregular_ratio_never_cyclotomic,
     irregular_set,
     is_p_bounded,
@@ -164,8 +166,8 @@ def _first_failing(items, stages):
 
     stages(chunk) yields, stage by stage, one failure text or false value per item of the
     chunk; they stop once every item has failed, so a lone item runs exactly the stages an
-    item-by-item loop would.  When a pass raises, its items are decided again one at a
-    time, so the first item that fails or raises does so as it would in such a loop.
+    item-by-item loop would.  A pass that fails or raises is decided again item by item, so
+    the first failure is a loop's: one member can fail a stack's others (`read_unit_part`).
     """
 
     def verdicts(chunk):
@@ -177,11 +179,11 @@ def _first_failing(items, stages):
     for start in range(0, len(items), STACK):
         chunk = items[start : start + STACK]
         try:
-            found = verdicts(chunk)
+            failed = any(verdicts(chunk))
         except Exception:  # whatever an item raises, a loop would report it as that item's crash
-            found = (verdicts([item])[0] for item in chunk)
-        for t, text in enumerate(found, start):
-            if text:
+            failed = True
+        for t, item in enumerate(chunk if failed else (), start):
+            if text := verdicts([item])[0]:
                 return t, text
     return None
 
@@ -451,11 +453,16 @@ def check_descend(p, f, rng, fault=None, cap=400):
     n = 0
     pairs, note = _field_pairs(p, f, rng, cap)
     for tau, J, F in pairs:
+        where = f"{tau.key()} J={sorted(J)}"
         mod = random_component_module(rng, tau, J, F, degree=4)
-        back = ascend_from_base(descend_to_base(mod, J))
+        res = descend_to_base(mod, J)
+        for i, (got, want, ok) in enumerate(zip(res.exponents, hodge_type_of_raw(tau, J), res.ok)):
+            if not ok or got != want:
+                return False, f"normal form fails at {where} i={i}: {got} unit={bool(ok)}, recipe {want}"
+        back = ascend_from_base(res)
         for i in range(f):
             if not back.mats[i] == mod.mats[i]:
-                return False, f"reconstruction failed at {tau.key()} J={sorted(J)} i={i}"
+                return False, f"reconstruction failed at {where} i={i}"
         n += 1
     return True, f"{n} (type, profile) pairs{note}"
 
@@ -467,14 +474,18 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
     n = 0
     for gaps, r in _gap_types(p, f):
         for j, kind in operator_moves(r, p):
-            target = apply_operator(kind, j, r, p)
-            # all trials of the case in draw order, transported as one stack per index
+            case, target = f"{kind}_{j} at gaps={gaps}", apply_operator(kind, j, r, p)
+
+            def stages(drawn):  # the trials of the case in draw order, one stack per index
+                mats = [matrices(F, Bi).shifted(cols=r[i]) for i, Bi in enumerate(zip(*drawn))]
+                _, exps, ok = apply_operator_on_basis(mats, r, kind, j, p, terms=2)
+                lifts = tuple(tuple(sorted(e, reverse=True)) for e in exps) == target
+                yield [not (good and lifts) and ("exponent mismatch " if good else "unit part lost ") + case
+                       for good in np.ravel(ok)]
+
             draws = [[draw_unit_matrix(rng, F, 4) for _ in range(f)] for _ in range(trials)]
-            mats = [matrices(F, Bi).shifted(cols=r[i]) for i, Bi in enumerate(zip(*draws))]
-            _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=2)
-            for i in range(f):
-                if tuple(sorted(exps[i], reverse=True)) != target[i]:
-                    return False, f"exponent mismatch {kind}_{j} at gaps={gaps}"
+            if failed := _first_failing(draws, stages):
+                return False, f"{failed[1]} (trial {failed[0]})"
             n += trials
     return True, f"{n} lifts"
 

@@ -210,6 +210,7 @@ def test_criterion_06_descent_normal_form():
                 assert res.exponents == [
                     (1 - pd.theta[i], -pd.s[i] - pd.theta[i]) for i in range(f)
                 ]
+                assert res.ok == [True] * f
                 for B in res.units:
                     assert B.det().val == 0
                 back = ascend_from_base(res)
@@ -235,7 +236,8 @@ def test_criterion_07_operator_lifts():
                 for _ in range(50):
                     B = [random_unit_matrix(rng, F, 5) for _ in range(f)]
                     mats = [B[i].shifted(cols=r[i]) for i in range(f)]
-                    _, exps = apply_operator_on_basis(mats, r, kind, j, p, terms=N)
+                    _, exps, ok = apply_operator_on_basis(mats, r, kind, j, p, terms=N)
+                    assert ok
                     assert (
                         tuple(tuple(sorted(e, reverse=True)) for e in exps) == target
                     )

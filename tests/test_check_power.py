@@ -2,7 +2,7 @@
 
 A PASS is worth only as much as the check's power to fail.  Each mutant
 here is a plausible fault of the program, never of the check: a function
-in `bkshapes` replaced for the duration of one run.  With it in place,
+or table in `bkshapes` replaced for the duration of one run.  With it in place,
 `verify --p 3 --f 2` must print FAIL for each check the table names, not
 ERROR: the check finds a counterexample rather than crashing on one.
 """
@@ -11,7 +11,7 @@ import io
 
 import pytest
 
-from bkshapes import extensions, phimod, randgen, verify
+from bkshapes import extensions, hodge, phimod, randgen, verify
 from bkshapes.cli import main
 
 
@@ -53,6 +53,34 @@ def _theta_transported_as_mu(orig):
     return apply_operator_on_basis
 
 
+def _theta_prev_moved_as_mu(orig):
+    """theta's S_{j-1} takes mu's entry moves; only the transport is wrong, not its exponents."""
+    return {**orig, "theta": orig["mu"]}
+
+
+def _twist_row_move_off_by_one(orig):
+    """The twist to the base field moves row 0 at index 0 one power of v too far.
+
+    Ascent reads the same moves, so it undoes the fault: only the normal form shows it.
+    """
+
+    def _twist_moves(tau, J, pd):
+        ((r0, r1), cols), *rest = orig(tau, J, pd)
+        return [((r0 + 1, r1), cols), *rest]
+
+    return _twist_moves
+
+
+def _hodge_type_first_pair_shifted(orig):
+    """The Hodge type of (tau, J) has its first pair moved up by one."""
+
+    def hodge_type_of(tau, J):
+        (a, b), *rest = orig(tau, J)
+        return ((a + 1, b + 1), *rest)
+
+    return hodge_type_of
+
+
 def _ascend_without_column_moves(orig):
     """The ascent from the base field undoes the twist's row moves but not its column moves."""
 
@@ -73,8 +101,8 @@ def _reorder_reads_own_index(orig):
     return reorder_by_profile
 
 
-# (the mutant, made from the original; the modules holding the function; its name; the checks
-# it must make FAIL)
+# (the mutant, made from the original; the modules holding the function or table; its name;
+# the checks it must make FAIL)
 MUTANTS = [
     (_basis_change_columns_swapped, (randgen, verify), "draw_basis_change",
      ["shape-invariance"]),
@@ -87,6 +115,10 @@ MUTANTS = [
      ["descend-normal-form"]),
     (_reorder_reads_own_index, (phimod, extensions), "reorder_by_profile",
      ["extension-shape-law", "shapeshift-targets"]),
+    (_theta_prev_moved_as_mu, (phimod,), "_PREV_COLS", ["operator-basis-lifts"]),
+    (_twist_row_move_off_by_one, (phimod,), "_twist_moves", ["descend-normal-form"]),
+    (_hodge_type_first_pair_shifted, (hodge, verify), "hodge_type_of",
+     ["existence-roundtrip", "forced-choice-patterns"]),
 ]
 
 

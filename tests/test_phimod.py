@@ -3,6 +3,7 @@ import random
 import pytest
 
 from bkshapes.gf import field
+from bkshapes.hodge import hodge_type_of_raw
 from bkshapes.series import Mat2, Series
 from bkshapes.phimod import (
     BKModule,
@@ -260,6 +261,7 @@ def test_descend_all_pairs(p, f):
             back = ascend_from_base(res)
             for i in range(f):
                 assert back.mats[i] == mod.mats[i]
+            assert res.ok == [True] * f
             for B in res.units:
                 det = B.det()
                 assert det.val == 0
@@ -277,6 +279,25 @@ def test_descend_is_basis_independent():
         res1 = descend_to_base(mod, J)
         res2 = descend_to_base(moved, J)
         assert res1.exponents == res2.exponents
+        assert res1.ok == res2.ok == [True, True]
+
+
+def test_descent_off_the_component_is_a_verdict_not_a_raise():
+    """A module descended along a profile whose component does not hold it raises nothing:
+    its read exponents or its unit-part verdicts differ from the recipe's normal form."""
+    rng = random.Random(29)
+    tau = make_type(3, 2, PRINCIPAL, 5, 2)
+    profiles = enumerate_profiles(tau)
+    off = 0
+    for J in profiles:
+        mod = random_component_module(rng, tau, J, F9, degree=4)
+        on = {K for K in profiles if K in classify_shape(mod)[1]}
+        for K in profiles:
+            res = descend_to_base(mod, K)
+            normal = res.exponents == list(hodge_type_of_raw(tau, K)) and all(res.ok)
+            assert normal == (K in on)
+            off += K not in on
+    assert off
 
 
 def test_strong_det_inconclusive_at_low_precision():
@@ -315,7 +336,8 @@ def test_descend_then_transport_pipeline():
                 mod = random_component_module(rng, tau, J, F, degree=4)
                 res = descend_to_base(mod, J)
                 r = tuple(tuple(e) for e in res.exponents)
-                new, exps = apply_operator_on_basis(res.mats, r, "nu", j, p, terms=48)
+                new, exps, ok = apply_operator_on_basis(res.mats, r, "nu", j, p, terms=48)
+                assert ok
                 img = apply_operator("nu", j, r, p)
                 Jp = frozenset(J) ^ frozenset({j})
                 assert hodge_equiv(img, hodge_type_of(tau, Jp), p)

@@ -32,7 +32,6 @@ from bkshapes.phimod import (
     DescentResult,
     GradingError,
     NoShapeError,
-    _unit_part,
     ascend_from_base,
     change_eigenbasis,
     classify_shape,
@@ -40,6 +39,7 @@ from bkshapes.phimod import (
     descend_to_base,
     eigenbasis_matrices,
     module_from_eigenbasis,
+    read_unit_part,
     reorder_by_profile,
     shape_words,
     strong_determinant_ok,
@@ -241,8 +241,8 @@ def u_descend_to_base(mod, J):
         M = reorder_by_profile(M, J, i, f)
         mats.append(M.map(lambda s: s.to_v(ep)))
     exponents = list(hodge_type_of_raw(tau, J))
-    units = [_unit_part(mats[i], exponents[i], f"unit part at {i}") for i in range(f)]
-    return DescentResult(tau, J, mats, units, exponents, nu)
+    _, units, ok = zip(*map(read_unit_part, mats, exponents))  # read against the recipe's exponents
+    return DescentResult(tau, J, mats, list(units), exponents, nu, list(ok))
 
 
 def u_ascend_from_base(res):
@@ -461,6 +461,7 @@ def test_descent_matches_the_reference(p, f, kind):
         for m, u in ((vmod, umod), (moved, umoved)):
             res, ref = descend_to_base(m, J), u_descend_to_base(u, J)
             assert (res.tau, res.J, res.exponents, res.nu) == (ref.tau, ref.J, ref.exponents, ref.nu)
+            assert res.ok == ref.ok == [True] * f
             assert [_exact(M) for M in res.mats + res.units] == [_exact(M) for M in ref.mats + ref.units]
             back = ascend_from_base(res)
             assert [_exact(M) for M in back.mats] == [_exact(M) for M in m.mats]
