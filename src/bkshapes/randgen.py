@@ -1,17 +1,17 @@
 """Seeded random generators for series, unit matrices, and shaped modules.
 
-All sampling flows through one random.Random instance so a single 64-bit
-seed reproduces every randomized `verify` check bit-for-bit.
+`run_suite` seeds each randomized `verify` check with its own random.Random,
+from repr((seed, name)), so one seed reproduces every check bit for bit.
 
-A matrix is first drawn as field codes.  A draw is four entries
-(a, b, c, d), laid out ((a, b), (c, d)), and each entry is a pair
-(k, codes): the polynomial sum(codes[j] * v**j) times v**k.  The v-power
-of an entry is recorded, never multiplied in.  The rejection samplers
-decide a candidate from the constant terms of its codes, so a rejected
-candidate builds no Series.  `matrices` builds N draws into one Mat2:
-the matrix itself for one draw, their stack for several.  The per-trial
-samplers (`random_unit_matrix`, `random_shaped_matrix`, ...) are builds
-of one draw, so each distribution is defined once, by its `draw_*`.
+A matrix is first drawn as field codes, each read by `_below`.  A draw is four
+entries (a, b, c, d), laid out ((a, b), (c, d)), and each entry is a pair
+(k, codes): the polynomial sum(codes[j] * v**j) times v**k.  The v-power of an
+entry is recorded, never multiplied in.  The rejection samplers decide a
+candidate from the constant terms of its codes, so a rejected candidate builds
+no Series.  `matrices` builds N draws into one Mat2: the matrix itself for one
+draw, their stack for several.  Unit matrices are drawn N at a time as one code
+array, built by `code_matrices`.  The per-trial samplers (`random_unit_matrix`,
+...) are builds of one draw, so each distribution is defined once, by its `draw_*`.
 """
 
 from __future__ import annotations
@@ -28,11 +28,23 @@ from .phimod import (
 )
 
 
+def _below(rng: random.Random, q: int, n: int) -> list:
+    """The values of n successive `rng.randrange(q)` calls, and the generator state after them.
+    This relies on random.Random's `_randbelow` being `_randbelow_with_getrandbits`: randrange(q)
+    reads getrandbits(q.bit_length()) until it is below q, as this loop does."""
+    getrandbits, k, out = rng.getrandbits, q.bit_length(), []
+    for _ in range(n):
+        while (r := getrandbits(k)) >= q:
+            pass
+        out.append(r)
+    return out
+
+
 def _codes(rng: random.Random, q: int, degree: int, unit: bool = False) -> list:
     """The codes of a random polynomial of the given degree; a unit has a nonzero constant term."""
-    codes = [rng.randrange(q) for _ in range(degree + 1)]
+    codes = _below(rng, q, degree + 1)
     if unit:
-        codes[0] = rng.randrange(1, q)
+        codes[0] = 1 + _below(rng, q - 1, 1)[0]  # randrange(1, q)
     return codes
 
 
@@ -65,21 +77,26 @@ def matrices(F: GF, draws) -> Mat2:
     return Mat2(_entry(F, a), _entry(F, b), c, _entry(F, d))
 
 
+def code_matrices(F: GF, codes) -> Mat2:
+    """`matrices` of draws at v-power 0 given as an (N, 4, L) code array, entries a, b, c, d."""
+    return Mat2(*(Series(F, "v", 0, codes[0, e] if len(codes) == 1 else codes[:, e]) for e in range(4)))
+
+
 def random_series(rng: random.Random, F: GF, degree: int, unit: bool = False) -> Series:
     return Series(F, "v", 0, _codes(rng, F.q, degree, unit))
 
 
-def draw_unit_matrix(rng: random.Random, F: GF, degree: int):
-    """A matrix over F[[v]] (polynomial entries) with unit determinant, as a draw.
+def draw_unit_matrices(rng: random.Random, F: GF, degree: int, n: int) -> np.ndarray:
+    """n matrices over F[[v]] (polynomial entries) with unit determinant, as (n, 4, degree + 1) codes.
 
-    The determinant of polynomial entries is a unit exactly when
-    a0*d0 != b0*c0, so a candidate is decided from its constant terms.
-    """
-    q, MUL = F.q, F.MUL
-    while True:
-        a, b, c, d = (_codes(rng, q, degree) for _ in range(4))
-        if MUL[a[0], d[0]] != MUL[b[0], c[0]]:
-            return (0, a), (0, b), (0, c), (0, d)
+    A candidate is decided by a0*d0 != b0*c0.  Each round draws the candidates still
+    missing, which n draws in a row draw too, so the stream is theirs."""
+    codes, L = np.empty((0, 4, degree + 1), F.dtype), 4 * (degree + 1)
+    while len(codes) < n:
+        new = np.array(_below(rng, F.q, (n - len(codes)) * L), F.dtype).reshape(-1, 4, degree + 1)
+        a, b, c, d = new[:, :, 0].T
+        codes = np.concatenate([codes, new[F.MUL[a, d] != F.MUL[b, c]]])
+    return codes
 
 
 def draw_basis_change(rng: random.Random, F: GF, degree: int):
@@ -137,8 +154,8 @@ def draw_noshape_matrix(rng: random.Random, F: GF, degree: int):
 
 
 def random_unit_matrix(rng: random.Random, F: GF, degree: int) -> Mat2:
-    """A matrix over F[[v]] (polynomial entries) with unit determinant (`draw_unit_matrix`)."""
-    return matrices(F, [draw_unit_matrix(rng, F, degree)])
+    """A matrix over F[[v]] (polynomial entries) with unit determinant (`draw_unit_matrices`)."""
+    return code_matrices(F, draw_unit_matrices(rng, F, degree, 1))
 
 
 def random_basis_change(rng: random.Random, F: GF, degree: int) -> Mat2:
@@ -162,10 +179,8 @@ def random_module(rng: random.Random, tau: TameType, F: GF, shapes, degree: int 
     return BKModule(tau, A_list)
 
 
-def random_component_module(
-    rng: random.Random, tau: TameType, J, F: GF, degree: int = 8
-) -> BKModule:
+def random_component_module(rng: random.Random, tau: TameType, J, F: GF, degree: int = 8) -> BKModule:
     """Random point of the component: B_i * diag(v,1) or diag(1,v) * B_i."""
     J = check_profile(tau, J)
-    B = [random_unit_matrix(rng, F, degree) for _ in range(tau.f)]
+    B = [code_matrices(F, Bi[None]) for Bi in draw_unit_matrices(rng, F, degree, tau.f)]
     return module_from_partial_frobenius(tau, J, B)

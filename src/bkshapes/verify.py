@@ -23,6 +23,8 @@ counterexample.
 - `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape` draw their
   trials as field codes (`randgen.draw_*`) in a trial loop's order and push at most
   STACK of them through the engine as one stack per index (`randgen.matrices`).
+  `operator-basis-lifts` draws each case's trials as one code array
+  (`randgen.draw_unit_matrices`), trial-major, and slices its stacks from it.
   `extension-shape-law` and `shapeshift-targets` stack each pair's extensions
   (`build_extension`); all report the first failure as a one-at-a-time loop would.
 
@@ -89,10 +91,11 @@ from .phimod import (
     strong_determinant_ok,
 )
 from .randgen import (
+    code_matrices,
     draw_basis_change,
     draw_noshape_matrix,
     draw_shaped_matrix,
-    draw_unit_matrix,
+    draw_unit_matrices,
     matrices,
     random_component_module,
 )
@@ -477,13 +480,14 @@ def check_operator_basis(p, f, rng, fault=None, trials=50):
             case, target = f"{kind}_{j} at gaps={gaps}", apply_operator(kind, j, r, p)
 
             def stages(drawn):  # the trials of the case in draw order, one stack per index
-                mats = [matrices(F, Bi).shifted(cols=r[i]) for i, Bi in enumerate(zip(*drawn))]
+                drawn = np.asarray(drawn)
+                mats = [code_matrices(F, drawn[:, i]).shifted(cols=r[i]) for i in range(f)]
                 _, exps, ok = apply_operator_on_basis(mats, r, kind, j, p, terms=2)
                 lifts = tuple(tuple(sorted(e, reverse=True)) for e in exps) == target
                 yield [not (good and lifts) and ("exponent mismatch " if good else "unit part lost ") + case
                        for good in np.ravel(ok)]
 
-            draws = [[draw_unit_matrix(rng, F, 4) for _ in range(f)] for _ in range(trials)]
+            draws = draw_unit_matrices(rng, F, 4, trials * f).reshape(trials, f, 4, -1)
             if failed := _first_failing(draws, stages):
                 return False, f"{failed[1]} (trial {failed[0]})"
             n += trials

@@ -345,11 +345,11 @@ def test_stacked_sum_products_match_the_per_row_reference(p, m, monkeypatch):
 
 def test_stacked_mat2_product_makes_no_per_row_call(monkeypatch):
     """A 50-member Mat2 product at (3,2), drawn as verify draws it, makes no per-row call."""
-    from bkshapes.randgen import draw_unit_matrix, matrices
+    from bkshapes.randgen import code_matrices, draw_unit_matrices
 
     F = field(3, 2)
     rng = random.Random("no-per-row-call")
-    A, B = (matrices(F, [draw_unit_matrix(rng, F, 4) for _ in range(50)]) for _ in range(2))
+    A, B = (code_matrices(F, draw_unit_matrices(rng, F, 4, 50)) for _ in range(2))
     convolve, calls = np.convolve, []
     monkeypatch.setattr(np, "convolve", lambda *args: calls.append(1) or convolve(*args))
     prod = A * B

@@ -18,6 +18,12 @@ generator in the same state:
   all-zero entries, and stacks whose entry is zero in every member.
 
 No candidate may compute a determinant.
+
+Every value is read by `randgen._below`, which reads the generator's words as
+`randrange` does.  It is held to `randrange` for every field size q up to
+MAX_TABLE_Q and every q - 1, and `draw_unit_matrices` is held to n reference
+draws in a row, over fields of characteristic 2, 3 and 7, where q a power of
+two rejects half the words read.
 """
 
 import collections
@@ -26,7 +32,7 @@ import random
 import pytest
 
 from bkshapes import randgen
-from bkshapes.gf import field
+from bkshapes.gf import MAX_TABLE_Q, field
 from bkshapes.phimod import SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II
 from bkshapes.series import Mat2, Series
 
@@ -118,7 +124,7 @@ def _samplers(F, degree):
 
 def _draws(F, degree):
     """(name, (draw, reference sampler)) for each draw and shape, and for mixed shapes."""
-    yield "unit", (lambda rng: randgen.draw_unit_matrix(rng, F, degree),
+    yield "unit", (lambda rng: [(0, e.tolist()) for e in randgen.draw_unit_matrices(rng, F, degree, 1)[0]],
                    lambda rng: ref_random_unit_matrix(rng, F, degree))
     yield "basis", (lambda rng: randgen.draw_basis_change(rng, F, degree),
                     lambda rng: ref_random_basis_change(rng, F, degree))
@@ -203,3 +209,45 @@ def test_no_candidate_computes_a_determinant(monkeypatch, p, m):
             randgen.random_basis_change(rng, F, degree)
             for shape in SHAPES:
                 randgen.random_shaped_matrix(rng, F, shape, degree)
+
+
+def test_randbelow_reads_getrandbits():
+    """The property `_below` relies on: randrange(q) reads getrandbits(q.bit_length()) until below q."""
+    assert random.Random._randbelow is random.Random._randbelow_with_getrandbits
+
+
+def _field_sizes(limit):
+    """Every prime power up to limit."""
+    primes = [p for p in range(2, limit + 1) if all(p % d for d in range(2, int(p**0.5) + 1))]
+    return sorted(p**m for p in primes for m in range(1, limit.bit_length()) if p**m <= limit)
+
+
+def test_below_reads_as_randrange():
+    """Every field size q that GF builds and every q - 1, down to 1: F_2's unit draws read
+    words until one has a 0 bit."""
+    sizes = _field_sizes(MAX_TABLE_Q)
+    assert 2 in sizes and 4096 in sizes and 2187 in sizes and 4095 not in sizes
+    for q in sizes:
+        for bound in (q, q - 1):
+            for n in (1, 5, 1000):
+                rng, ref_rng = random.Random(repr((bound, n))), random.Random(repr((bound, n)))
+                assert randgen._below(rng, bound, n) == [ref_rng.randrange(bound) for _ in range(n)], (bound, n)
+                assert rng.getstate() == ref_rng.getstate(), (bound, n)
+
+
+UNIT_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (7, 2), (3, 4)]  # F_2 ... F_81
+
+
+@pytest.mark.parametrize("p,m", UNIT_FIELDS, ids=[f"F{p}^{m}" for p, m in UNIT_FIELDS])
+def test_unit_matrix_arrays_match_the_reference(p, m):
+    """n unit matrices drawn as one code array are n reference draws in a row."""
+    F = field(p, m)
+    for degree in range(7):
+        for n in (1, 2, 50, 137):
+            rng, ref_rng = random.Random(repr((degree, n))), random.Random(repr((degree, n)))
+            codes = randgen.draw_unit_matrices(rng, F, degree, n)
+            assert codes.shape == (n, 4, degree + 1) and codes.dtype == F.dtype
+            want = [ref_random_unit_matrix(ref_rng, F, degree) for _ in range(n)]
+            want = want[0] if n == 1 else Mat2.stack(want)
+            assert _entries(randgen.code_matrices(F, codes)) == _entries(want), (degree, n)
+            assert rng.getstate() == ref_rng.getstate(), (degree, n)
