@@ -59,11 +59,17 @@ So, with x_i the coefficient of v^-1 in G_i, a linear vector in h,
     x_i = [i-1 links to i] (b_i/a_i) x_{i-1} + a_i^-1 e_(i mod f),
 
 and wherever i+1 does not link the child of (i, -1) lies below v^-1, so
-x_i must vanish: one obstruction row.  When every index links the walk is
-a loop x = G*x + B of gain G = prod b_i/a_i; for G != 1 it has one
-solution and no row, for G = 1 it closes exactly where B vanishes (a cycle
-row), and the section takes the free value 0.  The rows assemble the
-obstruction matrix whose nullity is the split subspace dimension.
+x_i must vanish: one obstruction row.  The rows assemble the obstruction
+matrix whose nullity is the split subspace dimension.  When every index
+links the walk is a loop x = G*x + B of gain G = prod b_i/a_i, with no row:
+for G != 1 it has one solution, and for G = 1 it closes exactly where B
+vanishes, with the free value 0.  An extension point twists only the
+indices 0 mod f, so G = (b/a)^(f'/f) and B vanishes whenever G = 1.  For a
+principal type G = 1 is a = b, refused as an exceptional pair wherever
+every index links.  For a cuspidal type it is b = -a (a = b being refused
+likewise), and the two sources of each h_j, at j and j+f, reach index 0
+with coefficients c*(b/a) and c, for c = a^-1 at j = 0 and c = b/a
+elsewhere: they cancel.
 """
 
 from __future__ import annotations
@@ -195,7 +201,6 @@ class _Solver:
         self.ainv = [F.inv(a) for a in self.a]
         self.free_cycles = 0
         self.cycle_value: dict = {}  # x_i around the loop, when every index links
-        self.cycle_rows: list = []
         self._cache: dict = {}  # x_i along the walk, when some index does not link
         if all(self.link):
             self._close_loop()
@@ -208,7 +213,7 @@ class _Solver:
         return val
 
     def _close_loop(self):
-        """The loop's values: x_0 = G*x_0 + B, solved, or 0 with a cycle row when G = 1."""
+        """The loop's values: x_0 = G*x_0 + B, solved, or 0 when G = 1 (and so B = 0)."""
         F = self.F
         gain, B = 1, None
         for i in [*range(1, self.fp), 0]:
@@ -216,7 +221,6 @@ class _Solver:
             B = self._step(i, B)
         if gain == 1:
             self.free_cycles = 1
-            self.cycle_rows.append(B)
             val = [0] * self.f
         else:
             val = [F.div(c, F.sub(1, gain)) for c in B]
@@ -240,7 +244,7 @@ class _Solver:
 
     def obstruction_rows(self):
         """Independent functionals of h, in reduced form, whose common kernel is the split subspace."""
-        return rref(self.cycle_rows + self.pin_rows(), self.F)[0]
+        return rref(self.pin_rows(), self.F)[0]
 
     def splits(self) -> bool:
         """Decide splitting of the class x.h by constructing a section and checking it.

@@ -3,15 +3,15 @@
 `run_suite` seeds each randomized `verify` check with its own random.Random,
 from repr((seed, name)), so one seed reproduces every check bit for bit.
 
-A matrix is first drawn as field codes, each read by `_below`.  A draw is four
-entries (a, b, c, d), laid out ((a, b), (c, d)), and each entry is a pair
-(k, codes): the polynomial sum(codes[j] * v**j) times v**k.  The v-power of an
-entry is recorded, never multiplied in.  The rejection samplers decide a
+A matrix is drawn as a grid of field codes, each read by `_below`: rows a, b,
+c, d, laid out ((a, b), (c, d)), and column j the coefficients of v**j, so a
+factor v of an entry is a leading zero.  The rejection samplers decide a
 candidate from the constant terms of its codes, so a rejected candidate builds
-no Series.  `matrices` builds N draws into one Mat2: the matrix itself for one
-draw, their stack for several.  Unit matrices are drawn N at a time as one code
-array, built by `code_matrices`.  The per-trial samplers (`random_unit_matrix`,
-...) are builds of one draw, so each distribution is defined once, by its `draw_*`.
+no Series.  Draws of one width form an (N, 4, L) array, and `code_matrices`
+builds every draw, or every stack of them, into one Mat2.  Unit matrices are
+drawn N at a time as one such array.  The per-trial samplers
+(`random_unit_matrix`, ...) are builds of one draw, so each distribution is
+defined once, by its `draw_*`.
 """
 
 from __future__ import annotations
@@ -48,38 +48,28 @@ def _codes(rng: random.Random, q: int, degree: int, unit: bool = False) -> list:
     return codes
 
 
-def _entry(F: GF, members) -> Series:
-    """The members' entries: one series for one member, else a stack.
-
-    Each member (k, codes) fills its row from position k; Series trims the
-    columns that are zero in every member, so the stack is the one
-    `Series.stack` builds from the members as single series.
-    """
-    lo = min(k for k, _ in members)
-    hi = max(k + len(codes) for k, codes in members)
-    rows = [[0] * (k - lo) + codes + [0] * (hi - k - len(codes)) for k, codes in members]
-    return Series(F, "v", lo, rows if len(rows) > 1 else rows[0])
-
-
-def matrices(F: GF, draws) -> Mat2:
-    """The drawn matrices as one Mat2: the matrix itself for one draw, their stack for more.
-
-    A descent-removed draw ((a, b), (v c, d)) carries a factor v on its
-    lower-left entry.  When every draw does, that entry is built as one
-    product v * c for the whole stack.
-    """
-    a, b, c, d = zip(*draws)
-    if min(k for k, _ in c) >= 1:
-        c = _entry(F, [(k - 1, codes) for k, codes in c])
-        c = Series(F, "v", 1, np.ones(c.coeffs.shape[:-1] + (1,), F.dtype)) * c
-    else:
-        c = _entry(F, c)
-    return Mat2(_entry(F, a), _entry(F, b), c, _entry(F, d))
+def _grid(F: GF, polys, powers) -> np.ndarray:
+    """The code grid of the entries v**powers[e] * polys[e], e = a, b, c, d, with powers 0 or 1."""
+    grid = np.zeros((4, len(polys[0]) + 1), F.dtype)
+    for row, k, codes in zip(grid, powers, polys):
+        row[k : k + len(codes)] = codes
+    return grid
 
 
 def code_matrices(F: GF, codes) -> Mat2:
-    """`matrices` of draws at v-power 0 given as an (N, 4, L) code array, entries a, b, c, d."""
-    return Mat2(*(Series(F, "v", 0, codes[0, e] if len(codes) == 1 else codes[:, e]) for e in range(4)))
+    """The draws of an (N, 4, L) code array as one Mat2: the matrix itself for one, their stack for more.
+
+    When v divides the lower-left entry of every draw, as in every descent-removed
+    draw, that entry is one product v * c for the whole stack: on `verify --p 3 --f 2`
+    the only `Series.__mul__` calls, which the benchmark's `series.mul` span needs (a
+    shift waits on ROADMAP items 1 and 17).
+    """
+    a, b, c, d = codes[0] if len(codes) == 1 else codes.swapaxes(0, 1)
+    if c[..., 0].any():
+        c = Series(F, "v", 0, c)
+    else:
+        c = Series(F, "v", 1, np.ones(c.shape[:-1] + (1,), F.dtype)) * Series(F, "v", 0, c[..., 1:])
+    return Mat2(Series(F, "v", 0, a), Series(F, "v", 0, b), c, Series(F, "v", 0, d))
 
 
 def random_series(rng: random.Random, F: GF, degree: int, unit: bool = False) -> Series:
@@ -99,8 +89,8 @@ def draw_unit_matrices(rng: random.Random, F: GF, degree: int, n: int) -> np.nda
     return codes
 
 
-def draw_basis_change(rng: random.Random, F: GF, degree: int):
-    """Descent-removed change of basis ((x, y), (v z, w)) with unit diagonal, as a draw.
+def draw_basis_change(rng: random.Random, F: GF, degree: int) -> np.ndarray:
+    """Descent-removed change of basis ((x, y), (v z, w)) with unit diagonal, as a 4 x (degree + 2) grid.
 
     Its determinant has constant term x0*w0, nonzero since x and w are
     drawn as units, so it is always a unit.
@@ -110,11 +100,11 @@ def draw_basis_change(rng: random.Random, F: GF, degree: int):
     w = _codes(rng, q, degree, unit=True)
     y = _codes(rng, q, degree)
     z = _codes(rng, q, degree)
-    return (0, x), (0, y), (1, z), (0, w)
+    return _grid(F, (x, y, z, w), (0, 0, 1, 0))
 
 
-def draw_shaped_matrix(rng: random.Random, F: GF, shape: str, degree: int):
-    """Descent-removed matrix with prescribed shape and passing determinant, as a draw.
+def draw_shaped_matrix(rng: random.Random, F: GF, shape: str, degree: int) -> np.ndarray:
+    """Descent-removed matrix with prescribed shape and passing determinant, as a 4 x (degree + 2) grid.
 
     Entry layout ((a, b), (v c, d)); the determinant must be v times a unit.
     The shape puts a factor v in a (I_eta), in d (I_eta') or in both (II),
@@ -134,23 +124,17 @@ def draw_shaped_matrix(rng: random.Random, F: GF, shape: str, degree: int):
             a = _codes(rng, q, degree)
             d = _codes(rng, q, degree)
             if MUL[b[0], c[0]]:
-                return (1, a), (0, b), (1, c), (1, d)
+                return _grid(F, (a, b, c, d), (1, 0, 1, 1))
         else:
             a = _codes(rng, q, degree, unit=True)
             d = _codes(rng, q, degree, unit=True)
             if MUL[a[0], d[0]] != MUL[b[0], c[0]]:
-                ka, kd = (1, 0) if shape == SHAPE_I_ETA else (0, 1)
-                return (ka, a), (0, b), (1, c), (kd, d)
+                return _grid(F, (a, b, c, d), (1, 0, 1, 0) if shape == SHAPE_I_ETA else (0, 0, 1, 1))
 
 
-def draw_noshape_matrix(rng: random.Random, F: GF, degree: int):
-    """Descent-removed matrix ((a, b), (v c, d)) with unit diagonal, so of no shape, as a draw."""
-    q = F.q
-    a = _codes(rng, q, degree, unit=True)
-    d = _codes(rng, q, degree, unit=True)
-    b = _codes(rng, q, degree)
-    c = _codes(rng, q, degree)
-    return (0, a), (0, b), (1, c), (0, d)
+def draw_noshape_matrix(rng: random.Random, F: GF, degree: int) -> np.ndarray:
+    """Descent-removed matrix ((a, b), (v c, d)) with unit diagonal, so of no shape: a `draw_basis_change`."""
+    return draw_basis_change(rng, F, degree)
 
 
 def random_unit_matrix(rng: random.Random, F: GF, degree: int) -> Mat2:
@@ -160,17 +144,17 @@ def random_unit_matrix(rng: random.Random, F: GF, degree: int) -> Mat2:
 
 def random_basis_change(rng: random.Random, F: GF, degree: int) -> Mat2:
     """Descent-removed unit change of basis ((x, y), (v z, w)) (`draw_basis_change`)."""
-    return matrices(F, [draw_basis_change(rng, F, degree)])
+    return code_matrices(F, draw_basis_change(rng, F, degree)[None])
 
 
 def random_shaped_matrix(rng: random.Random, F: GF, shape: str, degree: int) -> Mat2:
     """Descent-removed matrix with prescribed shape and passing determinant (`draw_shaped_matrix`)."""
-    return matrices(F, [draw_shaped_matrix(rng, F, shape, degree)])
+    return code_matrices(F, draw_shaped_matrix(rng, F, shape, degree)[None])
 
 
 def random_noshape_matrix(rng: random.Random, F: GF, degree: int) -> Mat2:
     """Descent-removed matrix of no shape (`draw_noshape_matrix`)."""
-    return matrices(F, [draw_noshape_matrix(rng, F, degree)])
+    return code_matrices(F, draw_noshape_matrix(rng, F, degree)[None])
 
 
 def random_module(rng: random.Random, tau: TameType, F: GF, shapes, degree: int = 8) -> BKModule:

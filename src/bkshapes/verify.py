@@ -21,10 +21,9 @@ counterexample.
   verdicts read off the engine's output to `hodge_type_of_raw` and `apply_operator`;
   the first also checks that ascending undoes descent.
 - `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape` draw their
-  trials as field codes (`randgen.draw_*`) in a trial loop's order and push at most
-  STACK of them through the engine as one stack per index (`randgen.matrices`).
-  `operator-basis-lifts` draws each case's trials as one code array
-  (`randgen.draw_unit_matrices`), trial-major, and slices its stacks from it.
+  trials as code grids (`randgen.draw_*`) in a trial loop's order and push at most
+  STACK of them through the engine as one stack per index, sliced from the array of
+  drawn trials and built by `randgen.code_matrices`.
   `extension-shape-law` and `shapeshift-targets` stack each pair's extensions
   (`build_extension`); all report the first failure as a one-at-a-time loop would.
 
@@ -96,7 +95,6 @@ from .randgen import (
     draw_noshape_matrix,
     draw_shaped_matrix,
     draw_unit_matrices,
-    matrices,
     random_component_module,
 )
 
@@ -197,17 +195,16 @@ def _first_failure(rng, trials, draw, stages):
     draw(rng) draws one trial's values in the order a trial-by-trial loop
     draws them; a draw that raises does so after the trials drawn before it are decided.
     """
-    for start in range(0, trials, STACK):
-        drawn, error = [], None
-        try:
-            while len(drawn) < min(STACK, trials - start):
-                drawn.append(draw(rng))
-        except Exception as exc:
-            error = exc
-        if failed := _first_failing(drawn, stages):
-            return f"{failed[1]} (trial {start + failed[0]})"
-        if error is not None:
-            raise error
+    drawn, error = [], None
+    try:
+        while len(drawn) < trials:
+            drawn.append(draw(rng))
+    except Exception as exc:
+        error = exc
+    if failed := _first_failing(drawn, stages):
+        return f"{failed[1]} (trial {failed[0]})"
+    if error is not None:
+        raise error
     return None
 
 
@@ -417,8 +414,8 @@ def check_shape_invariance(p, f, rng, fault=None, trials=200):
 
     def stages(drawn):
         A, I = zip(*drawn)
-        mod = BKModule(tau, [matrices(F, Ai) for Ai in zip(*A)])
-        mod2 = change_eigenbasis(mod, [matrices(F, Ii) for Ii in zip(*I)], terms=1)
+        mod = BKModule(tau, [code_matrices(F, Ai) for Ai in np.swapaxes(A, 0, 1)])
+        mod2 = change_eigenbasis(mod, [code_matrices(F, Ii) for Ii in np.swapaxes(I, 0, 1)], terms=1)
         yield [w2 != w and "shape changed under unit conjugation"
                for w2, w in zip(shape_words(mod2), shape_words(mod))]
 
@@ -437,12 +434,12 @@ def check_strongdet_shape(p, f, rng, fault=None, trials=200):
 
     def stages(drawn):
         _, A, N = zip(*drawn)
-        mod = BKModule(tau, [matrices(F, Ai) for Ai in zip(*A)])
+        mod = BKModule(tau, [code_matrices(F, Ai) for Ai in np.swapaxes(A, 0, 1)])
         yield [not ok and "shaped sample fails the determinant condition"
                for ok in np.ravel(strong_determinant_ok(mod))]
         yield [got != shapes + got[f:] and "classified shape disagrees with construction"
                for (shapes, _, _), got in zip(drawn, shape_words(mod))]
-        bad = BKModule(tau, [matrices(F, Ni) for Ni in zip(*N)])
+        bad = BKModule(tau, [code_matrices(F, Ni) for Ni in np.swapaxes(N, 0, 1)])
         yield [ok and "shapeless module passed the determinant condition"
                for ok in np.ravel(strong_determinant_ok(bad))]
         yield [None not in w and "shapeless module classified"

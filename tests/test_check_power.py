@@ -9,6 +9,7 @@ ERROR: the check finds a counterexample rather than crashing on one.
 
 import io
 
+import numpy as np
 import pytest
 
 from bkshapes import extensions, hodge, phimod, randgen, verify
@@ -19,18 +20,20 @@ def _basis_change_columns_swapped(orig):
     """The draw lays a unit change of basis out as ((y, x), (w, v z)), not ((x, y), (v z, w))."""
 
     def draw_basis_change(rng, F, degree):
-        x, y, z, w = orig(rng, F, degree)
-        return y, x, w, z
+        return orig(rng, F, degree)[[1, 0, 3, 2]]
 
     return draw_basis_change
 
 
 def _noshape_with_divisible_corner(orig):
-    """The shapeless draw records its (0,0) entry with one more power of v, so it has a shape."""
+    """The shapeless draw places its (0,0) entry one column further, one more power of v, so it
+    has a shape (the top column, zero in a descent-removed draw, drops)."""
 
     def draw_noshape_matrix(rng, F, degree):
-        (k, a), b, c, d = orig(rng, F, degree)
-        return (k + 1, a), b, c, d
+        D = orig(rng, F, degree)
+        D[0] = np.roll(D[0], 1)
+        D[0, 0] = 0
+        return D
 
     return draw_noshape_matrix
 

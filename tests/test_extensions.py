@@ -884,6 +884,38 @@ def test_every_class_at_3_1_matches_the_reference():
     assert classes
 
 
+ALL_LINK_PAIRS = [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (3, 3)]
+
+
+def _all_link_points(p, f, point=ExtensionPoint):
+    """Every point at (p, f) whose walk is a loop (every index links), with twists (1, b) for
+    every nonzero b, so every gain b/a; equal twists at an exceptional pair are refused."""
+    for tau in enumerate_types(p, f):
+        F = field(p, tau.fprime)
+        for J in enumerate_profiles(tau):
+            if all(e == p - 1 for e in walk_exponents(tau, J)):
+                for b in range(1, F.q):
+                    try:
+                        yield point(tau, J, F, 1, b, (0,) * f)
+                    except ExceptionalPairError:
+                        continue
+
+
+@pytest.mark.parametrize("p,f", ALL_LINK_PAIRS)
+def test_loops_of_gain_one_never_obstruct(p, f):
+    """At every point whose walk is a loop the walk has no obstruction row, and neither has
+    the u-scale reference, which keeps the loop's h part as a cycle row.  The gain is 1
+    exactly at a cuspidal type with b = -a, where the two sources of each h_j cancel
+    (module docstring)."""
+    loops = 0
+    for x in _all_link_points(p, f):
+        new, where = extensions._Solver(x), (x.tau.key(), sorted(x.J), x.b)
+        assert new.obstruction_rows() == _USolver(x).obstruction_rows() == [], where
+        assert new.free_cycles == (x.tau.kind == CUSPIDAL and x.b == x.field.neg(1)), where
+        loops += 1
+    assert loops
+
+
 class _TwistedEverywhere(ExtensionPoint):
     """A point twisted by (a, b) at every index, not only at i = 0 mod f."""
 
@@ -891,31 +923,22 @@ class _TwistedEverywhere(ExtensionPoint):
         return self.a, self.b
 
 
-def test_cycle_rows_match_the_reference_when_twisted_everywhere():
-    """A loop of gain 1 has h part 0 at every extension point: it occurs only for a cuspidal type
-    with b = -a, where the two sources of each h_j cancel.  Twisted at every index, a
-    principal loop of gain 1 has a nonzero h part, so the cycle row is held to the reference."""
-    rng = random.Random("twisted-everywhere")
-    rows = 0
-    for p, f in ((3, 2), (5, 2), (3, 3)):
-        for tau in enumerate_types(p, f):
-            F = field(p, tau.fprime)
-            for J in enumerate_profiles(tau):
-                if not all(e == p - 1 for e in walk_exponents(tau, J)):
-                    continue
-                for a, b in _twists(F):
-                    try:
-                        x = _TwistedEverywhere(tau, J, F, a, b, (0,) * f)
-                    except ExceptionalPairError:
-                        continue
-                    new = extensions._Solver(x)
-                    obstruction = new.obstruction_rows()
-                    assert obstruction == _USolver(x).obstruction_rows(), (tau.key(), sorted(J))
-                    rows += len(new.cycle_rows) and any(new.cycle_rows[0])
-                    for h in _classes(x, obstruction, rng):
-                        y = replace(x, h=h)
-                        assert extensions._Solver(y).splits() == _USolver(y).splits(), (tau.key(), sorted(J), h)
-    assert rows
+def test_split_check_catches_a_loop_whose_sources_do_not_cancel():
+    """Twisted at every index, a principal loop of gain 1 has a nonzero h part B, which the
+    walk no longer reads: `splits` must then raise from its self-check of the section for
+    each class with B.h != 0 (the reference's cycle row), and split every other class."""
+    raised = 0
+    for x in _all_link_points(3, 2, _TwistedEverywhere):
+        F, rows = x.field, _USolver(x).obstruction_rows()
+        for h in itertools.product(range(F.q), repeat=x.tau.f):
+            solver = extensions._Solver(replace(x, h=h))
+            if any(F.dot(row, h) for row in rows):
+                with pytest.raises(AssertionError, match="constructed section fails the recursion"):
+                    solver.splits()
+                raised += 1
+            else:
+                assert solver.splits(), (x.tau.key(), sorted(x.J), x.b, h)
+    assert raised
 
 
 def _link_by_the_characters(tau, J, i):

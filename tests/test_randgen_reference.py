@@ -1,21 +1,28 @@
 """The samplers against the determinant-based, Series-drawing code they replaced.
 
-The samplers draw matrices as field codes (`randgen.draw_*`): the rejection
-samplers decide a candidate from the constant terms of its codes, and
-`draw_basis_change` has no loop, since its determinant's constant term
-x0*w0 is never zero.  `randgen.matrices` builds N draws into one Mat2, and
-the per-trial samplers are builds of one draw.  The earlier samplers, which
-drew Series and computed a full determinant series per candidate, are kept
-here as the reference.  From the same seed, both must give matrices with
-equal val, prec, dtype and coefficients in every entry and leave the
-generator in the same state:
+The samplers draw matrices as code grids (`randgen.draw_*`): rows a, b, c, d
+and column j the coefficients of v**j, so a factor v of an entry is a leading
+zero.  The rejection samplers decide a candidate from the constant terms of
+its codes, and `draw_basis_change` has no loop, since its determinant's
+constant term x0*w0 is never zero.  `randgen.code_matrices` builds N draws
+into one Mat2, and the per-trial samplers are builds of one draw.  The
+earlier samplers, which drew Series and computed a full determinant series
+per candidate, are kept here as the reference.  From the same seed, both must
+give matrices with equal val, prec, dtype and coefficients in every entry and
+leave the generator in the same state:
 
 - one matrix per call, over fields of characteristic 2, 3 and 7 and degrees
   0 to 4; degree 0 over F_2 rejects most often;
 - stacks of 1, 2 and 50 draws against `Mat2.stack` of the reference's
   matrices (one draw against the matrix itself), over F_2, F_4, F_9, F_27
-  and F_49 and degrees 0 to 6, including draws with zero constant terms and
-  all-zero entries, and stacks whose entry is zero in every member.
+  and F_49 and degrees 0 to 6, including entries with leading zeros past
+  their v-power and all-zero entries, and stacks whose entry is zero in
+  every member.
+
+The builder forms the lower-left factor v of a stack whose every draw has
+it as one product, and places the entry's rows otherwise; stacks of
+descent-removed draws in which some members' lower-left entry is a unit are
+held to `Mat2.stack` of their single builds.
 
 No candidate may compute a determinant.
 
@@ -29,6 +36,7 @@ two rejects half the words read.
 import collections
 import random
 
+import numpy as np
 import pytest
 
 from bkshapes import randgen
@@ -124,7 +132,7 @@ def _samplers(F, degree):
 
 def _draws(F, degree):
     """(name, (draw, reference sampler)) for each draw and shape, and for mixed shapes."""
-    yield "unit", (lambda rng: [(0, e.tolist()) for e in randgen.draw_unit_matrices(rng, F, degree, 1)[0]],
+    yield "unit", (lambda rng: randgen.draw_unit_matrices(rng, F, degree, 1)[0],
                    lambda rng: ref_random_unit_matrix(rng, F, degree))
     yield "basis", (lambda rng: randgen.draw_basis_change(rng, F, degree),
                     lambda rng: ref_random_basis_change(rng, F, degree))
@@ -166,26 +174,48 @@ def test_stacks_built_from_draws_match_the_reference(p, m):
                     rng, ref_rng = random.Random(seed), random.Random(seed)
                     draws = [draw(rng) for _ in range(n)]
                     want = [ref_draw(ref_rng) for _ in range(n)]
-                    got = randgen.matrices(F, draws)
+                    got = randgen.code_matrices(F, np.array(draws))
                     want = want[0] if n == 1 else Mat2.stack(want)
                     assert _entries(got) == _entries(want), (name, degree, n, seed)
                     assert rng.random() == ref_rng.random(), (name, degree, n, seed)
-                    for _, codes in (entry for D in draws for entry in D):
-                        seen["zero constant term"] += codes[0] == 0
-                        seen["all-zero entry"] += not any(codes)
-    assert seen["zero constant term"] and seen["all-zero entry"], seen
+                    for row in (row for D in draws for row in D):
+                        seen["leading zeros past the v-power"] += row.any() and not row[:2].any()
+                        seen["all-zero entry"] += not row.any()
+    assert seen["leading zeros past the v-power"] and seen["all-zero entry"], seen
 
 
 @pytest.mark.parametrize("n", STACK_SIZES)
 def test_stacks_of_zero_entries(n):
-    """Entries zero in every member, at v-power 0 and 1, and at the lower left, whose v
-    factor is then a product with an empty stack: the stack of the entries as single series."""
+    """Entries zero in every member, and at the lower left, whose v factor is then a
+    product with an empty stack: the stack of the entries as single series."""
     F = field(3, 2)
-    zero, poly = [0, 0, 0], [0, 5, 0, 1]
-    draws = [((0, zero), (1, zero), (1, zero), (0, poly)), ((1, zero), (0, poly), (0, zero), (3, zero))]
-    for D in draws:
-        want = [Mat2(*(Series(F, "v", k, codes) for k, codes in D))] * n
-        assert _entries(randgen.matrices(F, [D] * n)) == _entries(want[0] if n == 1 else Mat2.stack(want))
+    zero, poly = [0] * 6, [0, 5, 0, 1, 0, 0]
+    for D in ([zero, zero, zero, poly], [zero, poly, zero, [0, 0, 0, 2, 0, 1]]):
+        want = [Mat2(*(Series(F, "v", 0, row) for row in D))] * n
+        got = randgen.code_matrices(F, np.array([D] * n, F.dtype))
+        assert _entries(got) == _entries(want[0] if n == 1 else Mat2.stack(want))
+
+
+@pytest.mark.parametrize("p,m", STACK_FIELDS, ids=[f"F{p}^{m}" for p, m in STACK_FIELDS])
+@pytest.mark.parametrize("n", (2, 50))
+def test_stacks_with_a_unit_lower_left_member(p, m, n):
+    """Descent-removed draws, some members' lower-left entry given a nonzero constant term:
+    the stack places that entry's rows, and equals `Mat2.stack` of the single builds, each
+    member with or without the product by v and equal to the series of its grid's rows."""
+    F = field(p, m)
+    rng = random.Random(repr((p, m, n)))
+    for degree in range(5):
+        for draw in (randgen.draw_basis_change, randgen.draw_noshape_matrix,
+                     *(lambda rng, F, degree, s=s: randgen.draw_shaped_matrix(rng, F, s, degree)
+                       for s in SHAPES)):
+            grids = np.array([draw(rng, F, degree) for _ in range(n)])
+            units = rng.sample(range(n), n // 2)
+            grids[units, 2, 0] = randgen._below(rng, F.q - 1, len(units))
+            grids[units, 2, 0] += 1
+            singles = [randgen.code_matrices(F, g[None]) for g in grids]
+            for g, M in zip(grids, singles):
+                assert _entries(M) == _entries(Mat2(*(Series(F, "v", 0, row) for row in g))), degree
+            assert _entries(randgen.code_matrices(F, grids)) == _entries(Mat2.stack(singles)), (degree, n)
 
 
 def test_shaped_matrix_rejects_an_unknown_shape():

@@ -17,6 +17,7 @@ be reported as the loop reports the first one.
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bkshapes import extensions, phimod, randgen, verify
@@ -122,31 +123,40 @@ def _on_trial(monkeypatch, draw, per_trial, changes):
     return reset
 
 
-# A draw is four entries (k, codes), v**k times the polynomial with those codes.
-ONE, V = (0, [1]), (1, [1])
+# A draw is a 4 x L code grid: rows a, b, c, d, and column j the coefficients of v**j.
 
 
 def _shaped(D, rng):
-    """((v a, b), (v c, d)) from a shapeless ((a, b), (v c, d)): a divisible entry at (0,0)."""
-    (k, a), b, c, d = D
-    return (k + 1, a), b, c, d
+    """((v a, b), (v c, d)) from a shapeless ((a, b), (v c, d)): a divisible entry at (0,0).
+
+    Row a moves one column to the right; its top column, zero in a descent-removed draw, drops.
+    """
+    D = D.copy()
+    D[0] = np.roll(D[0], 1)
+    D[0, 0] = 0
+    return D
+
+
+def _diagonal(D, k):
+    """D with both diagonal entries v**k."""
+    D = D.copy()
+    D[[0, 3]] = 0
+    D[[0, 3], k] = 1
+    return D
 
 
 def _shapeless(D, rng):
     """((1, b), (v c, 1)) from ((a, b), (v c, d)): no diagonal entry divisible."""
-    _, b, c, _ = D
-    return ONE, b, c, ONE
+    return _diagonal(D, 0)
 
 
 def _cols_swapped(D, rng):
     """((y, x), (w, v z)) from ((x, y), (v z, w)): a unit, but one that moves shapes."""
-    x, y, z, w = D
-    return y, x, w, z
+    return D[[1, 0, 3, 2]]
 
 
 def _non_unit(D, rng):
-    _, b, c, _ = D
-    return V, b, c, V
+    return _diagonal(D, 1)
 
 
 def _raises(D, rng):
