@@ -148,15 +148,16 @@ def check_profile(tau: TameType, members) -> frozenset:
     return J
 
 
+def profile_at(tau: TameType, mask: int) -> frozenset:
+    """Profile number mask < 2^f: its set bits i < f, and in the cuspidal case i + f for each unset i."""
+    if tau.kind == CUSPIDAL:
+        mask |= (2**tau.f - 1 ^ mask) << tau.f
+    return frozenset([i for i in range(tau.fprime) if mask >> i & 1])
+
+
 def enumerate_profiles(tau: TameType) -> list[frozenset]:
-    """All 2^f profiles: subsets for principal series, pairings for cuspidal."""
-    f, fp = tau.f, tau.fprime
-    out = []
-    for mask in range(2**f):
-        if tau.kind == CUSPIDAL:
-            mask |= (2**f - 1 ^ mask) << f  # i + f lies in J exactly when i does not
-        out.append(frozenset([i for i in range(fp) if mask >> i & 1]))
-    return out
+    """All 2^f profiles, by number: subsets for principal series, pairings for cuspidal."""
+    return [profile_at(tau, mask) for mask in range(2**tau.f)]
 
 
 def profile_mask(tau: TameType, J: frozenset) -> int:

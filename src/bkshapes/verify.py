@@ -8,10 +8,10 @@ counterexample.
 - Combinatorial checks run exhaustively at desk scale.  The Hodge-side
   ones walk every p-bounded gap tuple (`_gap_types`) and, for the weight
   operators, exactly the moves `hodge.operator_moves` reports as defined.
-- The matrix engine checks walk every (type, profile) pair when there are
-  at most `cap` of them and a seeded sample otherwise (`_field_pairs`).
-  Pairs whose coefficient field F_{p^f'} exceeds the table limit are
-  skipped, and the check's detail says how many were skipped.
+- The pair checks read one pair source, `_pairs`: every (type, profile) pair, or past
+  `cap` of them a seeded sample; only the types are cached (`_types`), never the pairs.
+  `_field_pairs` skips the pairs whose coefficient field F_{p^f'} exceeds the table
+  limit, and the check's detail says how many were skipped.
 - The extension checks use the twists (a, b) = (1, 2); `kext-dimension`
   also tries (2, 1).
 - `recipe-bounds` is the one place that checks what the recipe computes:
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass, replace
 
@@ -65,6 +64,7 @@ from .tametypes import (
     enumerate_profiles,
     enumerate_types,
     is_transition,
+    profile_at,
     profile_data,
     serre_weight,
 )
@@ -116,26 +116,25 @@ def _gap_types(p, f):
 
 
 @functools.lru_cache(maxsize=1)
-def _all_pairs(p, f):
-    """Every (type, profile) pair at (p, f), built once for all the pair checks of a run."""
-    return tuple((tau, J) for tau in enumerate_types(p, f) for J in enumerate_profiles(tau))
+def _types(p, f):
+    """Every type at (p, f), built once for all the checks of a run."""
+    return tuple(enumerate_types(p, f))
+
+
+def _pairs(p, f, rng=None, cap=None):
+    """Every (type, profile) pair in order, or past cap of them `rng.sample`'s cap pair numbers,
+    as it would draw the pairs; pair number k is type k >> f with profile number k % 2^f."""
+    types = _types(p, f)
+    n = len(types) << f
+    ks = range(n) if cap is None or n <= cap else rng.sample(range(n), cap)
+    return ((types[k >> f], profile_at(types[k >> f], k % 2**f)) for k in ks)
 
 
 def _field_pairs(p, f, rng, cap):
-    """(tau, J, F) over every (type, profile) pair, or a seeded sample of cap pairs, and a note.
-
-    Pairs whose coefficient field F_{p^f'} exceeds the table limit are
-    skipped; F is that field.  The note, appended to a check's detail,
-    counts the skipped pairs and is empty when there are none.
-    """
-    pairs = _all_pairs(p, f)
-    if len(pairs) > cap:
-        pairs = rng.sample(pairs, cap)
-    kept = [
-        (tau, J, field(p, tau.fprime))
-        for tau, J in pairs
-        if p**tau.fprime <= MAX_TABLE_Q
-    ]
+    """(tau, J, F) over `_pairs(p, f, rng, cap)`, F the coefficient field, and a note, empty
+    or counting the pairs skipped since their field is over the table limit."""
+    pairs = list(_pairs(p, f, rng, cap))
+    kept = [(tau, J, field(p, tau.fprime)) for tau, J in pairs if p**tau.fprime <= MAX_TABLE_Q]
     skipped = len(pairs) - len(kept)
     note = f" ({skipped} of {len(pairs)} pairs skipped: field over the table limit)" if skipped else ""
     return kept, note
@@ -274,7 +273,7 @@ def check_lambda_subgroup(p, f, rng, fault=None):
 
 def check_recipe_bounds(p, f, rng, fault=None):
     rows = 0
-    for tau, pairs in itertools.groupby(_all_pairs(p, f), key=operator.itemgetter(0)):
+    for tau in _types(p, f):
         fp, ep, g = tau.fprime, tau.estep, tau.gamma
         # ell'_i = (eta' - eta) * p**i mod p**f' - 1 by definition, not through the type's
         # own ell_prime, so the type's gamma is checked against its two characters
@@ -283,7 +282,7 @@ def check_recipe_bounds(p, f, rng, fault=None):
             return False, f"exponent identity fails for {tau}"
         if tau.kind == CUSPIDAL and any(g[i] + g[i + f] != p - 1 for i in range(f)):
             return False, f"cuspidal gamma pairing fails for {tau}"
-        for _, J in pairs:
+        for J in enumerate_profiles(tau):
             pd = profile_data(tau, J)
             s = list(pd.s)
             if fault == "s-flip" and rows == 0:
@@ -354,7 +353,7 @@ def check_remark_exceptions(p, f, rng, fault=None):
 
 def check_convention_coherence(p, f, rng, fault=None):
     n = 0
-    for tau, J in _all_pairs(p, f):
+    for tau, J in _pairs(p, f):
         if not profile_data(tau, J).in_P_tau:
             continue
         w = serre_weight(tau, J)
@@ -404,7 +403,7 @@ def check_operator_chain(p, f, rng, fault=None):
 
 
 def check_shape_invariance(p, f, rng, fault=None, trials=200):
-    tau = enumerate_types(p, f)[0]
+    tau = _types(p, f)[0]
     F = field(p, tau.fprime)
 
     def draw(rng):
@@ -424,7 +423,7 @@ def check_shape_invariance(p, f, rng, fault=None, trials=200):
 
 
 def check_strongdet_shape(p, f, rng, fault=None, trials=200):
-    tau = enumerate_types(p, f)[0]
+    tau = _types(p, f)[0]
     F = field(p, tau.fprime)
 
     def draw(rng):

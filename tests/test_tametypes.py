@@ -294,7 +294,7 @@ def _verify_recipe_bounds_with(monkeypatch, recipe_cases):
     original = tametypes._recipe_cases
 
     def clear_caches():
-        verify._all_pairs.cache_clear()
+        verify._types.cache_clear()
         tametypes._profile_data_cached.cache_clear()
         original.cache_clear()
 
@@ -419,7 +419,7 @@ def test_recipe_bounds_fails_on_a_type_read_backwards(monkeypatch):
         validate(self)  # the constructor's own check accepts the mutant
 
     def clear_caches():
-        verify._all_pairs.cache_clear()
+        verify._types.cache_clear()
         tametypes._profile_data_cached.cache_clear()
 
     clear_caches()
