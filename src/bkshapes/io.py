@@ -15,6 +15,7 @@ inputs give identical bytes.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 from operator import itemgetter
 
 from .gf import GF, MAX_TABLE_Q, field, is_prime, least_irreducible
@@ -119,8 +120,10 @@ def _fmt_ints(xs) -> str:
     return ",".join(["%d"] * len(xs)) % tuple(xs) if xs else "-"
 
 
+@lru_cache(maxsize=4096)
 def _parse_ints(s: str):
-    """Comma list of integers; '-' or '' is the empty tuple."""
+    """Comma list of integers; '-' or '' is the empty tuple.  A table repeats few field
+    strings, so each distinct one is parsed once; a malformed one raises on every call."""
     return () if s in ("-", "") else tuple(map(int, s.split(",")))
 
 
@@ -128,6 +131,7 @@ def _fmt_pairs(pairs) -> str:
     return ";".join([f"{a},{b}" for a, b in pairs])
 
 
+@lru_cache(maxsize=4096)
 def _parse_pairs(s: str):
     return tuple([tuple(map(int, part.split(","))) for part in s.split(";")])
 

@@ -37,10 +37,9 @@ class TameType:
 
     The derived data is set once, at construction: ``fprime`` (the level
     f'), ``estep`` (p**f' - 1), ``gamma`` (the digits of eta/eta'), ``mu``
-    (the digits of eta'), ``ell_prime`` (ell'_i = (eta' - eta)*p**i mod
-    estep, never 0, so ell_i = estep - ell'_i), ``weights`` (the collapse
-    weights at level f') and ``cases``, the recipe's (s_i, t_i) at each
-    index i in the four cases ``cases[i][2 * (i-1 in J) + (i in J)]``.
+    (the digits of eta') and ``ell_prime`` (ell'_i = (eta' - eta)*p**i mod
+    estep, never 0, so ell_i = estep - ell'_i).  The recipe reads s_J, t_J
+    and the collapse of t_J off gamma alone (`_recipe_row`).
     """
 
     p: int
@@ -61,10 +60,9 @@ class TameType:
         vars(self).update(
             eta=eta, eta_prime=eta_prime, _hash=hash((p, f, kind, eta, eta_prime)),
             fprime=fp, estep=ep, gamma=digit_tuple(-d, p, fp), mu=digit_tuple(eta_prime, p, fp),
-            ell_prime=tuple([d * p**i % ep for i in range(fp)]), weights=collapse_weights(p, fp),
+            ell_prime=tuple([d * p**i % ep for i in range(fp)]),
         )
         self._validate()
-        vars(self)["cases"] = _recipe_cases(p, self.gamma)
 
     def __hash__(self):
         return self._hash
@@ -141,18 +139,27 @@ def enumerate_types(p: int, f: int, kinds=(PRINCIPAL, CUSPIDAL)):
 def check_profile(tau: TameType, members) -> frozenset:
     """The members reduced into Z/f'Z; a cuspidal profile holds exactly one of i, i+f."""
     fp, f = tau.fprime, tau.f
-    J = frozenset([i % fp for i in members])
-    # f members with f distinct residues mod f hold exactly one of each i, i+f
-    if tau.kind == CUSPIDAL and (len(J) != f or len({i % f for i in J}) != f):
-        raise ValueError(f"{sorted(J)} is not a valid profile for a {tau.kind} type")
-    return J
+    mask = 0
+    for i in members:
+        mask |= 1 << int(i % fp)
+    # bits i < f and i + f differ for every i: the mask's low half is its high half's complement
+    full = (1 << f) - 1
+    if tau.kind == CUSPIDAL and (mask ^ mask >> f) & full != full:
+        raise ValueError(f"{sorted(_mask_set(mask))} is not a valid profile for a {tau.kind} type")
+    return _mask_set(mask)
 
 
 def profile_at(tau: TameType, mask: int) -> frozenset:
     """Profile number mask < 2^f: its set bits i < f, and in the cuspidal case i + f for each unset i."""
     if tau.kind == CUSPIDAL:
         mask |= (2**tau.f - 1 ^ mask) << tau.f
-    return frozenset([i for i in range(tau.fprime) if mask >> i & 1])
+    return _mask_set(mask & ~(-1 << tau.fprime))
+
+
+@lru_cache(maxsize=None)
+def _mask_set(mask: int) -> frozenset:
+    """The set of the bit positions of a mask >= 0; equal profiles and bad sets are this one object."""
+    return frozenset([i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def enumerate_profiles(tau: TameType) -> list[frozenset]:
@@ -202,15 +209,27 @@ def _recipe_cases(p: int, gamma: tuple[int, ...]) -> tuple:
     return tuple(((g, 0), (g - 1, 0), (p - 2 - g, g + 1), (p - 1 - g, g)) for g in gamma)
 
 
-def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
-    """The recipe read off the type's case table; `verify`'s recipe-bounds checks what it gives."""
-    p, f, fp = tau.p, tau.f, tau.fprime
-    in_J = [i in J for i in range(fp)]
-    s, t = zip(*[cases[2 * in_J[i - 1] + in_J[i]] for i, cases in enumerate(tau.cases)])
+@lru_cache(maxsize=None)
+def _recipe_row(p: int, f: int, gamma: tuple[int, ...], J: frozenset) -> tuple:
+    """s_J, t_J, the bad set and the collapse sum of t_J, read off the case table of gamma.
 
+    They depend on a type only through gamma, so every type with the same
+    gamma shares one row per profile: at most 2 p^f gammas times 2^f profiles
+    at each (p, f).
+    """
+    in_J = [i in J for i in range(len(gamma))]
+    s, t = zip(*[cases[2 * in_J[i - 1] + in_J[i]] for i, cases in enumerate(_recipe_cases(p, gamma))])
+    bad = _mask_set(sum([1 << i for i in range(f) if s[i] == -1]))
+    return s, t, bad, sum(map(mul, t, collapse_weights(p, len(gamma))))
+
+
+def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
+    """The recipe: the type's row by gamma, and Theta_J; `verify`'s recipe-bounds checks what it gives."""
+    p, f = tau.p, tau.f
+    s, t, bad, t_sum = _recipe_row(p, f, tau.gamma, J)
     # Theta_J at level f' is eta' times the collapse of t; it must descend
     # through the norm in the cuspidal case.
-    lift = (tau.eta_prime + sum(map(mul, t, tau.weights))) % tau.estep
+    lift = (tau.eta_prime + t_sum) % tau.estep
     if tau.kind == PRINCIPAL:
         theta_res = lift
     else:
@@ -219,11 +238,9 @@ def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
             raise NormDescentError(
                 "Theta_J does not factor through the norm; recipe invariant broken"
             )
-    bad = frozenset([i for i in range(f) if s[i] == -1]) if -1 in s else _NO_BAD
     return ProfileData(tau, J, s, t, digit_tuple(theta_res, p, f), bad)
 
 
-_NO_BAD = frozenset()  # most pairs have no bad embedding; they share one empty set
 _profile_data_cached = lru_cache(maxsize=65536)(_profile_data)
 
 

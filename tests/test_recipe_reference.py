@@ -5,9 +5,11 @@ and the canonical Hodge type (`hodge_type_of`), and `sweep --out` reads its
 table back through `parse_row`.  These paths were rewritten for speed with
 the algorithm unchanged: list comprehensions in place of generator
 expressions, a named-tuple recipe record, a type that holds its own hash,
-no re-validation of pairs the recipe has just built, and row codecs that
-format with `%d` and parse with `map(int, ...)`.  The earlier code is kept
-here as the reference.  On every pair at (3,1), (5,1), (3,2), (5,2), (7,2)
+no re-validation of pairs the recipe has just built, s, t and the bad set
+read from one memoized row per (p, f, gamma, J), profiles checked as
+bitmasks and shared as one frozenset per mask, and row codecs that format
+with `%d` and parse each distinct field string once, with `map(int, ...)`.
+The earlier code is kept here as the reference.  On every pair at (3,1), (5,1), (3,2), (5,2), (7,2)
 and (3,3), and on a seeded sample of 2 000 pairs at (3,4) and (5,3), the
 engine must give the reference's profiles, recipes, Hodge types, rows and
 row bytes; malformed profiles and rows must raise the same exceptions.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from bkshapes import io
+from bkshapes import io, tametypes
 from bkshapes.charexp import NormDescentError, collapse_exponents, collapse_weights, factor_through_norm
 from bkshapes.hodge import canonical_hodge, hodge_type_of, hodge_type_of_raw
 from bkshapes.tametypes import (
@@ -65,8 +67,9 @@ class RefProfileData:
 def ref_profile_data(tau, J):
     J = ref_check_profile(tau, J)
     p, f, fp = tau.p, tau.f, tau.fprime
-    s, t = zip(*(cases[2 * ((i - 1) % fp in J) + (i in J)] for i, cases in enumerate(tau.cases)))
-    lift = (tau.eta_prime + sum(a * w for a, w in zip(t, tau.weights))) % tau.estep
+    table = tametypes._recipe_cases(p, tau.gamma)
+    s, t = zip(*(cases[2 * ((i - 1) % fp in J) + (i in J)] for i, cases in enumerate(table)))
+    lift = (tau.eta_prime + sum(a * w for a, w in zip(t, collapse_weights(p, fp)))) % tau.estep
     if tau.kind == PRINCIPAL:
         theta_res = lift
     else:
@@ -309,3 +312,51 @@ def test_malformed_rows_raise_as_the_reference():
         want = _raised(ref_parse_row, text)
         assert want is not None, text
         assert _raised(io.parse_row, text) is want, text
+
+
+def test_a_malformed_field_raises_on_every_parse():
+    """The field parsers are memoized; a malformed field is not remembered, so it raises each time."""
+    for parse, text in [(io._parse_ints, "1,x"), (io._parse_ints, "1,,2"),
+                        (io._parse_pairs, "1,x"), (io._parse_pairs, "3,1;")]:
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                parse(text)
+    assert io._parse_ints("1,2") == (1, 2) and io._parse_ints("1,2") is io._parse_ints("1,2")
+
+
+@pytest.mark.parametrize("key", ["s", "theta", "bad", "hodge"])
+def test_a_table_with_a_malformed_row_raises_on_every_read(key):
+    text = io.write_sweep(3, 1)
+    lines = text.splitlines()
+    assert len(io.read_sweep(text)) == len(lines) - 1
+    tokens = lines[5].split()
+    tokens = [f"{key}=1,x" if tok.startswith(f"{key}=") else tok for tok in tokens]
+    broken = "\n".join(lines[:5] + [" ".join(tokens)] + lines[6:]) + "\n"
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            io.read_sweep(broken)
+    assert io.read_sweep(text) == io.sweep_rows(3, 1)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (3, 3)])
+def test_the_cuspidal_mask_test_agrees_with_the_reference_on_every_subset(p, f):
+    """Every subset of Z/2fZ, reduced or not: accepted as the reference accepts it, else
+    refused with the reference's message bytes; the members `test_profiles_given_unreduced_
+    or_invalid_match_the_reference` tries are among them."""
+    fp = 2 * f
+    tried = [[], [0], [0, f], list(range(fp)), [0, f, 1], list(range(f + 1))]
+    subsets = [[i for i in range(fp) if m >> i & 1] for m in range(2**fp)]
+    refused = 0
+    for tau in enumerate_types(p, f, kinds=(CUSPIDAL,))[::29]:
+        for members in tried + subsets:
+            for given in (members, [i + fp for i in members], [i - 3 * fp for i in reversed(members)]):
+                try:
+                    want = ref_check_profile(tau, given)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as got:
+                        check_profile(tau, given)
+                    assert str(got.value).encode() == str(exc).encode(), given
+                    refused += 1
+                else:
+                    assert check_profile(tau, given) == want, given
+    assert refused > 0

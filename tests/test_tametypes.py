@@ -225,7 +225,39 @@ def test_recipe_miss_constructs_no_type(monkeypatch):
     assert tametypes._profile_data_cached.cache_info().misses == 4
 
 
-DERIVED = ("fprime", "estep", "gamma", "mu", "ell_prime", "weights", "cases")
+def test_equal_profiles_and_bad_sets_are_one_object():
+    """Every profile and bad set equal to another is that same frozenset, whichever type,
+    entry point or spelling of the members gave it."""
+    seen = {}
+
+    def one(J):
+        assert seen.setdefault(J, J) is J, J
+
+    for p, f in [(3, 1), (3, 2), (5, 2), (2, 4), (3, 3)]:
+        for tau in enumerate_types(p, f)[::11]:
+            fp = tau.fprime
+            for mask, J in enumerate(enumerate_profiles(tau)):
+                one(J)
+                one(tametypes.profile_at(tau, mask))
+                for members in (set(J), sorted(J), [i + fp for i in J], [i - 2 * fp for i in J]):
+                    one(check_profile(tau, members))
+                one(profile_data(tau, J).bad_set)
+    assert frozenset() in seen and frozenset({0, 1, 2}) in seen
+
+
+def test_types_with_one_gamma_share_their_recipe_rows():
+    """s, t and the bad set depend on a type only through gamma: equal-gamma types share them."""
+    for p, f in [(3, 2), (5, 2)]:
+        for tau in enumerate_types(p, f)[::13]:
+            for c in (1, p, p**f - 2):
+                twin = tau.twist(c)
+                assert twin.gamma == tau.gamma and twin != tau
+                for J in enumerate_profiles(tau):
+                    a, b = profile_data(tau, J), profile_data(twin, J)
+                    assert a.s is b.s and a.t is b.t and a.bad_set is b.bad_set, (tau, twin, J)
+
+
+DERIVED = ("fprime", "estep", "gamma", "mu", "ell_prime")
 
 
 def _derived_by_formula(tau):
@@ -233,8 +265,8 @@ def _derived_by_formula(tau):
 
     gamma_i (mu_i) is the digit of p**((-i) mod f') in eta - eta' (in eta');
     ell'_i is the exponent of eta'/eta at embedding i, (k'_i - k_i) mod estep;
-    cases[i] lists (s_i, t_i) for (i-1 in J, i in J) = (0,0), (0,1), (1,0),
-    (1,1), from the recipe's branches on gamma_i.
+    the case table of gamma lists at index i the (s_i, t_i) for (i-1 in J, i in J)
+    = (0,0), (0,1), (1,0), (1,1), from the recipe's branches on gamma_i.
     """
     p = tau.p
     fp = tau.f if tau.kind == PRINCIPAL else 2 * tau.f
@@ -247,11 +279,12 @@ def _derived_by_formula(tau):
         tuple(_reference_case(p, g, in_prev, in_self) for in_prev in (0, 1) for in_self in (0, 1))
         for g in gamma
     )
-    return fp, ep, gamma, mu, ell_prime, weights, cases
+    return fp, ep, gamma, mu, ell_prime, cases
 
 
 def _derived(tau):
-    return tuple(getattr(tau, name) for name in DERIVED)
+    """The type's derived data, and the recipe's case table of its gamma."""
+    return tuple(getattr(tau, name) for name in DERIVED) + (tametypes._recipe_cases(tau.p, tau.gamma),)
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 2)])
@@ -263,7 +296,6 @@ def test_derived_type_data_matches_formulas(p, f):
             twisted = tau.twist(c)
             assert _derived(twisted) == _derived_by_formula(twisted)
             assert twisted.gamma == tau.gamma  # a twist keeps the ratio eta/eta'
-            assert twisted.cases == tau.cases
 
 
 def test_type_repr_eq_and_hash_use_the_five_fields():
@@ -283,22 +315,25 @@ def test_type_repr_eq_and_hash_use_the_five_fields():
     assert other != tau and _derived(other) != _derived(tau)
 
 
+def _clear_recipe_caches():
+    """Forget every type list, case table and recipe row built so far, so a mutant's are built afresh."""
+    from bkshapes import verify
+
+    verify._types.cache_clear()
+    tametypes._profile_data_cached.cache_clear()
+    tametypes._recipe_row.cache_clear()
+    tametypes._recipe_cases.cache_clear()
+
+
 def _verify_recipe_bounds_with(monkeypatch, recipe_cases):
     """The exit code and output of `verify --p 3 --f 2` with `recipe-bounds` alone, every
-    type built with the case table ``recipe_cases(p, gamma)``."""
+    recipe row read off the case table ``recipe_cases(p, gamma)``."""
     import io
 
     from bkshapes import verify
     from bkshapes.cli import main
 
-    original = tametypes._recipe_cases
-
-    def clear_caches():
-        verify._types.cache_clear()
-        tametypes._profile_data_cached.cache_clear()
-        original.cache_clear()
-
-    clear_caches()
+    _clear_recipe_caches()
     monkeypatch.setattr(tametypes, "_recipe_cases", recipe_cases)
     monkeypatch.setattr(verify, "CHECKS", [("recipe-bounds", verify.check_recipe_bounds)])
     try:
@@ -306,7 +341,7 @@ def _verify_recipe_bounds_with(monkeypatch, recipe_cases):
         code = main(["verify", "--p", "3", "--f", "2"], out=out)
     finally:
         monkeypatch.undo()
-        clear_caches()
+        _clear_recipe_caches()
     return code, out.getvalue()
 
 
@@ -412,17 +447,13 @@ def test_recipe_bounds_fails_on_a_type_read_backwards(monkeypatch):
 
     validate = TameType._validate
 
-    def backwards(self):  # runs in the constructor, before the recipe cases are read off gamma
+    def backwards(self):  # runs in the constructor, which the recipe rows read gamma from
         gamma = digit_tuple((self.eta_prime - self.eta) % self.estep, self.p, self.fprime)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "ell_prime", tuple(self.estep - lp for lp in self.ell_prime))
         validate(self)  # the constructor's own check accepts the mutant
 
-    def clear_caches():
-        verify._types.cache_clear()
-        tametypes._profile_data_cached.cache_clear()
-
-    clear_caches()
+    _clear_recipe_caches()
     monkeypatch.setattr(TameType, "_validate", backwards)
     monkeypatch.setattr(verify, "CHECKS", [("recipe-bounds", verify.check_recipe_bounds)])
     try:
@@ -430,7 +461,7 @@ def test_recipe_bounds_fails_on_a_type_read_backwards(monkeypatch):
         code = main(["verify", "--p", "3", "--f", "2"], out=out)
     finally:
         monkeypatch.undo()
-        clear_caches()
+        _clear_recipe_caches()
     assert code == 1
     assert "FAIL recipe-bounds: exponent identity fails" in out.getvalue()
     assert "ERROR" not in out.getvalue()
