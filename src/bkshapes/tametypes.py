@@ -203,9 +203,8 @@ def profile_data(tau: TameType, J) -> ProfileData:
     return _profile_data_cached(tau, check_profile(tau, J))
 
 
-@lru_cache(maxsize=None)
 def _recipe_cases(p: int, gamma: tuple[int, ...]) -> tuple:
-    """Per index, (s_i, t_i) for (i-1 in J, i in J) = (0,0), (0,1), (1,0), (1,1); one table per gamma."""
+    """Per index, (s_i, t_i) for (i-1 in J, i in J) = (0,0), (0,1), (1,0), (1,1)."""
     return tuple(((g, 0), (g - 1, 0), (p - 2 - g, g + 1), (p - 1 - g, g)) for g in gamma)
 
 

@@ -316,13 +316,12 @@ def test_type_repr_eq_and_hash_use_the_five_fields():
 
 
 def _clear_recipe_caches():
-    """Forget every type list, case table and recipe row built so far, so a mutant's are built afresh."""
+    """Forget every type list, recipe row and recipe built so far, so a mutant's are built afresh."""
     from bkshapes import verify
 
     verify._types.cache_clear()
     tametypes._profile_data_cached.cache_clear()
     tametypes._recipe_row.cache_clear()
-    tametypes._recipe_cases.cache_clear()
 
 
 def _verify_recipe_bounds_with(monkeypatch, recipe_cases):
