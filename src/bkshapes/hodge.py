@@ -9,14 +9,7 @@ considered downstream only depend on the equivalence class.
 from __future__ import annotations
 
 from .charexp import collapse_exponents, digit_tuple, lambda_membership
-from .tametypes import (
-    CUSPIDAL,
-    PRINCIPAL,
-    ScalarTypeError,
-    TameType,
-    profile_data,
-    type_from_gamma,
-)
+from .tametypes import CUSPIDAL, PRINCIPAL, TameType, profile_at, profile_data, type_from_gamma
 
 HodgePairs = tuple[tuple[int, int], ...]
 
@@ -234,34 +227,19 @@ def find_type_profile(r: HodgePairs, p: int, constraint=None):
             raise ForcedChoiceError(i, "non-transition")
 
     mem, gamma = _assign(p, f, s, constraint, flip_at=None)
-    kind = CUSPIDAL if mem[f - 1] else PRINCIPAL
-    scalar = kind == PRINCIPAL and (all(g == 0 for g in gamma) or all(g == p - 1 for g in gamma))
-    if scalar:
+    if not mem[f - 1] and (all(g == 0 for g in gamma) or all(g == p - 1 for g in gamma)):
+        # a scalar principal outcome; a walk with every s_i in {-1, p - 1} is scalar principal
+        # only at every s_i = p - 1, the Steinberg type refused above, so some s_i lies in
+        # [0, p - 2]: when none of those is free, one is pinned
         free = [i for i in range(f) if 0 <= s[i] <= p - 2 and i not in constraint]
         if not free:
-            # the unique admissible pattern is scalar principal series
-            pinned = [i for i in sorted(constraint) if 0 <= s[i] <= p - 2]
-            if not pinned:
-                raise AssertionError("scalar outcome with every index forced")
-            bad = pinned[0]
-            forced = "non-transition" if constraint[bad] else "transition"
-            raise ForcedChoiceError(bad, forced)
+            bad = min(i for i in constraint if 0 <= s[i] <= p - 2)
+            raise ForcedChoiceError(bad, "non-transition" if constraint[bad] else "transition")
+        # one flipped transition changes the parity of the walk: the type is cuspidal
         mem, gamma = _assign(p, f, s, constraint, flip_at=free[0])
-        kind = CUSPIDAL if mem[f - 1] else PRINCIPAL
-        assert kind == CUSPIDAL
 
-    try:
-        tau0 = type_from_gamma(p, f, kind, gamma)
-    except ScalarTypeError:  # pragma: no cover - excluded by the scalar check
-        raise AssertionError("scalar type slipped through avoidance")
-    if kind == PRINCIPAL:
-        J = frozenset(i for i in range(f) if mem[i])
-    else:
-        J = frozenset(i for i in range(f) if mem[i]) | frozenset(
-            i + f for i in range(f) if not mem[i]
-        )
-    pd = profile_data(tau0, J)
-    assert list(pd.s[:f]) == s, "recipe consistency check failed"
-
-    shift = collapse_exponents([1 - r[i][0] - pd.theta[i] for i in range(f)], p, f)
+    tau0 = type_from_gamma(p, f, CUSPIDAL if mem[f - 1] else PRINCIPAL, gamma)
+    J = profile_at(tau0, sum([1 << i for i in range(f) if mem[i]]))
+    theta = profile_data(tau0, J).theta
+    shift = collapse_exponents([1 - r[i][0] - theta[i] for i in range(f)], p, f)
     return tau0.twist(shift), J

@@ -3,12 +3,14 @@
 The bad set of a (type, profile) pair decomposes into maximal circular
 intervals; each interval extends one step backwards, and the allowed
 profile replacements flip memberships inside the per-interval enlargements
-subject to a non-containment rule.
+subject to a non-containment rule.  A replacement is the profile
+`tametypes.profile_at` builds from J's profile number with the flipped
+indices toggled, for either kind of type.
 """
 
 from __future__ import annotations
 
-from .tametypes import CUSPIDAL, TameType, check_profile, is_transition, profile_data
+from .tametypes import TameType, check_profile, is_transition, profile_at, profile_data, profile_mask
 
 
 def extended(S, f: int) -> frozenset:
@@ -69,12 +71,14 @@ def shapeshift_targets(tau: TameType, J) -> list[frozenset]:
     """Profiles J' reachable by flipping memberships inside the enlarged bad set.
 
     The symmetric difference must avoid containing any full one-step
-    interval enlargement (unless the bad set is the whole circle); in the
-    cuspidal case differences are the doubled versions of subsets of Z/fZ.
+    interval enlargement (unless the bad set is the whole circle).  A flip
+    set D of Z/fZ is applied to J's profile number, so in the cuspidal case
+    J' also flips i + f for each i in D.
     """
     J = check_profile(tau, J)
     pd = profile_data(tau, J)
-    f, fp = tau.f, tau.fprime
+    f = tau.f
+    n = profile_mask(tau, J) & (1 << f) - 1
     allowed = sorted(shifted_bad_set(tau, J))
     blocks = interval_decomposition(pd.bad_set, f)
     forbid = []
@@ -85,9 +89,5 @@ def shapeshift_targets(tau: TameType, J) -> list[frozenset]:
         D = frozenset(allowed[i] for i in range(len(allowed)) if mask >> i & 1)
         if any(E <= D for E in forbid):
             continue
-        if tau.kind == CUSPIDAL:
-            Dfull = D | frozenset((i + f) % fp for i in D)
-        else:
-            Dfull = D
-        out.append(frozenset(J ^ Dfull))
+        out.append(profile_at(tau, n ^ sum([1 << i for i in D])))
     return sorted(out, key=lambda Jp: sorted(Jp))

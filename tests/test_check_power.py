@@ -84,6 +84,16 @@ def _hodge_type_first_pair_shifted(orig):
     return hodge_type_of
 
 
+def _assign_gamma0_raised(orig):
+    """The inverse construction's walk raises gamma_0 by one, capped at p - 1."""
+
+    def _assign(p, f, s, constraint, flip_at):
+        mem, gamma = orig(p, f, s, constraint, flip_at)
+        return mem, [min(gamma[0] + 1, p - 1), *gamma[1:]]
+
+    return _assign
+
+
 def _ascend_without_column_moves(orig):
     """The ascent from the base field undoes the twist's row moves but not its column moves."""
 
@@ -122,6 +132,7 @@ MUTANTS = [
     (_twist_row_move_off_by_one, (phimod,), "_twist_moves", ["descend-normal-form"]),
     (_hodge_type_first_pair_shifted, (hodge, verify), "hodge_type_of",
      ["existence-roundtrip", "forced-choice-patterns"]),
+    (_assign_gamma0_raised, (hodge,), "_assign", ["existence-roundtrip", "forced-choice-patterns"]),
 ]
 
 

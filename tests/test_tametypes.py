@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -10,6 +11,8 @@ from bkshapes.charexp import (
     factor_through_norm,
     solve_twist_chain,
 )
+from bkshapes.hodge import find_type_profile
+from bkshapes.intervals import shapeshift_targets
 from bkshapes.phimod import twist_chain
 from bkshapes.tametypes import (
     CUSPIDAL,
@@ -227,7 +230,8 @@ def test_recipe_miss_constructs_no_type(monkeypatch):
 
 def test_equal_profiles_and_bad_sets_are_one_object():
     """Every profile and bad set equal to another is that same frozenset, whichever type,
-    entry point or spelling of the members gave it."""
+    entry point or spelling of the members gave it; the shapeshift targets and the profiles
+    the inverse construction returns are among them."""
     seen = {}
 
     def one(J):
@@ -242,6 +246,12 @@ def test_equal_profiles_and_bad_sets_are_one_object():
                 for members in (set(J), sorted(J), [i + fp for i in J], [i - 2 * fp for i in J]):
                     one(check_profile(tau, members))
                 one(profile_data(tau, J).bad_set)
+                for Jp in shapeshift_targets(tau, J):
+                    one(Jp)
+    for p, f in [(3, 2), (3, 3)]:
+        for gaps in itertools.product(range(p + 1), repeat=f):
+            if set(gaps) != {p}:
+                one(find_type_profile(tuple((g, 0) for g in gaps), p)[1])
     assert frozenset() in seen and frozenset({0, 1, 2}) in seen
 
 
