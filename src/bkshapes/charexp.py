@@ -21,6 +21,10 @@ class NormDescentError(ArithmeticError):
     """A character that was expected to factor through the norm does not."""
 
 
+class UnsolvableChainError(ValueError):
+    """A twist chain has no integral solution: the collapse of its entries is nonzero."""
+
+
 @lru_cache(maxsize=None)
 def collapse_weights(p: int, m: int) -> tuple[int, ...]:
     """The weight p**((-i) % m) of each index i of Z/mZ; index 0 gets 1 (p**m is 1 mod p**m - 1)."""
@@ -78,7 +82,8 @@ def solve_twist_chain(d, p: int, m: int) -> tuple[int, ...]:
 
     Going once around the chain gives (p**m - 1) * nu[0] = sum_i d[i] * p**((-i) % m),
     so it is solvable exactly when collapse_exponents(d) == 0, and then nu[0] is
-    that sum divided by p**m - 1 and the recurrence gives the other entries.
+    that sum divided by p**m - 1 and the recurrence gives the other entries;
+    otherwise it raises UnsolvableChainError.
     """
     if len(d) != m:
         raise ValueError(f"expected {m} entries")
@@ -87,7 +92,7 @@ def solve_twist_chain(d, p: int, m: int) -> tuple[int, ...]:
     # p**(m-i) is the collapse weight of index i mod m
     acc = sum(map(mul, d, collapse_weights(p, m)))
     if acc % mod != 0:
-        raise ValueError("chain has no integral solution: collapse is nonzero")
+        raise UnsolvableChainError("chain has no integral solution: collapse is nonzero")
     nu0 = acc // mod
     nu = [nu0]
     for i in range(1, m):

@@ -160,22 +160,36 @@ def sweep_rows(p: int, f: int):
         kind, eta, eta_prime = "PS" if tau.kind == PRINCIPAL else "C", tau.eta, tau.eta_prime
         for J in enumerate_profiles(tau):
             pd = profile_data(tau, J)
+            bad = _sorted_members(pd.bad_set)
             rows.append({
                 "p": p, "f": f, "kind": kind, "eta": eta, "eta_prime": eta_prime,
                 "profile": profile_mask(tau, J), "s": pd.s, "t": pd.t, "theta": pd.theta,
-                "bad": tuple(sorted(pd.bad_set)), "P_tau": int(pd.in_P_tau),
-                "hodge": hodge_type_of(tau, J),
+                "bad": bad, "P_tau": int(not bad), "hodge": hodge_type_of(tau, J),
             })
     rows.sort(key=itemgetter("kind", "eta", "eta_prime", "profile"))
     return rows
 
 
+@lru_cache(maxsize=None)
+def _sorted_members(members: frozenset) -> tuple[int, ...]:
+    """The members in ascending order; a sweep's bad sets are a few shared frozensets."""
+    return tuple(sorted(members))
+
+
+_ints_text = lru_cache(maxsize=None)(_fmt_ints)
+_pairs_text = lru_cache(maxsize=None)(_fmt_pairs)
+
+
 def format_row(row) -> str:
+    """One table line.  The row's tuples (as `sweep_rows` and `parse_row` give them) repeat
+    across a table: at (3,3), 10 816 rows hold 416 (s, t) pairs, 26 theta and 1 638 Hodge
+    types.  So each distinct tuple is formatted once, as `_parse_ints` and `_parse_pairs` parse
+    each distinct field string once."""
     return (
         f"p={row['p']} f={row['f']} kind={row['kind']} eta={row['eta']}"
         f" eta_prime={row['eta_prime']} profile={row['profile']}"
-        f" s={_fmt_ints(row['s'])} t={_fmt_ints(row['t'])} theta={_fmt_ints(row['theta'])}"
-        f" bad={_fmt_ints(row['bad'])} P_tau={row['P_tau']} hodge={_fmt_pairs(row['hodge'])}"
+        f" s={_ints_text(row['s'])} t={_ints_text(row['t'])} theta={_ints_text(row['theta'])}"
+        f" bad={_ints_text(row['bad'])} P_tau={row['P_tau']} hodge={_pairs_text(row['hodge'])}"
     )
 
 

@@ -19,7 +19,8 @@ counterexample.
   paper's four cases, instead of reading the type's recipe table.
 - `descend-normal-form` and `operator-basis-lifts` hold the exponents and unit-part
   verdicts read off the engine's output to `hodge_type_of_raw` and `apply_operator`;
-  the first also checks that ascending undoes descent.
+  the first also checks that ascending undoes descent, and fails a pair whose twist
+  chain has no integral solution, since it has one exactly when Theta_J fits the descent.
 - `operator-basis-lifts`, `shape-invariance` and `strongdet-vs-shape` draw their
   trials as code grids (`randgen.draw_*`) in a trial loop's order and push at most
   STACK of them through the engine as one stack per index, sliced from the array of
@@ -40,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charexp import collapse_exponents, factor_through_norm, lambda_membership
+from .charexp import UnsolvableChainError, collapse_exponents, factor_through_norm, lambda_membership
 from .gf import MAX_TABLE_Q, field
 from .hodge import (
     ForcedChoiceError,
@@ -454,7 +455,10 @@ def check_descend(p, f, rng, fault=None, cap=400):
     for tau, J, F in pairs:
         where = f"{tau.key()} J={sorted(J)}"
         mod = random_component_module(rng, tau, J, F, degree=4)
-        res = descend_to_base(mod, J)
+        try:
+            res = descend_to_base(mod, J)
+        except UnsolvableChainError:
+            return False, f"twist chain has no integral solution at {where}: Theta_J misfits"
         for i, (got, want, ok) in enumerate(zip(res.exponents, hodge_type_of_raw(tau, J), res.ok)):
             if not ok or got != want:
                 return False, f"normal form fails at {where} i={i}: {got} unit={bool(ok)}, recipe {want}"

@@ -12,7 +12,7 @@ import io
 import numpy as np
 import pytest
 
-from bkshapes import extensions, hodge, phimod, randgen, verify
+from bkshapes import extensions, hodge, phimod, randgen, tametypes, verify
 from bkshapes.cli import main
 
 
@@ -94,6 +94,16 @@ def _assign_gamma0_raised(orig):
     return _assign
 
 
+def _theta_digits_rotated(orig):
+    """The recipe's Theta_J has its digits one index late."""
+
+    def _profile_data_cached(tau, J):
+        pd = orig(tau, J)
+        return pd._replace(theta=pd.theta[-1:] + pd.theta[:-1])
+
+    return _profile_data_cached
+
+
 def _ascend_without_column_moves(orig):
     """The ascent from the base field undoes the twist's row moves but not its column moves."""
 
@@ -133,6 +143,8 @@ MUTANTS = [
     (_hodge_type_first_pair_shifted, (hodge, verify), "hodge_type_of",
      ["existence-roundtrip", "forced-choice-patterns"]),
     (_assign_gamma0_raised, (hodge,), "_assign", ["existence-roundtrip", "forced-choice-patterns"]),
+    (_theta_digits_rotated, (tametypes,), "_profile_data_cached",
+     ["descend-normal-form", "existence-roundtrip", "forced-choice-patterns"]),
 ]
 
 

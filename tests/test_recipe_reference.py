@@ -12,8 +12,11 @@ with `%d` and parse each distinct field string once, with `map(int, ...)`.
 The earlier code is kept here as the reference.  On every pair at (3,1),
 (5,1), (3,2), (5,2), (7,2) and (3,3), and on a seeded sample of 2 000 pairs
 at (3,4) and (5,3), the engine must give the reference's profiles, recipes,
-Hodge types, rows and row bytes; malformed profiles and rows must raise the
-same exceptions.
+Hodge types, rows and row bytes, and `hodge_type_of`, read from a memo per
+(p, s_J, Theta_J), must be `canonical_hodge` of `hodge_type_of_raw`; malformed
+profiles and rows must raise the same exceptions.  `write_sweep`, which formats
+each distinct field tuple once, must give the bytes of a writer that shares
+nothing between rows.
 """
 
 import random
@@ -183,6 +186,7 @@ def _assert_pair_matches(tau, J):
     assert _record(profile_data(tau, J)) == _record(ref), (tau, J)
     assert hodge_type_of_raw(tau, J) == ref_hodge_type_of_raw(tau, J), (tau, J)
     assert hodge_type_of(tau, J) == ref_hodge_type_of(tau, J), (tau, J)
+    assert hodge_type_of(tau, J) == canonical_hodge(hodge_type_of_raw(tau, J), tau.p), (tau, J)
     row = ref_row(tau, J)
     assert profile_mask(tau, J) == row["profile"], (tau, J)
     line = ref_format_row(row)
@@ -208,6 +212,37 @@ def test_every_pair_and_row_matches_the_reference(p, f, kind):
     want.sort(key=lambda r: (r["kind"], r["eta"], r["eta_prime"], r["profile"]))
     assert rows == want
     assert [io.format_row(r) for r in rows] == [ref_format_row(r) for r in want]
+
+
+def unshared_write_sweep(p, f):
+    """The sweep table with nothing shared between rows: every field formatted on its own
+    (`io._fmt_ints`, `io._fmt_pairs`) and every Hodge type canonicalized afresh."""
+    rows = []
+    for tau in enumerate_types(p, f):
+        for J in enumerate_profiles(tau):
+            pd = profile_data(tau, J)
+            rows.append({
+                "p": p, "f": f, "kind": "PS" if tau.kind == PRINCIPAL else "C", "eta": tau.eta,
+                "eta_prime": tau.eta_prime, "profile": profile_mask(tau, J), "s": pd.s, "t": pd.t,
+                "theta": pd.theta, "bad": tuple(sorted(pd.bad_set)), "P_tau": int(pd.in_P_tau),
+                "hodge": canonical_hodge(hodge_type_of_raw(tau, J), p),
+            })
+    rows.sort(key=lambda r: (r["kind"], r["eta"], r["eta_prime"], r["profile"]))
+    lines = [io.sweep_header(p, f)] + [
+        f"p={r['p']} f={r['f']} kind={r['kind']} eta={r['eta']}"
+        f" eta_prime={r['eta_prime']} profile={r['profile']}"
+        f" s={io._fmt_ints(r['s'])} t={io._fmt_ints(r['t'])} theta={io._fmt_ints(r['theta'])}"
+        f" bad={io._fmt_ints(r['bad'])} P_tau={r['P_tau']} hodge={io._fmt_pairs(r['hodge'])}"
+        for r in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (2, 2), (3, 2), (67, 1)])
+def test_the_sweep_table_is_the_unshared_table_byte_for_byte(p, f):
+    """(67,1) is past the table limit, so its header prints the least irreducibles, and its
+    rows have t up to p = 67."""
+    assert io.write_sweep(p, f).encode() == unshared_write_sweep(p, f).encode()
 
 
 @pytest.mark.parametrize("p,f", SAMPLED)

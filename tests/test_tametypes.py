@@ -326,12 +326,17 @@ def test_type_repr_eq_and_hash_use_the_five_fields():
 
 
 def _clear_recipe_caches():
-    """Forget every type list, recipe row and recipe built so far, so a mutant's are built afresh."""
-    from bkshapes import verify
+    """Forget every type list, recipe row and recipe built so far, and every value a sweep row
+    shares (canonical Hodge types, sorted bad sets, formatted fields), so a mutant's are built
+    afresh."""
+    from bkshapes import hodge, io, verify
 
     verify._types.cache_clear()
     tametypes._profile_data_cached.cache_clear()
     tametypes._recipe_row.cache_clear()
+    hodge._canonical_of_recipe.cache_clear()
+    for memo in (io._sorted_members, io._ints_text, io._pairs_text):
+        memo.cache_clear()
 
 
 def _verify_recipe_bounds_with(monkeypatch, recipe_cases):
@@ -393,6 +398,36 @@ def test_recipe_bounds_fails_on_a_wrong_recipe_table(monkeypatch, mutant):
     assert code == 1
     assert "FAIL recipe-bounds: " in out
     assert "ERROR" not in out
+
+
+def _sweep_3_2():
+    import io
+
+    from bkshapes.cli import main
+
+    out = io.StringIO()
+    assert main(["sweep", "--p", "3", "--f", "2"], out=out) == 0
+    return out.getvalue()
+
+
+def test_no_memo_hides_a_corrupt_table_from_a_sweep(monkeypatch):
+    """A sweep read off a corrupt case table shows it, and once the caches are cleared again
+    the clean table comes back: no recipe row, Hodge type or formatted field outlives the
+    table it was read off."""
+    from bkshapes.io import read_sweep
+
+    clean = _sweep_3_2()
+    _clear_recipe_caches()
+    monkeypatch.setattr(tametypes, "_recipe_cases", _s_below_range_entering_J)
+    try:
+        corrupt = _sweep_3_2()
+    finally:
+        monkeypatch.undo()
+        _clear_recipe_caches()
+    assert corrupt != clean
+    assert any(-2 in row["s"] for row in read_sweep(corrupt))
+    assert not any(-2 in row["s"] for row in read_sweep(clean))
+    assert _sweep_3_2() == clean
 
 
 # -- the recipe against its branch-by-branch statement --------------------------
