@@ -103,15 +103,10 @@ def rank1_etale_isomorphic(tau: TameType, J) -> bool:
     """Whether the two untwisted rank-1 modules agree after inverting u.
 
     It needs shifts w_i in the grading class of d_i - c_i with s_i = r_i + p*w_{i-1} - w_i;
-    by the exponent identity the defect s_i - r_i - p*w_{i-1} + w_i is estep*lambda_i,
-    lambda_i = -1-gamma_i, -gamma_i, gamma_i+1-p or gamma_i-p as (i-1 in J, i in J) is
-    (0,0), (0,1), (1,0) or (1,1), and such shifts exist when lambda collapses to 0.
+    by the exponent identity the defect s_i - r_i - p*w_{i-1} + w_i is estep*lambda_i with
+    lambda_i = -1 - s_i for the recipe's s_J, and such shifts exist when lambda collapses to 0.
     """
-    J = check_profile(tau, J)
-    p, fp = tau.p, tau.fprime
-    lam = [(-1 - g, -g, g + 1 - p, g - p)[2 * ((i - 1) % fp in J) + (i in J)]
-           for i, g in enumerate(tau.gamma)]
-    return collapse_exponents(lam, p, fp) == 0
+    return collapse_exponents([-1 - s for s in profile_data(tau, J).s], tau.p, tau.fprime) == 0
 
 
 class ExceptionalPairError(ValueError):

@@ -11,7 +11,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .charexp import collapse_exponents, digit_tuple, lambda_membership
-from .tametypes import CUSPIDAL, PRINCIPAL, TameType, profile_at, profile_data, type_from_gamma
+from .tametypes import (
+    CUSPIDAL, PRINCIPAL, TameType, profile_at, profile_data, raw_hodge_pairs, type_from_gamma,
+)
 
 HodgePairs = tuple[tuple[int, int], ...]
 
@@ -76,11 +78,7 @@ def hodge_type_of_raw(tau: TameType, J) -> HodgePairs:
     They are weakly decreasing because s_i >= -1, which `recipe-bounds` checks.
     """
     pd = profile_data(tau, J)
-    return _raw_pairs(pd.s, pd.theta)
-
-
-def _raw_pairs(s, theta) -> HodgePairs:
-    return tuple([(1 - th, -x - th) for th, x in zip(theta, s)])
+    return raw_hodge_pairs(pd.s, pd.theta)
 
 
 def hodge_type_of(tau: TameType, J) -> HodgePairs:
@@ -99,7 +97,7 @@ def hodge_type_of(tau: TameType, J) -> HodgePairs:
 @lru_cache(maxsize=4096)
 def _canonical_of_recipe(p: int, s: tuple[int, ...], theta: tuple[int, ...]) -> HodgePairs:
     """canonical_hodge of the raw pairs (1 - theta_i, -s_i - theta_i) (`hodge_type_of_raw`)."""
-    return canonical_hodge(_raw_pairs(s, theta), p)
+    return canonical_hodge(raw_hodge_pairs(s, theta), p)
 
 
 # -- weight operators -------------------------------------------------------

@@ -10,7 +10,7 @@ indices toggled, for either kind of type.
 
 from __future__ import annotations
 
-from .tametypes import TameType, check_profile, is_transition, profile_at, profile_data, profile_mask
+from .tametypes import TameType, is_transition, profile_at, profile_data, profile_mask
 
 
 def extended(S, f: int) -> frozenset:
@@ -54,8 +54,8 @@ def shifted_bad_set(tau: TameType, J) -> frozenset:
     An interval keeps its anchor exactly when the step into the anchor is a
     transition for J.
     """
-    J = check_profile(tau, J)
     pd = profile_data(tau, J)
+    J = pd.J
     f = tau.f
     out = set()
     for block in interval_decomposition(pd.bad_set, f):
@@ -75,8 +75,8 @@ def shapeshift_targets(tau: TameType, J) -> list[frozenset]:
     set D of Z/fZ is applied to J's profile number, so in the cuspidal case
     J' also flips i + f for each i in D.
     """
-    J = check_profile(tau, J)
     pd = profile_data(tau, J)
+    J = pd.J
     f = tau.f
     n = profile_mask(tau, J) & (1 << f) - 1
     allowed = sorted(shifted_bad_set(tau, J))

@@ -314,8 +314,8 @@ def descend_to_base(mod: BKModule, J) -> DescentResult:
     `descend-normal-form` holds them to `hodge_type_of_raw`.
     """
     tau, f = mod.tau, mod.tau.f
-    J = check_profile(tau, J)
     pd = profile_data(tau, J)
+    J = pd.J
     nu = twist_chain(pd)
     moves = _twist_moves(tau, J, pd)
     mats = [reorder_by_profile(A.shifted(*moves[i]).swapped(False, tau.kind == CUSPIDAL and i == 0),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gf import GF
 from .series import Mat2, Series
-from .tametypes import TameType, check_profile
+from .tametypes import TameType
 from .phimod import (
     SHAPE_I_ETA, SHAPE_I_ETA_PRIME, SHAPE_II, BKModule, module_from_partial_frobenius,
 )
@@ -165,6 +165,5 @@ def random_module(rng: random.Random, tau: TameType, F: GF, shapes, degree: int 
 
 def random_component_module(rng: random.Random, tau: TameType, J, F: GF, degree: int = 8) -> BKModule:
     """Random point of the component: B_i * diag(v,1) or diag(1,v) * B_i."""
-    J = check_profile(tau, J)
     B = [code_matrices(F, Bi[None]) for Bi in draw_unit_matrices(rng, F, degree, tau.f)]
     return module_from_partial_frobenius(tau, J, B)

@@ -243,6 +243,11 @@ def _profile_data(tau: TameType, J: frozenset) -> ProfileData:
 _profile_data_cached = lru_cache(maxsize=65536)(_profile_data)
 
 
+def raw_hodge_pairs(s, theta) -> tuple[tuple[int, int], ...]:
+    """The pairs (1 - theta_i, -s_i - theta_i) of the recipe's s and Theta digits, one per i < f."""
+    return tuple([(1 - th, -x - th) for th, x in zip(theta, s)])
+
+
 # -- Serre weights -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -262,7 +267,7 @@ class SerreWeight:
 
     def hodge_pairs(self) -> tuple[tuple[int, int], ...]:
         """The labeled weight pairs {-s-t, 1-t} attached to this weight."""
-        return tuple((1 - t, -s - t) for t, s in zip(self.t, self.s))
+        return raw_hodge_pairs(self.s, self.t)
 
 
 class BadProfileError(ValueError):

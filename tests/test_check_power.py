@@ -84,6 +84,17 @@ def _hodge_type_first_pair_shifted(orig):
     return hodge_type_of
 
 
+def _canonical_low_digits_rotated(orig):
+    """The canonical representative of a Hodge type takes its low digits one index late."""
+
+    def canonical_hodge(r, p):
+        c = orig(r, p)
+        low = [lo for _, lo in c]
+        return tuple([(lo + a - b, lo) for lo, (a, b) in zip(low[-1:] + low[:-1], c)])
+
+    return canonical_hodge
+
+
 def _assign_gamma0_raised(orig):
     """The inverse construction's walk raises gamma_0 by one, capped at p - 1."""
 
@@ -141,16 +152,27 @@ MUTANTS = [
     (_theta_prev_moved_as_mu, (phimod,), "_PREV_COLS", ["operator-basis-lifts"]),
     (_twist_row_move_off_by_one, (phimod,), "_twist_moves", ["descend-normal-form"]),
     (_hodge_type_first_pair_shifted, (hodge, verify), "hodge_type_of",
-     ["existence-roundtrip", "forced-choice-patterns"]),
+     ["existence-roundtrip", "forced-choice-patterns", "weight-type-coherence"]),
     (_assign_gamma0_raised, (hodge,), "_assign", ["existence-roundtrip", "forced-choice-patterns"]),
     (_theta_digits_rotated, (tametypes,), "_profile_data_cached",
      ["descend-normal-form", "existence-roundtrip", "forced-choice-patterns"]),
+    (_canonical_low_digits_rotated, (hodge,), "canonical_hodge", ["weight-type-coherence"]),
 ]
+
+
+@pytest.fixture
+def fresh_hodge_types():
+    """No canonical Hodge type memoized before the mutant is in place hides it, and none it
+    made outlives it."""
+    hodge._canonical_of_recipe.cache_clear()
+    yield
+    hodge._canonical_of_recipe.cache_clear()
 
 
 @pytest.mark.parametrize("mutant,modules,name,killed", MUTANTS,
                          ids=lambda v: getattr(v, "__name__", None))
-def test_mutant_makes_the_check_fail(monkeypatch, mutant, modules, name, killed):
+def test_mutant_makes_the_check_fail(fresh_hodge_types, monkeypatch, mutant, modules, name,
+                                     killed):
     replacement = mutant(getattr(modules[0], name))
     for module in modules:
         monkeypatch.setattr(module, name, replacement)

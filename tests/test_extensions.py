@@ -462,6 +462,8 @@ def _reference_rank1_etale_isomorphic(tau, J):
 
 
 def test_exceptional_pairs_match_the_shift_condition():
+    """The recipe's s_J (lambda_i = -1 - s_i) against the shift condition on the u-scale
+    exponents, which reads neither the recipe nor gamma."""
     pairs = hits = 0
     for p, f in ((2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (2, 2), (3, 2), (5, 2), (2, 3)):
         for tau in enumerate_types(p, f):

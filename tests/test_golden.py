@@ -1,8 +1,9 @@
 """Golden outputs: sha256 digests of CLI output that must not change.
 
-The digests pin the exact bytes of `verify`, `sweep`, `ext`, `shape` and
-`descend` on fixed inputs, so a refactor that is meant to leave output
-byte-identical is checked by the suite rather than by a one-off diff.
+The digests pin the exact bytes of `verify`, `sweep`, `profiles`,
+`weights`, `hodge`, `ext`, `shape` and `descend` on fixed inputs, so a
+refactor that is meant to leave output byte-identical is checked by the
+suite rather than by a one-off diff.
 The operator checks of `verify` only run at f >= 2, hence (3, 2); (5, 2)
 runs the series engine over F_25 and F_625 as well, (7, 2) over F_2401,
 and (3, 3) carries three matrices per operator trial.  Seeds 1 to 3 are
@@ -58,6 +59,13 @@ GOLDEN_STDOUT = {
         "84976be8ffc337b2be45c79b90f04980767953b1d5747862dd97fee27024e95a",
     ("sweep", "--p", "3", "--f", "3"):
         "cfa449f4f45a7498465b6c495e5c9569ac426c1a760731e77c8a5668805a320f",
+    # the recipe's records: its rows, the weights of the good profiles, and a Hodge type
+    ("profiles", "--p", "3", "--f", "2", "--gamma", "1,0"):
+        "7044a0bce9654acee1414bf447a90583243acde953c3d0c07b6123a882502fd4",
+    ("weights", "--p", "3", "--f", "2", "--kind", "cuspidal", "--eta", "1"):
+        "66fc84f0c640ba7e16d47585a68e5c74bf06dfc8ec733ef95d11f22c9482a76c",
+    ("hodge", "--p", "3", "--f", "2", "--kind", "cuspidal", "--eta", "1", "--profile", "2,3"):
+        "5154f5665b05a37d66caae5f42c58406830adb8071629f46686303e73a9ca3ec",
     ("ext", "--p", "3", "--f", "3", "--gamma", "1,0,2", "--profile", "0,2", "--kext"):
         "c95dee1c65562bd96f97ed9b89f1ab0c05b7224a444908bd294c8e7e97514077",
     # a loop of gain 1 (free_cycles=1, splits=1), and two walks that do not close (splits=0)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -11,9 +12,13 @@ from bkshapes.charexp import (
     factor_through_norm,
     solve_twist_chain,
 )
+from bkshapes.extensions import rank1_etale_isomorphic
+from bkshapes.gf import field
 from bkshapes.hodge import find_type_profile
-from bkshapes.intervals import shapeshift_targets
-from bkshapes.phimod import twist_chain
+from bkshapes.intervals import shapeshift_targets, shifted_bad_set
+from bkshapes.io import module_to_json
+from bkshapes.phimod import descend_to_base, eigenbasis_matrices, twist_chain
+from bkshapes.randgen import random_component_module
 from bkshapes.tametypes import (
     CUSPIDAL,
     PRINCIPAL,
@@ -108,6 +113,45 @@ def test_check_profile_matches_pairing_rule(p, f):
             else:
                 with pytest.raises(ValueError):
                     check_profile(tau, members)
+
+
+def _profile_readers():
+    """The readers that leave the profile check to `profile_data` or
+    `module_from_partial_frobenius`, each answering with comparable values, at a cuspidal
+    (3,2) type."""
+    tau = type_from_gamma(3, 2, CUSPIDAL, (1, 2))
+    F = field(3, 4)
+
+    def component_module(J):
+        return random_component_module(random.Random(0), tau, J, F, degree=3)
+
+    mod = component_module({0, 3})
+
+    def descent(J):
+        res = descend_to_base(mod, J)
+        return res.J, module_to_json(tau, res.mats, F, scale="v")
+
+    return {
+        "descend_to_base": descent,
+        "shifted_bad_set": lambda J: shifted_bad_set(tau, J),
+        "shapeshift_targets": lambda J: shapeshift_targets(tau, J),
+        "random_component_module": lambda J: module_to_json(
+            tau, eigenbasis_matrices(component_module(J)), F),
+        "rank1_etale_isomorphic": lambda J: rank1_etale_isomorphic(tau, J),
+    }
+
+
+@pytest.mark.parametrize("reader", ["descend_to_base", "shifted_bad_set", "shapeshift_targets",
+                                    "random_component_module", "rank1_etale_isomorphic"])
+def test_readers_refuse_and_reduce_profiles_as_check_profile(reader):
+    """An invalid cuspidal profile is refused with `check_profile`'s ValueError and text, and
+    members at or above f' read as their residues."""
+    read = _profile_readers()[reader]
+    with pytest.raises(ValueError) as info:
+        read({0, 2})
+    assert info.type is ValueError
+    assert str(info.value) == "[0, 2] is not a valid profile for a cuspidal type"
+    assert read({4, 7}) == read({0, 3})
 
 
 def _reference_nu(pd):
